@@ -13,7 +13,6 @@ Structures are JSON files (explicit tables or builder shorthands); diagrams
 are Morse-word text files or ``builtin:<name>[:m]``.  ``--bind sym=value``
 substitutes numeric values into every structure scalar (``symbolic`` leaves
 the symbol free).  Exit codes: 0 success, 1 semantic failure, 2 input error.
-OQA_THREADS caps evaluator parallelism.
 """
 
 from __future__ import annotations
@@ -85,7 +84,14 @@ def _load_diagram(spec: str) -> MorseDiagram:
     if spec.startswith("builtin:"):
         parts = spec.split(":")
         name = parts[1]
-        m = int(parts[2]) if len(parts) > 2 else None
+        m = None
+        if len(parts) > 2:
+            try:
+                m = int(parts[2])
+            except ValueError:
+                raise CliInputError(
+                    f"builtin count {parts[2]!r} in {spec!r} is not an integer"
+                ) from None
         try:
             return builtin(name, m)
         except DiagramError as exc:
@@ -358,9 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format", choices=("json", "text"), default="text", help="output format"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized commands"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

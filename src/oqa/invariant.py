@@ -18,8 +18,6 @@ feeding the two lines of its crossing.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -40,7 +38,6 @@ __all__ = [
     "evaluate_tangle",
     "evaluate_link",
     "evaluate_knot",
-    "thread_count",
 ]
 
 
@@ -90,28 +87,16 @@ def formal_word(
     )
 
 
-def thread_count() -> int:
-    """Worker cap from OQA_THREADS (default 1, i.e. sequential)."""
-    raw = os.environ.get("OQA_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvariantError(f"OQA_THREADS={raw!r} is not an integer") from None
-    return max(1, n)
-
-
 class _Evaluator:
     def __init__(
         self,
         S: OrientedQuantumAlgebraStructure,
         d: MorseDiagram,
         record: TraversalRecord,
-        trace: Optional[Mapping[int, Scalar]],
     ):
         self.S = S
         self.d = d
         self.record = record
-        self.trace = trace
         self.algebra = S.algebra
         self._t_d_pows: Dict[int, AlgebraMap] = {0: AlgebraMap.identity(S.algebra)}
         self._t_u_pows: Dict[int, AlgebraMap] = {0: AlgebraMap.identity(S.algebra)}
@@ -172,16 +157,8 @@ class _Evaluator:
             plans.append(tuple(factors))
         return plans
 
-    def run(self, assignments: Sequence[Tuple[int, ...]], plans) -> List:
-        """Sum contributions of the given entry-index assignments.
 
-        Returns [Scalar] totals for closed diagrams and the open component's
-        AlgebraElement accumulations otherwise (handled by the callers).
-        """
-        raise NotImplementedError
-
-
-def _sum_assignments(ev: _Evaluator, plans, closed_value, open_seed=None):
+def _sum_assignments(ev: _Evaluator, plans, closed_value):
     """Depth-first state-sum over crossing-entry assignments.
 
     Crossings are assigned in order of first traversal encounter; each
@@ -228,15 +205,12 @@ def _sum_assignments(ev: _Evaluator, plans, closed_value, open_seed=None):
             return scalar_part, algebra.zero()
         return table.zero, open_part.scale(scalar_part)
 
-    def rec(depth, coeff, prods, ptrs, choices, first_choice=None):
+    def rec(depth, coeff, prods, ptrs, choices):
         total_scalar = table.zero
         total_open = algebra.zero()
         if depth == K:
             return finish(coeff, prods)
-        options = (
-            range(nchoices[depth]) if first_choice is None else [first_choice]
-        )
-        for idx in options:
+        for idx in range(nchoices[depth]):
             choices[depth] = idx
             coeff2 = coeff * entry_coeffs[depth][idx]
             if coeff2.is_zero:
@@ -265,28 +239,9 @@ def _sum_assignments(ev: _Evaluator, plans, closed_value, open_seed=None):
             total_open = total_open + o
         return total_scalar, total_open
 
-    def run(first_choice=None):
-        return rec(
-            0,
-            table.one,
-            [algebra.one()] * len(comps),
-            [0] * len(comps),
-            [0] * K,
-            first_choice,
-        )
-
-    workers = thread_count()
-    if workers == 1 or K == 0:
-        return run()
-    total_scalar = table.zero
-    total_open = algebra.zero()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run, idx) for idx in range(nchoices[0])]
-        for fut in futures:
-            s, o = fut.result()
-            total_scalar = total_scalar + s
-            total_open = total_open + o
-    return total_scalar, total_open
+    return rec(
+        0, table.one, [algebra.one()] * len(comps), [0] * len(comps), [0] * K
+    )
 
 
 def evaluate_tangle(
@@ -302,7 +257,7 @@ def evaluate_tangle(
     if d.boundary != "open":
         raise InvariantError("evaluate_tangle needs an open tangle")
     record = traverse(d, preferred_starts)
-    ev = _Evaluator(S, d, record, None)
+    ev = _Evaluator(S, d, record)
     plans = ev.prepare()
 
     def closed_value(w: AlgebraElement, comp) -> Scalar:
@@ -318,7 +273,7 @@ def evaluate_tangle(
             if not comp.is_open:
                 extra = extra * closed_value(S.algebra.one(), comp)
         return value.scale(extra)
-    scalar_total, open_total = _sum_assignments(ev, plans, closed_value, None)
+    _, open_total = _sum_assignments(ev, plans, closed_value)
     return open_total
 
 
@@ -353,7 +308,7 @@ def evaluate_link(
                     raise InvariantError(f"functional is not {tag}-invariant")
 
     record = traverse(d, preferred_starts)
-    ev = _Evaluator(S, d, record, functional)
+    ev = _Evaluator(S, d, record)
     plans = ev.prepare()
 
     def closed_value(w: AlgebraElement, comp) -> Scalar:
@@ -364,7 +319,7 @@ def evaluate_link(
         for comp in record.components:
             total = total * closed_value(S.algebra.one(), comp)
         return total
-    scalar_total, _ = _sum_assignments(ev, plans, closed_value, None)
+    scalar_total, _ = _sum_assignments(ev, plans, closed_value)
     return scalar_total
 
 

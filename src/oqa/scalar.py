@@ -7,14 +7,22 @@ handled by declaring the root itself as a symbol (e.g. ``sbc`` with
 ``bc = sbc**2``) or, for square roots of -1, by building the table over the
 Gaussian rationals.
 
-Canonical form is maintained eagerly (content/GCD reduction with a normalized
+Canonical form is maintained eagerly (content/GCD reduction with a monic
 denominator), so ``==`` is exact mathematical equality and Scalars are
 hashable.  All values are immutable.
+
+Products and sums of Laurent scalars -- both denominators single monomials,
+which covers constants and every table without symbols -- reach that same
+canonical form without a gcd: the result's denominator is again a monomial,
+and the only common factor left to cancel is the power of each symbol that
+divides the whole numerator.  Any other operand pair goes through sympy's
+``FracField`` arithmetic, which cancels by a polynomial gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import sympy
@@ -209,19 +217,37 @@ class Scalar:
             return other
         return self.table.scalar(other)
 
+    def _sum(self, x, y, op) -> "Scalar":
+        """``op(x, y)`` for FracElements x, y and op one of add, sub."""
+        ex, ey = _monomial(x.denom), _monomial(y.denom)
+        if ex is None or ey is None:
+            return Scalar(self.table, op(x, y))
+        if ex == ey:
+            return _laurent(self.table, op(x.numer, y.numer), ex)
+        e = tuple(map(max, ex, ey))
+        num = op(
+            x.numer.mul_monom(tuple(map(sub, e, ex))),
+            y.numer.mul_monom(tuple(map(sub, e, ey))),
+        )
+        return _laurent(self.table, num, e)
+
     def __add__(self, other: ScalarLike) -> "Scalar":
-        return Scalar(self.table, self.elem + self._coerce(other).elem)
+        return self._sum(self.elem, self._coerce(other).elem, add)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        return Scalar(self.table, self.elem - self._coerce(other).elem)
+        return self._sum(self.elem, self._coerce(other).elem, sub)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
-        return Scalar(self.table, self._coerce(other).elem - self.elem)
+        return self._sum(self._coerce(other).elem, self.elem, sub)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        return Scalar(self.table, self.elem * self._coerce(other).elem)
+        x, y = self.elem, self._coerce(other).elem
+        ex, ey = _monomial(x.denom), _monomial(y.denom)
+        if ex is None or ey is None:
+            return Scalar(self.table, x * y)
+        return _laurent(self.table, x.numer * y.numer, tuple(map(add, ex, ey)))
 
     __rmul__ = __mul__
 
@@ -294,6 +320,39 @@ class Scalar:
                 return sympy.Rational(nc.x) / sympy.Rational(dc.x)
             return sympy.Rational(nc) / sympy.Rational(dc)
         return None
+
+
+def _monomial(den) -> Optional[tuple]:
+    """The exponent vector of a monomial denominator, else None.
+
+    Canonical denominators are monic, so a one-term denominator is exactly
+    x**exponent.
+    """
+    if len(den) == 1:
+        (monom,) = den
+        return monom
+    return None
+
+
+def _laurent(table: SymbolTable, num, exp: tuple) -> Scalar:
+    """The canonical Scalar ``num / x**exp``.
+
+    The gcd of a polynomial and a monomial is, per symbol, the smaller of the
+    numerator's valuation and the denominator's exponent; dividing it out
+    leaves a reduced fraction whose monomial denominator is already monic.
+    """
+    if not num:
+        return table.zero
+    if any(exp):
+        low = exp
+        for monom in num:
+            low = tuple(map(min, low, monom))
+        if any(low):
+            num = num.new([(tuple(map(sub, m, low)), c) for m, c in num.items()])
+            exp = tuple(map(sub, exp, low))
+    field = table._field
+    den = field.ring.dtype([(exp, table._domain.one)])
+    return Scalar(table, field.raw_new(num, den))
 
 
 # -- substitution ----------------------------------------------------------

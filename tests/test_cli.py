@@ -117,6 +117,9 @@ def test_homfly_conway_commands(capsys):
     assert code == 0 and out.strip() == "1"
     code, out, _ = run_cli(capsys, "conway", "--diagram", "builtin:nonsense")
     assert code == 2
+    code, out, err = run_cli(capsys, "homfly", "--diagram", "builtin:c_r_plus:x")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_diagram_file_input(capsys, tmp_path, ex2_file):

@@ -228,20 +228,3 @@ def test_sweedler_tangle_invariants():
     composite = compose_tangles(builtin("curl"), mirror(builtin("curl_op")))
     assert evaluate_tangle(S, composite) == S.algebra.one()
     assert not w.is_zero
-
-
-def test_thread_env_parallel_evaluation(ex2_n2, monkeypatch):
-    d = builtin("trefoil_knot")
-    base = evaluate_link(ex2_n2, d)
-    monkeypatch.setenv("OQA_THREADS", "4")
-    assert evaluate_link(ex2_n2, d) == base
-    monkeypatch.setenv("OQA_THREADS", "zzz")
-    with pytest.raises(InvariantError, match="OQA_THREADS"):
-        evaluate_link(ex2_n2, d)
-
-
-def test_thread_env_tangle(ex2_n2, monkeypatch):
-    d = builtin("trefoil_tangle")
-    base = evaluate_tangle(ex2_n2, d)
-    monkeypatch.setenv("OQA_THREADS", "3")
-    assert evaluate_tangle(ex2_n2, d) == base

@@ -1,8 +1,11 @@
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oqa import (
     NotLaurentError,
+    Scalar,
     ScalarError,
     SymbolTable,
     UndeclaredSymbolError,
@@ -188,3 +191,69 @@ def test_substitute_is_homomorphism(x, y):
     assert substitute(x + y, bindings) == substitute(x, bindings) + substitute(
         y, bindings
     )
+
+
+# -- Laurent fast path against the FracField route ---------------------------
+
+_laurent_tables = (
+    SymbolTable(["a", "sbc", "w"]),
+    SymbolTable(["a", "sbc"], gaussian=True),
+    SymbolTable([], gaussian=True),
+)
+
+
+@st.composite
+def laurent_scalars(draw, table):
+    """A random polynomial over a random monomial, canonicalized by sympy."""
+    dom = table._domain
+    ring = table._field.ring
+    exps = st.tuples(*[st.integers(0, 2)] * len(table.symbols))
+    coeff = st.builds(
+        lambda p, q, r: dom.convert(p) / dom.convert(q)
+        + (dom(0, r) if table.gaussian else dom.zero),
+        st.integers(-3, 3),
+        st.integers(1, 3),
+        st.integers(-2, 2),
+    )
+    terms = draw(st.dictionaries(exps, coeff, max_size=3))
+    den = ring.from_dict({draw(exps): 1})
+    return Scalar(table, table._field.new(ring.from_dict(terms), den))
+
+
+def _assert_same(got, table, ref_elem):
+    ref = Scalar(table, ref_elem)
+    assert (got.elem.numer, got.elem.denom) == (ref.elem.numer, ref.elem.denom)
+    assert got.text() == ref.text() and hash(got) == hash(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_laurent_ops_match_fracfield(data):
+    table = data.draw(st.sampled_from(_laurent_tables))
+    x = data.draw(laurent_scalars(table))
+    partners = [laurent_scalars(table), st.just(x), st.just(-x)]
+    num = x.elem.numer
+    if len(num) == 1:
+        # a monomial times a constant: its inverse cancels x completely
+        partners.append(st.just(x.inv()))
+    if len(table.symbols) >= 2:
+        # a non-monomial denominator takes the FracField route
+        s0, s1 = table.syms(*table.symbols[:2])
+        partners.append(laurent_scalars(table).map(lambda y: y / (s0 - s1)))
+    y = data.draw(st.one_of(partners))
+    for op in (operator.mul, operator.add, operator.sub):
+        _assert_same(op(x, y), table, op(x.elem, y.elem))
+    _assert_same(y.__rsub__(x), table, x.elem - y.elem)
+    _assert_same(2 - x, table, table.scalar(2).elem - x.elem)
+
+
+def test_laurent_cancellations(t):
+    a, sbc = t.syms("a", "sbc")
+    full = (a / sbc) * (sbc / a)
+    assert full.elem.numer == 1 and full.elem.denom == 1
+    assert (a**2 / sbc - a**2 / sbc).is_zero and (a / sbc + (-a) / sbc).is_zero
+    assert ((a + sbc) / a - sbc / a).text() == "1"
+    assert (sbc**2 / a * (a**3 / sbc)).text() == "a**2*sbc"
+    mixed = (a / sbc) * (1 / (a - sbc))
+    assert mixed.text() == "a/(a*sbc - sbc**2)"
+    assert (mixed - 1 / (a - sbc)).text() == "1/sbc"
