@@ -463,14 +463,6 @@ class TripleTensor:
                             out[key] = contrib if s is None else s + contrib
         return TripleTensor(self.algebra, out)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TripleTensor):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
 
 def _embed(u: TensorSquareElement, slots: Tuple[int, int]) -> TripleTensor:
     algebra = u.algebra
@@ -488,10 +480,7 @@ def _embed(u: TensorSquareElement, slots: Tuple[int, int]) -> TripleTensor:
 
 def qybe_check(algebra: AlgebraSpec, rho: TensorSquareElement) -> bool:
     """Whether rho_12 rho_13 rho_23 = rho_23 rho_13 rho_12 holds exactly."""
-    r12 = _embed(rho, (0, 1))
-    r13 = _embed(rho, (0, 2))
-    r23 = _embed(rho, (1, 2))
-    return (r12 * r13) * r23 == (r23 * r13) * r12
+    return not qybe_defect(algebra, rho)
 
 
 def qybe_defect(algebra: AlgebraSpec, rho: TensorSquareElement) -> dict:

@@ -48,6 +48,7 @@ from .diagram import (
     MorseDiagram,
     Slice,
     SliceKind,
+    TraversalRecord,
     cut_open,
     stats,
     traverse,
@@ -173,7 +174,7 @@ class SkeinPolynomial:
 _DELTA = SkeinPolynomial({(1, -1): 1, (-1, -1): -1})  # (alpha - alpha^-1)/z
 
 
-def _first_bad_crossing(d: MorseDiagram) -> Optional[int]:
+def _first_bad_crossing(record: TraversalRecord) -> Optional[int]:
     """First crossing met on its under line, scanning components in order.
 
     The first tensor factor rides the over strand, so a line label with
@@ -181,7 +182,7 @@ def _first_bad_crossing(d: MorseDiagram) -> Optional[int]:
     only on connectivity, never on crossing signs.
     """
     seen: set = set()
-    for comp in traverse(d).components:
+    for comp in record.components:
         for label in comp.labels:
             if label.crossing in seen:
                 continue
@@ -191,9 +192,10 @@ def _first_bad_crossing(d: MorseDiagram) -> Optional[int]:
     return None
 
 
-def _descending_value(d: MorseDiagram, conway_mode: bool) -> SkeinPolynomial:
+def _descending_value(
+    d: MorseDiagram, record: TraversalRecord, conway_mode: bool
+) -> SkeinPolynomial:
     """Value of a descending diagram: layered curled unlinks."""
-    record = traverse(d)
     r = len(record.components)
     if r == 0:
         return SkeinPolynomial.one()
@@ -220,9 +222,10 @@ def _skein(d: MorseDiagram, conway_mode: bool, memo: Dict) -> SkeinPolynomial:
     hit = memo.get(key)
     if hit is not None:
         return hit
-    bad = _first_bad_crossing(d)
+    record = traverse(d)
+    bad = _first_bad_crossing(record)
     if bad is None:
-        value = _descending_value(d, conway_mode)
+        value = _descending_value(d, record, conway_mode)
     else:
         s = d.slices[bad]
         flipped = (

@@ -11,23 +11,22 @@ yields
     invariant functional tr: the scalar  prod_c tr(G^{d_c} w(L_c)),
 
 with d_c the Whitney degree of component c.  Both are regular-isotopy
-invariants.  The evaluation here is a sum over assignments of one nonzero
-entry of its copy to every crossing, the two factor indices of an entry
-feeding the two lines of its crossing.
+invariants.  One state sum computes both: it runs over the assignments of
+one nonzero entry of its copy to every crossing, the two factor indices of
+an entry feeding the two lines of its crossing, and hands each assignment's
+coefficient and per-component bead products to a leaf supplied by the entry
+point.  The leaf of evaluate_link closes every component with
+tr(G^{d_c} .); the leaf of evaluate_tangle keeps the open strand's product
+as it is and closes the other components the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from .algebra import AlgebraElement, AlgebraMap
-from .diagram import (
-    MorseDiagram,
-    SliceKind,
-    TraversalRecord,
-    traverse,
-)
+from .diagram import MorseDiagram, SliceKind, TraversalRecord, traverse
 from .scalar import Scalar
 from .structures import OrientedQuantumAlgebraStructure, is_tracelike
 
@@ -43,6 +42,9 @@ __all__ = [
 
 class InvariantError(ValueError):
     pass
+
+
+T = TypeVar("T", Scalar, AlgebraElement)
 
 
 @dataclass(frozen=True)
@@ -87,138 +89,84 @@ def formal_word(
     )
 
 
-class _Evaluator:
-    def __init__(
-        self,
-        S: OrientedQuantumAlgebraStructure,
-        d: MorseDiagram,
-        record: TraversalRecord,
-    ):
-        self.S = S
-        self.d = d
-        self.record = record
-        self.algebra = S.algebra
-        self._t_d_pows: Dict[int, AlgebraMap] = {0: AlgebraMap.identity(S.algebra)}
-        self._t_u_pows: Dict[int, AlgebraMap] = {0: AlgebraMap.identity(S.algebra)}
-        self._maps: Dict[Tuple[int, int], AlgebraMap] = {}
-        self.crossings = [
-            i for i, s in enumerate(d.slices) if s.kind.is_crossing
-        ]
-        self.entries = {
-            i: sorted(
-                (S.rho if d.slices[i].kind is SliceKind.X_POS else S.rho_inv)
-                .coeffs.items()
-            )
-            for i in self.crossings
-        }
-        self.g_powers: Dict[int, AlgebraElement] = {}
+def _state_sum(
+    S: OrientedQuantumAlgebraStructure,
+    d: MorseDiagram,
+    record: TraversalRecord,
+    leaf: Callable[[Scalar, List[AlgebraElement]], T],
+    zero: T,
+) -> T:
+    """zero + the sum of leaf(coeff, products) over crossing-entry assignments.
 
-    def _pow(self, cache: Dict[int, AlgebraMap], base: AlgebraMap, n: int) -> AlgebraMap:
-        if n not in cache:
-            if n > 0:
-                cache[n] = base.compose(self._pow(cache, base, n - 1))
-            else:
-                if -1 not in cache:
-                    cache[-1] = base.inverse()
-                cache[n] = cache[-1].compose(self._pow(cache, base, n + 1))
-        return cache[n]
-
-    def twist_map(self, ud: int, uu: int) -> AlgebraMap:
-        key = (ud, uu)
-        if key not in self._maps:
-            md = self._pow(self._t_d_pows, self.S.t_d, ud)
-            mu = self._pow(self._t_u_pows, self.S.t_u, uu)
-            self._maps[key] = md.compose(mu)
-        return self._maps[key]
-
-    def g_power(self, n: int) -> AlgebraElement:
-        if n not in self.g_powers:
-            if self.S.twist is None:
-                raise InvariantError(
-                    "closed components need a twist on the structure"
-                )
-            self.g_powers[n] = self.S.twist.power(n)
-        return self.g_powers[n]
-
-    def prepare(self):
-        """Per component: list of (crossing position in self.crossings,
-        tensorand picker, cached twisted basis elements per entry)."""
-        crossing_pos = {c: k for k, c in enumerate(self.crossings)}
-        plans = []
-        for comp in self.record.components:
-            factors = []
-            for label in comp.labels:
-                m = self.twist_map(label.u_d, label.u_u)
-                per_entry = []
-                for (i, j), _ in self.entries[label.crossing]:
-                    idx = i if label.tensorand == 0 else j
-                    per_entry.append(m.apply_basis(idx))
-                factors.append((crossing_pos[label.crossing], tuple(per_entry)))
-            plans.append(tuple(factors))
-        return plans
-
-
-def _sum_assignments(ev: _Evaluator, plans, closed_value):
-    """Depth-first state-sum over crossing-entry assignments.
-
-    Crossings are assigned in order of first traversal encounter; each
-    component's bead product is extended as soon as its next label's crossing
-    is assigned, so mismatched basis chains prune whole subtrees.
-    ``closed_value(w, comp)`` turns a closed component's product into a
-    Scalar.  Returns (scalar total, open-component total).
+    coeff is the product of the chosen entries and products[c] the product of
+    component c's twisted beads.  Crossings are assigned in order of first
+    traversal encounter; each component's product is extended as soon as its
+    next label's crossing is assigned, so a vanishing product prunes the whole
+    subtree.  Without crossings the leaf is reached once, with coefficient 1
+    and unit products.
     """
-    algebra = ev.algebra
-    table = algebra.table
-    comps = ev.record.components
+    algebra = S.algebra
+    entries = {
+        i: sorted((S.rho if s.kind is SliceKind.X_POS else S.rho_inv).coeffs.items())
+        for i, s in enumerate(d.slices)
+        if s.kind.is_crossing
+    }
+    comps = record.components
+    order = list(dict.fromkeys(l.crossing for c in comps for l in c.labels))
+    depth_of = {crossing: k for k, crossing in enumerate(order)}
 
-    order: List[int] = []
-    for plan in plans:
-        for pos, _ in plan:
-            if pos not in order:
-                order.append(pos)
-    for pos in range(len(ev.crossings)):
-        if pos not in order:
-            order.append(pos)
-    depth_of = {pos: k for k, pos in enumerate(order)}
-    # per component, in label order: (assignment depth, twisted elements)
-    work = [
-        tuple((depth_of[pos], per_entry) for pos, per_entry in plan)
-        for plan in plans
-    ]
-    entry_coeffs = [
-        tuple(c for _, c in ev.entries[ev.crossings[pos]]) for pos in order
-    ]
-    nchoices = [len(cs) for cs in entry_coeffs]
+    def powers(m: AlgebraMap) -> Callable[[int], AlgebraMap]:
+        """n -> m^n, each power one compose away from a memoized neighbour;
+        m is inverted (a linear solve per column) at most once."""
+        memo = {0: AlgebraMap.identity(algebra)}
+
+        def power(n: int) -> AlgebraMap:
+            if n not in memo:
+                if n > 0:
+                    memo[n] = m.compose(power(n - 1))
+                else:
+                    nearer = power(n + 1)
+                    step = memo[-1] if n < -1 else m.inverse()
+                    memo[n] = step.compose(nearer)
+            return memo[n]
+
+        return power
+
+    t_d, t_u = powers(S.t_d), powers(S.t_u)
+    # per component, in label order: (assignment depth, twisted basis
+    # element of the label's tensorand, per entry of its crossing)
+    maps: Dict[Tuple[int, int], AlgebraMap] = {}
+    plans = []
+    for comp in comps:
+        plan = []
+        for label in comp.labels:
+            key = (label.u_d, label.u_u)
+            if key not in maps:
+                maps[key] = t_d(label.u_d).compose(t_u(label.u_u))
+            per_entry = tuple(
+                maps[key].apply_basis(pair[label.tensorand])
+                for pair, _ in entries[label.crossing]
+            )
+            plan.append((depth_of[label.crossing], per_entry))
+        plans.append(plan)
+    entry_coeffs = [tuple(c for _, c in entries[crossing]) for crossing in order]
     K = len(order)
+    choices = [0] * K
+    total = zero
 
-    def finish(coeff: Scalar, prods) -> Tuple[Scalar, AlgebraElement]:
-        scalar_part = coeff
-        open_part = None
-        for w, comp in zip(prods, comps):
-            if comp.is_open:
-                open_part = w
-            else:
-                scalar_part = scalar_part * closed_value(w, comp)
-                if scalar_part.is_zero:
-                    return table.zero, algebra.zero()
-        if open_part is None:
-            return scalar_part, algebra.zero()
-        return table.zero, open_part.scale(scalar_part)
-
-    def rec(depth, coeff, prods, ptrs, choices):
-        total_scalar = table.zero
-        total_open = algebra.zero()
+    def rec(depth: int, coeff: Scalar, prods: List[AlgebraElement], ptrs: List[int]):
+        nonlocal total
         if depth == K:
-            return finish(coeff, prods)
-        for idx in range(nchoices[depth]):
+            total = total + leaf(coeff, prods)
+            return
+        for idx, c in enumerate(entry_coeffs[depth]):
             choices[depth] = idx
-            coeff2 = coeff * entry_coeffs[depth][idx]
+            coeff2 = coeff * c
             if coeff2.is_zero:
                 continue
             prods2 = list(prods)
             ptrs2 = list(ptrs)
-            dead = False
-            for ci, plan in enumerate(work):
+            for ci, plan in enumerate(plans):
                 ptr = ptrs2[ci]
                 w = prods2[ci]
                 while ptr < len(plan) and plan[ptr][0] <= depth:
@@ -226,22 +174,22 @@ def _sum_assignments(ev: _Evaluator, plans, closed_value):
                     w = w * per_entry[choices[d_req]]
                     ptr += 1
                     if w.is_zero:
-                        dead = True
                         break
+                if w.is_zero:
+                    break
                 prods2[ci] = w
                 ptrs2[ci] = ptr
-                if dead:
-                    break
-            if dead:
-                continue
-            s, o = rec(depth + 1, coeff2, prods2, ptrs2, choices)
-            total_scalar = total_scalar + s
-            total_open = total_open + o
-        return total_scalar, total_open
+            else:
+                rec(depth + 1, coeff2, prods2, ptrs2)
 
-    return rec(
-        0, table.one, [algebra.one()] * len(comps), [0] * len(comps), [0] * K
-    )
+    rec(0, algebra.table.one, [algebra.one()] * len(comps), [0] * len(comps))
+    return total
+
+
+def _twist_powers(S: OrientedQuantumAlgebraStructure, record: TraversalRecord):
+    """G^{d_c} per distinct Whitney degree d_c of a closed component."""
+    degrees = {c.whitney for c in record.components if not c.is_open}
+    return {n: S.twist.power(n) for n in degrees}
 
 
 def evaluate_tangle(
@@ -257,24 +205,25 @@ def evaluate_tangle(
     if d.boundary != "open":
         raise InvariantError("evaluate_tangle needs an open tangle")
     record = traverse(d, preferred_starts)
-    ev = _Evaluator(S, d, record)
-    plans = ev.prepare()
-
-    def closed_value(w: AlgebraElement, comp) -> Scalar:
-        trace = S.trace
-        if trace is None:
+    comps = record.components
+    if not all(c.is_open for c in comps):
+        if S.trace is None:
             raise InvariantError("closed components need a trace functional")
-        return (ev.g_power(comp.whitney) * w).pairing(trace)
+        if S.twist is None:
+            raise InvariantError("closed components need a twist on the structure")
+    g_powers = _twist_powers(S, record)
 
-    if not ev.crossings:
-        value = S.algebra.one()
-        extra = S.algebra.table.one
-        for comp in record.components:
-            if not comp.is_open:
-                extra = extra * closed_value(S.algebra.one(), comp)
-        return value.scale(extra)
-    _, open_total = _sum_assignments(ev, plans, closed_value)
-    return open_total
+    def leaf(coeff: Scalar, prods: List[AlgebraElement]) -> AlgebraElement:
+        for w, comp in zip(prods, comps):
+            if comp.is_open:
+                open_part = w
+            else:
+                coeff = coeff * (g_powers[comp.whitney] * w).pairing(S.trace)
+                if coeff.is_zero:
+                    return S.algebra.zero()
+        return open_part.scale(coeff)
+
+    return _state_sum(S, d, record, leaf, S.algebra.zero())
 
 
 def evaluate_link(
@@ -282,7 +231,6 @@ def evaluate_link(
     d: MorseDiagram,
     trace: Optional[Mapping[int, Scalar]] = None,
     preferred_starts: Sequence[Tuple[int, int]] = (),
-    check_trace: bool = True,
 ) -> Scalar:
     """prod_c tr(G^{d_c} w(L_c)) for a closed diagram.
 
@@ -298,29 +246,26 @@ def evaluate_link(
     functional = trace if trace is not None else S.trace
     if functional is None:
         raise InvariantError("no trace functional supplied")
-    if check_trace:
-        if not is_tracelike(S.algebra, functional):
-            raise InvariantError("functional is not tracelike")
-        for m, tag in ((S.t_d, "t_d"), (S.t_u, "t_u")):
-            for j in range(S.algebra.dim):
-                want = functional.get(j, S.algebra.table.zero)
-                if m.apply_basis(j).pairing(functional) != want:
-                    raise InvariantError(f"functional is not {tag}-invariant")
+    if not is_tracelike(S.algebra, functional):
+        raise InvariantError("functional is not tracelike")
+    for m, tag in ((S.t_d, "t_d"), (S.t_u, "t_u")):
+        for j in range(S.algebra.dim):
+            want = functional.get(j, S.algebra.table.zero)
+            if m.apply_basis(j).pairing(functional) != want:
+                raise InvariantError(f"functional is not {tag}-invariant")
 
     record = traverse(d, preferred_starts)
-    ev = _Evaluator(S, d, record)
-    plans = ev.prepare()
+    comps = record.components
+    g_powers = _twist_powers(S, record)
 
-    def closed_value(w: AlgebraElement, comp) -> Scalar:
-        return (ev.g_power(comp.whitney) * w).pairing(functional)
+    def leaf(coeff: Scalar, prods: List[AlgebraElement]) -> Scalar:
+        for w, comp in zip(prods, comps):
+            coeff = coeff * (g_powers[comp.whitney] * w).pairing(functional)
+            if coeff.is_zero:
+                break
+        return coeff
 
-    if not ev.crossings:
-        total = S.algebra.table.one
-        for comp in record.components:
-            total = total * closed_value(S.algebra.one(), comp)
-        return total
-    scalar_total, _ = _sum_assignments(ev, plans, closed_value)
-    return scalar_total
+    return _state_sum(S, d, record, leaf, S.algebra.table.zero)
 
 
 def evaluate_knot(

@@ -21,6 +21,7 @@ attachment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -827,18 +828,35 @@ def _element_from_json(algebra: AlgebraSpec, data: Mapping) -> AlgebraElement:
     )
 
 
+def _algebra_from_json(table: SymbolTable, alg: Mapping) -> AlgebraSpec:
+    if alg["kind"] == "matrix":
+        algebra = matrix_algebra(table, int(alg["n"]))
+    elif alg["kind"] == "sweedler":
+        algebra = sweedler_algebra(table)
+    else:
+        raise StructureError(f"unknown algebra kind {alg['kind']!r}")
+    return algebra.opposite() if alg.get("opposite") else algebra
+
+
+def _algebra_to_json(algebra: AlgebraSpec) -> dict:
+    """The JSON form that rebuilds exactly these structure constants."""
+    n = math.isqrt(algebra.dim)
+    kinds = [{"kind": "matrix", "n": n}] if n * n == algebra.dim else []
+    kinds.append({"kind": "sweedler"})
+    for kind in kinds:
+        for alg in (kind, dict(kind, opposite=True)):
+            model = _algebra_from_json(algebra.table, alg)
+            if model.dim == algebra.dim and model.structure == algebra.structure:
+                return alg
+    raise StructureError(f"no JSON form for algebra {algebra.name}")
+
+
 def structure_to_json(S: OrientedQuantumAlgebraStructure) -> dict:
     algebra = S.algebra
-    if algebra.name.startswith("M"):
-        alg = {"kind": "matrix", "n": int(round(algebra.dim**0.5))}
-    elif algebra.name.startswith("H4"):
-        alg = {"kind": "sweedler"}
-    else:
-        raise StructureError(f"no JSON form for algebra {algebra.name}")
     out = {
         "symbols": list(S.table.symbols),
         "gaussian": S.table.gaussian,
-        "algebra": alg,
+        "algebra": _algebra_to_json(algebra),
         "rho": S.rho.to_json(),
         "rho_inv": S.rho_inv.to_json(),
         "t_d": S.t_d.to_json(),
@@ -877,13 +895,7 @@ def structure_from_json(data: Mapping) -> OrientedQuantumAlgebraStructure:
     if builder is not None:
         raise StructureError(f"unknown builder {builder!r}")
 
-    alg_spec = data["algebra"]
-    if alg_spec["kind"] == "matrix":
-        algebra = matrix_algebra(table, int(alg_spec["n"]))
-    elif alg_spec["kind"] == "sweedler":
-        algebra = sweedler_algebra(table)
-    else:
-        raise StructureError(f"unknown algebra kind {alg_spec['kind']!r}")
+    algebra = _algebra_from_json(table, data["algebra"])
 
     rho = TensorSquareElement.from_json(algebra, data["rho"])
     rho_inv = (

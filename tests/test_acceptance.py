@@ -441,13 +441,18 @@ def test_criterion_12_homogeneity():
     assert ok
 
 
-def _random_small_diagram(rng):
-    """A random valid closed diagram with at most 4 crossings."""
+def _random_small_diagram(rng, boundary="closed"):
+    """A random valid diagram with at most 4 crossings.
+
+    An open diagram starts and ends with one upward strand at position 0;
+    its other strands close into extra components.
+    """
     from oqa.diagram import MorseDiagram, Slice, SliceKind, validate
 
+    final = ["u"] if boundary == "open" else []
     for _ in range(200):
         slices = []
-        dirs = []
+        dirs = list(final)
         crossings = 0
         for _ in range(rng.randint(2, 9)):
             options = []
@@ -472,7 +477,7 @@ def _random_small_diagram(rng):
                 crossings += 1
         # close whatever is left
         guard = 0
-        while dirs and guard < 50:
+        while len(dirs) > len(final) and guard < 50:
             guard += 1
             closed = False
             for p in range(len(dirs) - 1):
@@ -488,9 +493,9 @@ def _random_small_diagram(rng):
                     break
             if not closed:
                 break
-        if dirs:
+        if dirs != final:
             continue
-        d = MorseDiagram(tuple(slices), "closed")
+        d = MorseDiagram(tuple(slices), boundary)
         try:
             validate(d)
         except Exception:

@@ -16,6 +16,7 @@ from oqa import (
     orientation_reverse,
     standardize,
     sweedler_oqa,
+    traverse,
 )
 from oqa.diagram import word
 from oqa.diagram import upward_points
@@ -228,3 +229,42 @@ def test_sweedler_tangle_invariants():
     composite = compose_tangles(builtin("curl"), mirror(builtin("curl_op")))
     assert evaluate_tangle(S, composite) == S.algebra.one()
     assert not w.is_zero
+
+
+def test_state_sum_vs_oracle_random(ex2_n2, alexander_n2):
+    """Both entry points equal the full-expansion oracle on random diagrams.
+
+    Open tangles with and without extra closed components on a numeric M_2
+    structure and on the Tr G = 0 structure, open tangles on Sweedler's H4,
+    and closed diagrams at every upward basepoint.
+    """
+    from oqa.cli import _substitute_structure
+
+    from test_acceptance import _random_small_diagram
+
+    t = ex2_n2.table
+    m2 = _substitute_structure(
+        ex2_n2, {"a": t.scalar(3), "sbc": t.rational(5, 2), "b": t.rational(2, 7)}
+    )
+    ts = SymbolTable(["alpha"])
+    h4 = sweedler_oqa(ts, ts.sym("alpha"))
+    rng = random.Random(4)
+
+    # H4 has no twist or trace, so its tangles have no extra components
+    cases = ((m2, (False, True)), (alexander_n2, (False, True)), (h4, (False,)))
+    for S, extras in cases:
+        for extra in extras:
+            for crossings in (0, 1, 2, 2):
+                while True:
+                    d = _random_small_diagram(rng, "open")
+                    has_extra = len(traverse(d).components) > 1
+                    if d.crossing_count == crossings and has_extra == extra:
+                        break
+                assert evaluate_tangle(S, d) == oracle_evaluate(S, d), d
+
+    for S in (m2, alexander_n2):
+        for _ in range(6):
+            d = _random_small_diagram(rng)
+            want = oracle_evaluate(S, d)
+            for pt in upward_points(d):
+                assert evaluate_link(S, d, preferred_starts=[pt]) == want, (d, pt)

@@ -552,6 +552,35 @@ def test_structure_json_round_trip_sweedler():
     assert S2.rho == S.rho and S2.t_u == S.t_u
 
 
+def _assert_json_round_trip(S):
+    blob = json.dumps(structure_to_json(S))
+    S2 = structure_from_json(json.loads(blob))
+    assert S2.algebra.structure == S.algebra.structure
+    assert S2.algebra.name == S.algebra.name
+    assert S2.rho == S.rho and S2.rho_inv == S.rho_inv
+    assert S2.t_d == S.t_d and S2.t_u == S.t_u
+    assert (S2.twist is None) == (S.twist is None)
+    if S.twist is not None:
+        assert S2.twist.g == S.twist.g and S2.twist.g_inv == S.twist.g_inv
+    assert S2.trace == S.trace
+    assert json.dumps(structure_to_json(S2)) == blob
+    return json.loads(blob)
+
+
+def test_structure_json_round_trip_opposite_sweedler():
+    t = SymbolTable(["alpha"])
+    S = sweedler_oqa(t, t.sym("alpha"))
+    assert "opposite" not in _assert_json_round_trip(S)["algebra"]
+    data = _assert_json_round_trip(opposite(S))
+    assert data["algebra"] == {"kind": "sweedler", "opposite": True}
+
+
+def test_structure_json_round_trip_opposite_matrix(ex2_n2):
+    assert "opposite" not in _assert_json_round_trip(ex2_n2)["algebra"]
+    data = _assert_json_round_trip(opposite(ex2_n2))
+    assert data["algebra"] == {"kind": "matrix", "n": 2, "opposite": True}
+
+
 def test_example2_numeric_n4():
     """Numeric spot check at n = 4: all axioms, twist, trace identities."""
     t = SymbolTable([])
