@@ -72,6 +72,7 @@ from .diagram import (
     builtin,
     builtin_names,
     compose_tangles,
+    crossing_triple,
     cut_open,
     mirror,
     move_sites,

@@ -81,9 +81,6 @@ class AlgebraSpec:
     def element(self, coeffs: Mapping[int, Scalar]) -> "AlgebraElement":
         return AlgebraElement(self, {k: c for k, c in coeffs.items() if not c.is_zero})
 
-    def basis_product(self, i: int, j: int) -> Coeffs:
-        return {k: c for k, c in self.structure.get((i, j), ())}
-
     def opposite(self) -> "AlgebraSpec":
         structure = {
             (j, i): terms for (i, j), terms in self.structure.items()

@@ -25,9 +25,9 @@ from typing import Dict, List, Mapping, Optional
 from .diagram import (
     DiagramError,
     MorseDiagram,
-    SliceKind,
     builtin,
     builtin_names,
+    crossing_triple,
     parse_diagram,
     serialize,
     stats,
@@ -40,7 +40,14 @@ from .homfly_bridge import (
     skein_triple_check,
 )
 from .invariant import InvariantError, evaluate_link, evaluate_tangle
-from .scalar import Scalar, ScalarError, SymbolTable, laurent_homogeneous_degree, substitute
+from .scalar import (
+    Scalar,
+    ScalarError,
+    SymbolTable,
+    ZeroDenominatorError,
+    laurent_homogeneous_degree,
+    substitute,
+)
 from .structures import (
     AlgebraMap,
     OrientedQuantumAlgebraStructure,
@@ -117,6 +124,11 @@ def _parse_bindings(pairs: List[str], table: SymbolTable) -> Dict[str, Scalar]:
         name, value = pair.split("=", 1)
         name = name.strip()
         value = value.strip()
+        if name not in table.symbols:
+            raise CliInputError(
+                f"--bind names undeclared symbol {name!r} "
+                f"(declared: {', '.join(table.symbols) or 'none'})"
+            )
         if value == "symbolic":
             continue
         try:
@@ -131,7 +143,12 @@ def _substitute_structure(
 ) -> OrientedQuantumAlgebraStructure:
     if not bindings:
         return S
-    sub = lambda s: substitute(s, bindings)
+
+    def sub(s: Scalar) -> Scalar:
+        try:
+            return substitute(s, bindings)
+        except ZeroDenominatorError as exc:
+            raise CliInputError(str(exc)) from None
 
     def sub_tensor(u: TensorSquareElement) -> TensorSquareElement:
         return TensorSquareElement(S.algebra, {k: sub(c) for k, c in u.coeffs.items()})
@@ -271,23 +288,6 @@ def _load_single_block(path: str):
         raise CliInputError(f"bad single-block parameter file {path}: {exc}") from None
 
 
-def _triple_at(d: MorseDiagram, index: int):
-    from .diagram import Slice
-
-    s = d.slices[index]
-    if not s.kind.is_crossing:
-        raise CliInputError(f"slice {index} of the diagram is not a crossing")
-    pos = s.pos
-    plus = d.with_slices(
-        d.slices[:index] + (Slice(SliceKind.X_POS, pos),) + d.slices[index + 1 :]
-    )
-    minus = d.with_slices(
-        d.slices[:index] + (Slice(SliceKind.X_NEG, pos),) + d.slices[index + 1 :]
-    )
-    zero = d.with_slices(d.slices[:index] + d.slices[index + 1 :])
-    return plus, minus, zero
-
-
 def cmd_verify_section6(args) -> int:
     params = _load_single_block(args.structure)
     try:
@@ -336,7 +336,7 @@ def cmd_verify_section6(args) -> int:
     for name in ("hopf", "trefoil_knot", "c_r_plus:1"):
         d = _load_diagram(f"builtin:{name}")
         index = next(i for i, s in enumerate(d.slices) if s.kind.is_crossing)
-        ok = skein_triple_check(ctx, *_triple_at(d, index))
+        ok = skein_triple_check(ctx, *crossing_triple(d, index))
         triples.append({"site": f"{name}[{index}]", "passed": ok})
         all_ok = all_ok and ok
 

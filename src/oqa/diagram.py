@@ -47,6 +47,7 @@ __all__ = [
     "DiagramStats",
     "compose_tangles",
     "cut_open",
+    "crossing_triple",
     "orientation_reverse",
     "mirror",
     "builtin",
@@ -505,6 +506,25 @@ def cut_open(d: MorseDiagram) -> MorseDiagram:
                 f"cut_open: slice {idx} ({s}) touches the arc at position 0"
             )
     return MorseDiagram(tuple(Slice(s.kind, s.pos - 1) for s in inner), "open")
+
+
+def crossing_triple(
+    d: MorseDiagram, index: int
+) -> Tuple[MorseDiagram, MorseDiagram, MorseDiagram]:
+    """The skein triple (L+, L-, L0) at the crossing slice ``index`` of ``d``.
+
+    L+ and L- carry xp and xn at that slice and agree with ``d`` elsewhere;
+    L0 is ``d`` with the crossing slice removed (its oriented smoothing).
+    """
+    s = d.slices[index]
+    if not s.kind.is_crossing:
+        raise DiagramError(f"slice {index} ({s}) is not a crossing")
+    before, after = d.slices[:index], d.slices[index + 1 :]
+    return (
+        d.with_slices(before + (Slice(SliceKind.X_POS, s.pos),) + after),
+        d.with_slices(before + (Slice(SliceKind.X_NEG, s.pos),) + after),
+        d.with_slices(before + after),
+    )
 
 
 _REVERSE_KIND = {

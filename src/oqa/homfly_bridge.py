@@ -2,11 +2,13 @@
 
 This module computes the two-variable regular-isotopy polynomial H_L(alpha, z)
 (skein H(L+) - H(L-) = z H(L0), positive/negative kinks scale by alpha^{+-1},
-unknot value 1, distant unions scale by (alpha - alpha^-1)/z) and the
-one-variable Alexander polynomial nabla_L(z) (same skein, unknot 1, split
-links 0) directly on Morse diagrams, by switching crossings toward descending
-diagrams.  Nothing here touches the state-sum evaluator, so the two provide
-independent routes to the same invariants.
+unknot value 1, distant unions scale by (alpha - alpha^-1)/z) directly on
+Morse diagrams, by switching crossings toward descending diagrams.  Each
+skein node is walked once: the switched words share its traversal, and only
+the smoothings L0 are new nodes.  The one-variable Alexander polynomial
+nabla_L(z) (same skein, unknot 1, split links 0) is H_L(1, z).  Nothing here
+touches the state-sum evaluator, so the two provide independent routes to the
+same invariants.
 
 For a single-block diagonal structure on M_n with parameters a (= rho_1111)
 and bc = sbc^2, writing q = a/sbc and r = q^2, the closed-link trace formula
@@ -46,9 +48,9 @@ from .algebra import AlgebraElement
 from .diagram import (
     DiagramError,
     MorseDiagram,
-    Slice,
     SliceKind,
     TraversalRecord,
+    crossing_triple,
     cut_open,
     stats,
     traverse,
@@ -137,9 +139,6 @@ class SkeinPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def alpha_free(self) -> bool:
-        return all(ea == 0 for ea, _ in self.terms)
-
     def text(self) -> str:
         """Canonical text, e.g. ``z^2 + 1`` or ``a^2 - a*z^-1``."""
         if not self.terms:
@@ -174,33 +173,11 @@ class SkeinPolynomial:
 _DELTA = SkeinPolynomial({(1, -1): 1, (-1, -1): -1})  # (alpha - alpha^-1)/z
 
 
-def _first_bad_crossing(record: TraversalRecord) -> Optional[int]:
-    """First crossing met on its under line, scanning components in order.
-
-    The first tensor factor rides the over strand, so a line label with
-    tensorand 1 is an under-line encounter.  Which line is met first depends
-    only on connectivity, never on crossing signs.
-    """
-    seen: set = set()
-    for comp in record.components:
-        for label in comp.labels:
-            if label.crossing in seen:
-                continue
-            seen.add(label.crossing)
-            if label.tensorand == 1:
-                return label.crossing
-    return None
-
-
-def _descending_value(
-    d: MorseDiagram, record: TraversalRecord, conway_mode: bool
-) -> SkeinPolynomial:
+def _descending_value(d: MorseDiagram, record: TraversalRecord) -> SkeinPolynomial:
     """Value of a descending diagram: layered curled unlinks."""
     r = len(record.components)
     if r == 0:
         return SkeinPolynomial.one()
-    if conway_mode:
-        return SkeinPolynomial.one() if r == 1 else SkeinPolynomial.zero()
     # self-writhe per component; inter-component crossings pull apart
     self_writhe = 0
     for comp in record.components:
@@ -217,34 +194,41 @@ def _descending_value(
     return value
 
 
-def _skein(d: MorseDiagram, conway_mode: bool, memo: Dict) -> SkeinPolynomial:
+def _skein(d: MorseDiagram, memo: Dict) -> SkeinPolynomial:
+    """H(d) by switching d toward its descending diagram.
+
+    Scanning components in order, every crossing first met on its under line
+    (tensorand 1: the first tensor factor rides the over strand) is switched
+    in the order met, and each switch adds +-z H(L0) for the smoothing of the
+    word switched so far.  Switching a crossing changes neither the strand
+    connectivity nor which line of another crossing is met first, so one
+    traversal of ``d`` serves every switched word and the descending leaf.
+    """
     key = d.key()
     hit = memo.get(key)
     if hit is not None:
         return hit
     record = traverse(d)
-    bad = _first_bad_crossing(record)
-    if bad is None:
-        value = _descending_value(d, record, conway_mode)
-    else:
-        s = d.slices[bad]
-        flipped = (
-            SliceKind.X_NEG if s.kind is SliceKind.X_POS else SliceKind.X_POS
-        )
-        switched = d.with_slices(
-            d.slices[:bad] + (Slice(flipped, s.pos),) + d.slices[bad + 1 :]
-        )
-        smoothed = d.with_slices(d.slices[:bad] + d.slices[bad + 1 :])
-        z = SkeinPolynomial.monomial(0, 1)
-        if s.kind is SliceKind.X_POS:
-            # this diagram is L+: H(L+) = H(L-) + z H(L0)
-            value = _skein(switched, conway_mode, memo) + z * _skein(
-                smoothed, conway_mode, memo
-            )
-        else:
-            value = _skein(switched, conway_mode, memo) - z * _skein(
-                smoothed, conway_mode, memo
-            )
+    z = SkeinPolynomial.monomial(0, 1)
+    value = SkeinPolynomial.zero()
+    switched = d
+    seen: set = set()
+    for comp in record.components:
+        for label in comp.labels:
+            if label.crossing in seen:
+                continue
+            seen.add(label.crossing)
+            if label.tensorand != 1:
+                continue
+            l_plus, l_minus, l_zero = crossing_triple(switched, label.crossing)
+            if switched.slices[label.crossing].kind is SliceKind.X_POS:
+                # H(L+) = H(L-) + z H(L0)
+                value = value + z * _skein(l_zero, memo)
+                switched = l_minus
+            else:
+                value = value - z * _skein(l_zero, memo)
+                switched = l_plus
+    value = value + _descending_value(switched, record)
     memo[key] = value
     return value
 
@@ -253,16 +237,21 @@ def homfly(d: MorseDiagram) -> SkeinPolynomial:
     """Regular-isotopy two-variable polynomial of a closed diagram."""
     if d.boundary != "closed":
         raise DiagramError("homfly needs a closed diagram")
-    return _skein(d, conway_mode=False, memo={})
+    return _skein(d, memo={})
 
 
 def conway(d: MorseDiagram) -> SkeinPolynomial:
-    """Alexander polynomial in z of a closed diagram (unknot 1, splits 0)."""
+    """Alexander polynomial in z of a closed diagram (unknot 1, splits 0).
+
+    This is H_L(1, z): at alpha = 1 the distant-union factor
+    (alpha - alpha^-1)/z is 0 and every kink weighs 1.
+    """
     if d.boundary != "closed":
         raise DiagramError("conway needs a closed diagram")
-    value = _skein(d, conway_mode=True, memo={})
-    assert value.alpha_free()
-    return value
+    terms: Dict[Tuple[int, int], int] = {}
+    for (_, ez), c in _skein(d, memo={}).terms.items():
+        terms[(0, ez)] = terms.get((0, ez), 0) + c
+    return SkeinPolynomial(terms)
 
 
 # -- the single-block context -------------------------------------------------
@@ -428,6 +417,21 @@ class IdentifyReport:
         }
 
 
+def _skein_at(
+    ctx: SectionSixContext, d: MorseDiagram
+) -> Tuple[str, SkeinPolynomial, Scalar]:
+    """The branch, the skein polynomial of ``d`` and its value at (q^e, q - q^-1).
+
+    The Tr G = 0 branch takes nabla_L = H_L(1, z); it has no alpha terms, so
+    its value does not depend on the alpha argument.
+    """
+    if ctx.trace_g.is_zero:
+        branch, poly = "alexander", conway(d)
+    else:
+        branch, poly = "homfly", homfly(d)
+    return branch, poly, poly.eval_at(ctx.table, ctx.q**ctx.e, ctx.q - ctx.q.inv())
+
+
 def identify_F(
     ctx: SectionSixContext,
     d: MorseDiagram,
@@ -446,22 +450,11 @@ def identify_F(
     st = stats(d)
     w = st.writhe
     wd = st.total_whitney
-    table = ctx.table
-    z0 = ctx.q - ctx.q.inv()
-    if ctx.trace_g.is_zero:
-        poly = conway(d)
-        rhs = ctx.a**w * ctx.q ** (-w) * poly.eval_at(table, table.one, z0)
-        branch = "alexander"
+    branch, poly, value = _skein_at(ctx, d)
+    if branch == "alexander":
+        rhs = ctx.a**w * ctx.q ** (-w) * value
     else:
-        poly = homfly(d)
-        rhs = (
-            ctx.a**w
-            * ctx.kappa
-            * ctx.q ** (-w)
-            * ctx.rho_norm ** (-wd)
-            * poly.eval_at(table, ctx.q**ctx.e, z0)
-        )
-        branch = "homfly"
+        rhs = ctx.a**w * ctx.kappa * ctx.q ** (-w) * ctx.rho_norm ** (-wd) * value
     return IdentifyReport(F_value == rhs, branch, F_value, rhs, w, wd, poly)
 
 
@@ -483,16 +476,7 @@ def identify_open(ctx: SectionSixContext, d: MorseDiagram) -> IdentifyReport:
     w = st.writhe
     wd = st.total_whitney
     d0 = st.whitney[0]  # the open strand is walked first
-    table = ctx.table
-    z0 = ctx.q - ctx.q.inv()
-    if ctx.trace_g.is_zero:
-        poly = conway(d)
-        value = poly.eval_at(table, table.one, z0)
-        branch = "alexander"
-    else:
-        poly = homfly(d)
-        value = poly.eval_at(table, ctx.q**ctx.e, z0)
-        branch = "homfly"
+    branch, poly, value = _skein_at(ctx, d)
     coeff = ctx.a**w * ctx.q ** (-w) * ctx.q ** ((ctx.e - 1) * wd) * value
     rhs = ctx.structure.twist.power(-d0).scale(coeff)
     lhs = evaluate_tangle(ctx.structure, t)
@@ -507,28 +491,18 @@ def skein_triple_check(
 ) -> bool:
     """G(L+) - G(L-) = (q - q^-1) G(L0) with G(L) = sbc^-writhe F(L).
 
-    The three diagrams must agree except at one site: xp versus xn versus the
-    crossing removed.
+    The three diagrams must be ``crossing_triple(L+, k)`` for the one slice k
+    at which L+ and L- differ.
     """
-    if len(l_plus.slices) != len(l_minus.slices):
-        raise DiagramError("L+ and L- differ in length")
     diff = [
         k
         for k, (sp, sm) in enumerate(zip(l_plus.slices, l_minus.slices))
         if sp != sm
     ]
-    if len(diff) != 1:
-        raise DiagramError("L+ and L- must differ at exactly one slice")
-    k = diff[0]
-    sp, sm = l_plus.slices[k], l_minus.slices[k]
-    if not (
-        sp.kind is SliceKind.X_POS
-        and sm.kind is SliceKind.X_NEG
-        and sp.pos == sm.pos
-    ):
-        raise DiagramError("the differing slice must be xp in L+ and xn in L-")
-    if l_zero.slices != l_plus.slices[:k] + l_plus.slices[k + 1 :]:
-        raise DiagramError("L0 must be L+ with the crossing slice removed")
+    if len(diff) != 1 or crossing_triple(l_plus, diff[0]) != (l_plus, l_minus, l_zero):
+        raise DiagramError(
+            "L+, L- and L0 must be xp, xn and the smoothing at one crossing slice"
+        )
 
     def g_of(diag: MorseDiagram) -> Scalar:
         f = evaluate_link(ctx.structure, diag)

@@ -308,19 +308,6 @@ class Scalar:
         """Canonical `num / den` text with a fixed (lex) monomial order."""
         return _PRINTER.doprint(self.elem.as_expr())
 
-    def as_rational(self):
-        """The value as a sympy Rational, if the scalar is constant (else None)."""
-        num, den = self.elem.numer, self.elem.denom
-        if num.is_ground and den.is_ground:
-            nc = num.coeff(1)
-            dc = den.coeff(1)
-            if self.table.gaussian:
-                if getattr(nc, "y", 0) != 0 or getattr(dc, "y", 0) != 0:
-                    return None
-                return sympy.Rational(nc.x) / sympy.Rational(dc.x)
-            return sympy.Rational(nc) / sympy.Rational(dc)
-        return None
-
 
 def _monomial(den) -> Optional[tuple]:
     """The exponent vector of a monomial denominator, else None.

@@ -59,6 +59,43 @@ def test_check_axioms_tampered(capsys, tmp_path, ex2_file):
     assert "qa3" in out and "FAIL" in out
 
 
+def test_check_axioms_full_report(capsys, tmp_path, ex2_file):
+    """--full lists every failing qa3 slot in sorted order; the default only
+    the first witness per axiom; the CLI's witnesses are the API's."""
+    from oqa import check_axioms, structure_from_json, structure_to_json
+    from oqa.algebra import qybe_defect
+
+    blob = structure_to_json(structure_from_json(json.loads(open(ex2_file).read())))
+    blob["rho"].append({"i": "E11", "j": "E12", "c": "1"})
+    del blob["rho_inv"]
+    del blob["twist"]
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(blob))
+    S = structure_from_json(blob)
+
+    full = check_axioms(S, full_report=True).witnesses
+    default = check_axioms(S).witnesses
+    labels = S.algebra.basis_labels
+    slots = [
+        "(x)".join(labels[i] for i in key) for key in sorted(qybe_defect(S.algebra, S.rho))
+    ]
+    assert len(slots) > 1
+    qa3 = [w for w in full if w.startswith("qa3:")]
+    assert [w.split(": ")[1] for w in qa3] == [f"slot {slot}" for slot in slots]
+    firsts = {}
+    for w in full:
+        firsts.setdefault(w.split()[0], w)
+    assert list(default) == list(firsts.values())
+    assert len(default) == 3
+
+    for flags, want in (([], default), (["--full"], full)):
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "check-axioms", "--structure", str(bad), *flags
+        )
+        assert code == 1
+        assert json.loads(out)["witnesses"] == list(want)
+
+
 def test_check_axioms_malformed(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -120,6 +157,21 @@ def test_homfly_conway_commands(capsys):
     code, out, err = run_cli(capsys, "homfly", "--diagram", "builtin:c_r_plus:x")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bind_input_errors(capsys, ex2_file):
+    """An undeclared symbol and a vanishing denominator are input errors."""
+    for command in (["check-axioms"], ["invariant", "--diagram", "builtin:hopf"]):
+        for bind in ("zz=3", "zz=symbolic", "a=0"):
+            code, out, err = run_cli(
+                capsys, *command, "--structure", ex2_file, "--bind", bind
+            )
+            assert code == 2 and out == "", (command, bind)
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, bind)
+    _, _, err = run_cli(capsys, "check-axioms", "--structure", ex2_file, "--bind", "zz=3")
+    assert "'zz'" in err
+    _, _, err = run_cli(capsys, "check-axioms", "--structure", ex2_file, "--bind", "a=0")
+    assert "denominator" in err
 
 
 def test_diagram_file_input(capsys, tmp_path, ex2_file):

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from oqa import (
@@ -9,6 +12,7 @@ from oqa import (
     attach_twist,
     builtin,
     conway,
+    crossing_triple,
     curl_family_values,
     cut_open,
     evaluate_link,
@@ -345,7 +349,10 @@ def test_skein_triples(ctx2):
     assert CROSS_POS_IS_SKEIN_POSITIVE
     for name, index in (("hopf", 2), ("trefoil_knot", 3), (("c_r_plus", 1), 2)):
         d = builtin(*name) if isinstance(name, tuple) else builtin(name)
+        assert crossing_triple(d, index) == triple(d, index), name
         assert skein_triple_check(ctx2, *triple(d, index)), name
+    with pytest.raises(DiagramError):
+        crossing_triple(builtin("hopf"), 1)
 
 
 def test_skein_triple_rejects_mismatch(ctx2):
@@ -355,6 +362,43 @@ def test_skein_triple_rejects_mismatch(ctx2):
         skein_triple_check(ctx2, hopf, mirror(tre), hopf)
     with pytest.raises(DiagramError):
         skein_triple_check(ctx2, hopf, hopf, hopf)
+
+
+def _random_braid3_closure(rng, crossings):
+    """Left closure of a random mixed-sign 3-strand braid word."""
+    gens = [(rng.choice(["xp", "xn"]), rng.choice([3, 4])) for _ in range(crossings)]
+    return word(
+        ("cup_ccw", 0), ("cup_ccw", 1), ("cup_ccw", 2),
+        *gens,
+        ("cap_ccw", 2), ("cap_ccw", 1), ("cap_ccw", 0),
+    )
+
+
+def test_skein_vs_state_sum_random():
+    """The skein engine against the state sum, and its own skein relation.
+
+    Seeded closed diagrams of criterion 13 and 3-strand braid closures with
+    5-7 mixed-sign crossings, on a numeric generic-branch M_2 structure.
+    """
+    from test_acceptance import _random_small_diagram
+
+    t = SymbolTable([])
+    params = single_block_params(
+        t, 2, [t.scalar(3)] * 2, t.scalar(4), {(1, 2): t.scalar(Fraction(5, 7))}, t.one
+    )
+    ctx = section6_context(params)
+    rng = random.Random(5)
+    diagrams = [_random_small_diagram(rng) for _ in range(20)]
+    diagrams += [_random_braid3_closure(rng, rng.randint(5, 7)) for _ in range(8)]
+    z = _mono(0, 1)
+    for d in diagrams:
+        assert identify_F(ctx, d).passed, d
+        for k, s in enumerate(d.slices):
+            if not s.kind.is_crossing:
+                continue
+            l_plus, l_minus, l_zero = crossing_triple(d, k)
+            for poly in (homfly, conway):
+                assert poly(l_plus) - poly(l_minus) == z * poly(l_zero), (d, k, poly)
 
 
 def test_homogeneity_degree_equals_writhe(ctx2):
