@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Mapping, Optional
 
@@ -36,6 +37,7 @@ from .homfly_bridge import (
     conway,
     homfly,
     identify_F,
+    identify_open,
     section6_context,
     skein_triple_check,
 )
@@ -304,8 +306,9 @@ def cmd_verify_section6(args) -> int:
         "c_r_plus:2",
         "c_l_minus:1",
     ]
-    import os
-
+    # on the Tr G = 0 branch the closed trace vanishes, so the verdict is the
+    # cut-open tangle's identity (identify_open)
+    open_branch = ctx.trace_g.is_zero
     results = []
     all_ok = True
     for spec in diagrams:
@@ -321,15 +324,21 @@ def cmd_verify_section6(args) -> int:
             "identified": rep.passed,
             "polynomial": rep.polynomial.text(),
         }
-        hom_ok = None
-        if not ctx.trace_g.is_zero:
+        if open_branch:
+            try:
+                entry["open_identified"] = identify_open(ctx, d).passed
+            except DiagramError as exc:
+                entry["open_identified"] = False
+                entry["open_error"] = str(exc)
+            all_ok = all_ok and entry["open_identified"]
+        else:
             degree = laurent_homogeneous_degree(
                 rep.lhs, (ctx.table.symbols[0], ctx.table.symbols[1])
             ) if len(ctx.table.symbols) >= 2 else None
             hom_ok = degree == rep.writhe
             entry["homogeneous_degree_is_writhe"] = hom_ok
+            all_ok = all_ok and rep.passed and hom_ok
         results.append(entry)
-        all_ok = all_ok and rep.passed and (hom_ok is not False)
 
     # skein triples at the first crossing of hopf and trefoil, and a curl
     triples = []
@@ -344,10 +353,13 @@ def cmd_verify_section6(args) -> int:
     lines = []
     for entry in results:
         mark = "pass" if entry["identified"] else "FAIL"
-        lines.append(
-            f"{entry['diagram']:>16}  branch={entry['branch']:<9} "
-            f"identify={mark}  poly={entry['polynomial']}"
-        )
+        line = f"{entry['diagram']:>16}  branch={entry['branch']:<9} identify={mark}  "
+        if open_branch:
+            line += f"open={'pass' if entry['open_identified'] else 'FAIL'}  "
+        line += f"poly={entry['polynomial']}"
+        if "open_error" in entry:
+            line += f"  ({entry['open_error']})"
+        lines.append(line)
     for entry in triples:
         lines.append(
             f"skein triple {entry['site']:>18}: "

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -83,15 +84,15 @@ class SliceKind(enum.Enum):
     X_POS = "xp"
     X_NEG = "xn"
 
-    @property
+    @cached_property
     def is_cup(self) -> bool:
         return self in (SliceKind.CUP_CCW, SliceKind.CUP_CW)
 
-    @property
+    @cached_property
     def is_cap(self) -> bool:
         return self in (SliceKind.CAP_CCW, SliceKind.CAP_CW)
 
-    @property
+    @cached_property
     def is_crossing(self) -> bool:
         return self in (SliceKind.X_POS, SliceKind.X_NEG)
 
@@ -384,26 +385,26 @@ def traverse(
         whitney2 = cw - (len(extrema) - cw)
         if whitney2 % 2:
             raise DiagramValidationError("odd extremum imbalance on a component")
+        # one pass from the end: u_d / u_u count the extrema after each line
         labels = []
-        for k, ev in enumerate(events):
-            if ev[0] != "line":
-                continue
-            _, crossing, side = ev
-            ud = uu = 0
-            for later in events[k + 1 :]:
-                if later[0] == "ext":
-                    t = later[1]
-                    if t == "d+":
-                        ud += 1
-                    elif t == "d-":
-                        ud -= 1
-                    elif t == "u+":
-                        uu += 1
-                    else:
-                        uu -= 1
-            labels.append(
-                LineLabel(crossing, _tensorand(d.slices[crossing].kind, side), ud, uu)
-            )
+        ud = uu = 0
+        for ev in reversed(events):
+            if ev[0] == "ext":
+                t = ev[1]
+                if t == "d+":
+                    ud += 1
+                elif t == "d-":
+                    ud -= 1
+                elif t == "u+":
+                    uu += 1
+                else:
+                    uu -= 1
+            else:
+                _, crossing, side = ev
+                labels.append(
+                    LineLabel(crossing, _tensorand(d.slices[crossing].kind, side), ud, uu)
+                )
+        labels.reverse()
         return ComponentRecord(
             is_open, start, tuple(labels), extrema, whitney2 // 2, tuple(events)
         )

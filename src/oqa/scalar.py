@@ -15,12 +15,22 @@ Products and sums of Laurent scalars -- both denominators single monomials,
 which covers constants and every table without symbols -- reach that same
 canonical form without a gcd: the result's denominator is again a monomial,
 and the only common factor left to cancel is the power of each symbol that
-divides the whole numerator.  Any other operand pair goes through sympy's
+divides the whole numerator.  Division, inverse and negative powers take the
+same Laurent route when the dividend's denominator and the divisor's
+numerator are single monomials.  Any other operand pair goes through sympy's
 ``FracField`` arithmetic, which cancels by a polynomial gcd.
+
+Substitution of constants for every symbol evaluates numerator and
+denominator in the ground domain (Q or Q(i)) and divides once.  Parsing reads
+the grammar ``text()`` writes (integers, declared symbols, ``I``, ``+ - * /``,
+integer powers, parentheses) with Scalar arithmetic and hands any other text
+to sympy's ``parse_expr``.
 """
 
 from __future__ import annotations
 
+import keyword
+import re
 from dataclasses import dataclass
 from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -88,6 +98,7 @@ class SymbolTable:
         self._domain = QQ_I if gaussian else QQ
         self._field = FracField(symbols, self._domain)
         self._sympy_syms = {name: sympy.Symbol(name) for name in symbols}
+        self._gens = dict(zip(symbols, self._field.gens))
 
     def __repr__(self) -> str:
         dom = "QQ_I" if self.gaussian else "QQ"
@@ -114,9 +125,9 @@ class SymbolTable:
         return Scalar(self, self._field.one)
 
     def sym(self, name: str) -> "Scalar":
-        if name not in self._sympy_syms:
+        if name not in self._gens:
             raise UndeclaredSymbolError(f"symbol {name!r} not declared in {self!r}")
-        return Scalar(self, self._field(self._sympy_syms[name]))
+        return Scalar(self, self._gens[name])
 
     def syms(self, *names: str) -> tuple:
         return tuple(self.sym(n) for n in names)
@@ -126,7 +137,7 @@ class SymbolTable:
         """The imaginary unit (Gaussian tables only)."""
         if not self.gaussian:
             raise ScalarError("table was not built over the Gaussian rationals")
-        return Scalar(self, self._field.ground_new(QQ_I(0, 1)))
+        return self._ground(QQ_I(0, 1))
 
     def scalar(self, value: ScalarLike) -> "Scalar":
         """Coerce an int, Fraction-like or Scalar into this table's field."""
@@ -135,9 +146,19 @@ class SymbolTable:
                 raise ScalarError("scalar belongs to a different symbol table")
             return value
         try:
-            return Scalar(self, self._field.ground_new(self._domain.convert(value)))
+            c = self._domain.convert(value)
         except Exception as exc:
             raise ScalarError(f"cannot coerce {value!r} into {self!r}") from exc
+        return self._ground(c)
+
+    def _ground(self, c) -> "Scalar":
+        """The constant Scalar of a ground-domain element.
+
+        ``FracField.ground_new`` would cancel c / 1 through a gcd; a constant
+        over 1 is already reduced with a monic denominator.
+        """
+        ring = self._field.ring
+        return Scalar(self, self._field.raw_new(ring.ground_new(c), ring.one))
 
     def rational(self, p: int, q: int = 1) -> "Scalar":
         if q == 0:
@@ -146,6 +167,9 @@ class SymbolTable:
 
     def parse(self, text: str) -> "Scalar":
         """Parse canonical scalar text (the serialization format) back to a Scalar."""
+        value = _read(self, text)
+        if value is not None:
+            return value
         local = dict(self._sympy_syms)
         try:
             expr = sympy.parse_expr(text, local_dict=local, evaluate=True)
@@ -252,10 +276,11 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
-        other = self._coerce(other)
-        if not other.elem:
+        x, y = self.elem, self._coerce(other).elem
+        if not y:
             raise ZeroDenominatorError("division by the zero scalar")
-        return Scalar(self.table, self.elem / other.elem)
+        q = _laurent_quotient(self.table, x, y)
+        return Scalar(self.table, x / y) if q is None else q
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return self._coerce(other) / self
@@ -263,8 +288,10 @@ class Scalar:
     def __pow__(self, exponent: int) -> "Scalar":
         if not isinstance(exponent, int):
             raise ScalarError("only integer powers are supported")
-        if exponent < 0 and not self.elem:
-            raise ZeroDenominatorError("negative power of the zero scalar")
+        if exponent < 0:
+            if not self.elem:
+                raise ZeroDenominatorError("negative power of the zero scalar")
+            return self._inverse() ** -exponent
         return Scalar(self.table, self.elem ** exponent)
 
     def __neg__(self) -> "Scalar":
@@ -278,7 +305,10 @@ class Scalar:
         return self.table == other.table and self.elem == other.elem
 
     def __hash__(self) -> int:
-        return hash(self.elem)
+        # not hash(self.elem): sympy caches a polynomial's hash, and
+        # PolyElement.square caches it before it has added every term
+        num, den = self.elem.numer, self.elem.denom
+        return hash((frozenset(num.items()), frozenset(den.items())))
 
     def __bool__(self) -> bool:
         return bool(self.elem)
@@ -299,7 +329,13 @@ class Scalar:
     def inv(self) -> "Scalar":
         if not self.elem:
             raise ZeroDenominatorError("inverse of the zero scalar")
-        return Scalar(self.table, self.elem ** -1)
+        return self._inverse()
+
+    def _inverse(self) -> "Scalar":
+        """1 / self for a nonzero scalar; swapping a reduced fraction needs
+        no gcd, and a monomial numerator takes the Laurent rule."""
+        q = _laurent_quotient(self.table, self.table._field.one, self.elem)
+        return Scalar(self.table, self.elem ** -1) if q is None else q
 
     def as_expr(self) -> sympy.Expr:
         return self.elem.as_expr()
@@ -342,6 +378,118 @@ def _laurent(table: SymbolTable, num, exp: tuple) -> Scalar:
     return Scalar(table, field.raw_new(num, den))
 
 
+def _laurent_quotient(table: SymbolTable, x, y) -> Optional[Scalar]:
+    """``x / y`` for FracElements (y nonzero) when x's denominator and y's
+    numerator are single monomials, else None.
+
+    Then x / y = (x.numer * y.denom / c) / x**(e_x + e_y), where c x**e_y is
+    y's numerator and x**e_x x's denominator, and `_laurent` reduces it.
+    """
+    ex = _monomial(x.denom)
+    if ex is None or len(y.numer) != 1:
+        return None
+    ((ey, c),) = y.numer.items()
+    num = x.numer * y.denom
+    if c != table._domain.one:
+        num = num.quo_ground(c)
+    return _laurent(table, num, tuple(map(add, ex, ey)))
+
+
+# -- parsing ---------------------------------------------------------------
+
+_TOKEN = re.compile(r" *(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[-+*/()]))")
+
+
+class _Decline(Exception):
+    """The text is outside the grammar `_read` handles."""
+
+
+def _read(table: SymbolTable, text: str) -> Optional[Scalar]:
+    """Read the grammar ``text()`` writes with Scalar arithmetic, or None.
+
+    expr := term (('+' | '-') term)*,  term := unary (('*' | '/') unary)*,
+    unary := ('+' | '-') unary | atom ['**' exponent],
+    exponent := ('+' | '-') exponent | integer | '(' exponent ')',
+    atom := integer | symbol | 'I' | '(' expr ')' -- Python's precedence, so
+    ``-a**2`` is ``-(a**2)``.  Any other token, and any error (a zero
+    divisor included), gives None, leaving the text to ``parse_expr``.
+    """
+    tokens = []
+    pos, end = 0, len(text.rstrip(" "))
+    while pos < end:
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            return None
+        tokens.append(m.group(m.lastindex))
+        pos = m.end()
+    tokens.append("")
+    at = 0
+
+    def take() -> str:
+        nonlocal at
+        at += 1
+        return tokens[at - 1]
+
+    def expr() -> Scalar:
+        value = term()
+        while tokens[at] in ("+", "-"):
+            value = value + term() if take() == "+" else value - term()
+        return value
+
+    def term() -> Scalar:
+        value = unary()
+        while tokens[at] in ("*", "/"):
+            value = value * unary() if take() == "*" else value / unary()
+        return value
+
+    def unary() -> Scalar:
+        if tokens[at] in ("+", "-"):
+            return unary() if take() == "+" else -unary()
+        value = atom()
+        if tokens[at] != "**":
+            return value
+        take()
+        return value ** exponent()
+
+    def exponent() -> int:
+        if tokens[at] in ("+", "-"):
+            return exponent() if take() == "+" else -exponent()
+        tok = take()
+        if tok == "(":
+            n = exponent()
+            if take() != ")":
+                raise _Decline
+            return n
+        return integer(tok)
+
+    def atom() -> Scalar:
+        tok = take()
+        if tok == "(":
+            value = expr()
+            if take() != ")":
+                raise _Decline
+            return value
+        if tok[:1].isdigit():
+            return table.scalar(integer(tok))
+        if tok == "I" and table.gaussian:
+            return table.i
+        if tok in table._gens and not keyword.iskeyword(tok):
+            return table.sym(tok)
+        raise _Decline
+
+    def integer(tok: str) -> int:
+        # Python rejects leading zeros ("007")
+        if not tok[:1].isdigit() or (tok[0] == "0" and len(tok) > 1):
+            raise _Decline
+        return int(tok)
+
+    try:
+        value = expr()
+    except Exception:
+        return None
+    return value if tokens[at] == "" else None
+
+
 # -- substitution ----------------------------------------------------------
 
 
@@ -349,11 +497,34 @@ def _eval_poly(table: SymbolTable, poly, values: Sequence[Scalar]) -> Scalar:
     """Evaluate a PolyElement at Scalar values for every generator."""
     total = table.zero
     for monom, coeff in poly.terms():
-        term = Scalar(table, table._field.ground_new(coeff))
+        term = table._ground(coeff)
         for v, e in zip(values, monom):
             if e:
                 term = term * v**e
         total = total + term
+    return total
+
+
+def _ground_point(values: Sequence[Scalar]) -> Optional[list]:
+    """The ground-domain values of constant Scalars, or None if one is not."""
+    point = []
+    for v in values:
+        num, den = v.elem.numer, v.elem.denom
+        if not (num.is_ground and den.is_ground):
+            return None
+        # canonical constants have denominator 1
+        point.append(num.LC)
+    return point
+
+
+def _eval_ground(table: SymbolTable, poly, point: Sequence):
+    """Evaluate a PolyElement at ground-domain values for every generator."""
+    total = table._domain.zero
+    for monom, coeff in poly.items():
+        for v, e in zip(point, monom):
+            if e:
+                coeff = coeff * v**e
+        total = total + coeff
     return total
 
 
@@ -373,13 +544,18 @@ def substitute(s: Scalar, bindings: Mapping[str, ScalarLike]) -> Scalar:
             values.append(table.scalar(bindings[name]))
         else:
             values.append(table.sym(name))
-    num = _eval_poly(table, s.elem.numer, values)
-    den = _eval_poly(table, s.elem.denom, values)
-    if den.is_zero:
+    point = _ground_point(values)
+    if point is None:
+        num = _eval_poly(table, s.elem.numer, values)
+        den = _eval_poly(table, s.elem.denom, values)
+    else:
+        num = _eval_ground(table, s.elem.numer, point)
+        den = _eval_ground(table, s.elem.denom, point)
+    if not den:
         raise ZeroDenominatorError(
             f"substitution {dict(bindings)!r} makes the denominator of {s.text()} vanish"
         )
-    return num / den
+    return num / den if point is None else table._ground(num / den)
 
 
 # -- Laurent structure -----------------------------------------------------

@@ -216,6 +216,27 @@ def test_verify_section6_alexander_branch(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "verify-section6", "--structure", str(path), "--diagrams", "unknot_ccw"
     )
-    # the degenerate branch is selected automatically and reported honestly
+    # the degenerate branch is selected automatically; the closed trace
+    # vanishes there, so the verdict follows the cut-open identity
     assert "branch=alexander" in out
+    assert "identify=FAIL  open=pass" in out
+    assert code == 0
+
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "verify-section6", "--structure", str(path),
+        "--diagrams", "hopf", "unknot_cw",
+    )
+    hopf, unknot_cw = json.loads(out)["identifications"]
+    assert (hopf["identified"], hopf["open_identified"]) == (False, True)
+    assert "open_error" not in hopf
+    # cut_open rejects a diagram that does not open with cup_ccw 0
+    assert unknot_cw["open_identified"] is False
+    assert unknot_cw["open_error"].startswith("cut_open needs a diagram")
+    assert code == 1
+
+    code, out, _ = run_cli(
+        capsys, "verify-section6", "--structure", str(path), "--diagrams", "unknot_cw"
+    )
+    assert "open=FAIL" in out and "(cut_open needs a diagram" in out
+    assert len(out.splitlines()) == 4
     assert code == 1

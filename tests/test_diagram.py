@@ -1,3 +1,4 @@
+import random
 from typing import Tuple
 
 import pytest
@@ -158,9 +159,35 @@ def test_counter_whitney_identity(name, m):
     raw interleaved event list, independently of the counter code path.
     """
     d = builtin(name, m)
+    _check_counters(traverse(d))
+    for point in upward_points(d):
+        _check_counters(traverse(d, [point]))
+
+
+def test_counter_whitney_identity_random():
+    """The brute-force suffix check on seeded criterion-13 diagrams (closed
+    and open) and mixed-sign braid closures, at every upward basepoint."""
+    from test_acceptance import _random_small_diagram
+
+    rng = random.Random(13)
+    diagrams = [_random_small_diagram(rng) for _ in range(15)]
+    diagrams += [_random_small_diagram(rng, "open") for _ in range(10)]
+    for strands in (3, 4):
+        for _ in range(4):
+            gens = [
+                (rng.choice(["xp", "xn"]), rng.randint(strands, 2 * strands - 2))
+                for _ in range(rng.randint(4, 9))
+            ]
+            diagrams.append(_braid_closure(strands, *gens))
+    for d in diagrams:
+        _check_counters(traverse(d))
+        for point in upward_points(d):
+            _check_counters(traverse(d, [point]))
+
+
+def _check_counters(rec) -> None:
     from oqa.diagram import _CLOCKWISE
 
-    rec = traverse(d)
     for comp in rec.components:
         events = comp.events
         label_iter = iter(comp.labels)
@@ -176,6 +203,7 @@ def test_counter_whitney_identity(name, m):
             assert (label.u_d, label.u_u) == (u_d, u_u)
             assert u_d == u_u
             assert 2 * u_d == -suffix_whitney2
+        assert next(label_iter, None) is None
         cw = sum(1 for e in comp.extrema if e in _CLOCKWISE)
         assert comp.whitney == (cw - (len(comp.extrema) - cw)) // 2
 
@@ -224,16 +252,16 @@ def test_move_m2():
         apply_move(builtin("unknot_ccw"), "M3", (0, 0))
 
 
-def _braid3_closure(*gens: Tuple[str, int]) -> MorseDiagram:
-    """Left closure of a 3-strand braid; generator positions are 3 and 4."""
-    toks = [("cup_ccw", 0), ("cup_ccw", 1), ("cup_ccw", 2)]
+def _braid_closure(strands: int, *gens: Tuple[str, int]) -> MorseDiagram:
+    """Left closure of a braid; generator positions are strands..2*strands-2."""
+    toks = [("cup_ccw", p) for p in range(strands)]
     toks += list(gens)
-    toks += [("cap_ccw", 2), ("cap_ccw", 1), ("cap_ccw", 0)]
+    toks += [("cap_ccw", p) for p in reversed(range(strands))]
     return word(*toks)
 
 
 def test_move_m3_braid_relation():
-    d = _braid3_closure(("xp", 3), ("xp", 4), ("xp", 3))
+    d = _braid_closure(3, ("xp", 3), ("xp", 4), ("xp", 3))
     sites = move_sites(d, "M3")
     assert sites == [(3, 3)]
     out = apply_move(d, "M3", (3, 3))
@@ -274,8 +302,8 @@ def test_every_move_has_a_valid_example():
              Slice(SliceKind.X_NEG, 1), Slice(SliceKind.CAP_CCW, 0)]
         ),
         "M2rev": word(("cup_ccw", 0), ("xn", 1), ("xp", 1), ("cap_ccw", 0)),
-        "M3": _braid3_closure(("xp", 3), ("xp", 4), ("xp", 3)),
-        "M3rev": _braid3_closure(("xn", 3), ("xn", 4), ("xn", 3)),
+        "M3": _braid_closure(3, ("xp", 3), ("xp", 4), ("xp", 3)),
+        "M3rev": _braid_closure(3, ("xn", 3), ("xn", 4), ("xn", 3)),
         "M4a": builtin("curl"),
         "M4rev_a": mirror(builtin("curl")),
         "M4b": builtin("curl_op"),

@@ -1,4 +1,5 @@
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,3 +258,198 @@ def test_laurent_cancellations(t):
     mixed = (a / sbc) * (1 / (a - sbc))
     assert mixed.text() == "a/(a*sbc - sbc**2)"
     assert (mixed - 1 / (a - sbc)).text() == "1/sbc"
+
+
+# -- Laurent quotients, ground substitution and the text reader ---------------
+
+
+def _dividends(table):
+    """Laurent scalars, and (with two symbols) ones over a non-monomial."""
+    out = [laurent_scalars(table)]
+    if len(table.symbols) >= 2:
+        s0, s1 = table.syms(*table.symbols[:2])
+        out.append(laurent_scalars(table).map(lambda y: y / (s0 + s1)))
+    return st.one_of(out)
+
+
+def _divisors(table):
+    """Nonzero divisors: monomial numerators (Laurent rule) and not."""
+    dom = table._domain
+    ring = table._field.ring
+    exps = st.tuples(*[st.integers(0, 2)] * len(table.symbols))
+    coeff = st.sampled_from([1, -1, 2, -3]).map(dom.convert)
+    mono = st.builds(
+        lambda m, c, e: Scalar(
+            table, table._field.new(ring.from_dict({m: c}), ring.from_dict({e: 1}))
+        ),
+        exps, coeff, exps,
+    )
+    return st.one_of(mono, _dividends(table)).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_quotients_match_fracfield(data):
+    from oqa.scalar import _laurent_quotient
+
+    table = data.draw(st.sampled_from(_laurent_tables))
+    x = data.draw(_dividends(table))
+    y = data.draw(_divisors(table))
+    _assert_same(x / y, table, x.elem / y.elem)
+    _assert_same(y.inv(), table, y.elem**-1)
+    k = data.draw(st.integers(1, 3))
+    _assert_same(y**-k, table, y.elem**-k)
+    # the rule applies exactly when x's denominator and y's numerator are
+    # monomials; every other pair stays on the FracField route
+    laurent = len(x.elem.denom) == 1 and len(y.elem.numer) == 1
+    assert (_laurent_quotient(table, x.elem, y.elem) is not None) == laurent
+    zero = table.zero
+    for call, message in (
+        (lambda: x / zero, "division by the zero scalar"),
+        (zero.inv, "inverse of the zero scalar"),
+        (lambda: zero**-k, "negative power of the zero scalar"),
+    ):
+        with pytest.raises(ZeroDenominatorError, match=f"^{message}$"):
+            call()
+
+
+@st.composite
+def _bindings(draw, table):
+    """Partial or full bindings: small constants (often colliding, so that
+    denominators vanish), and now and then another symbol."""
+    consts = [0, 1, -1, 2, Fraction(1, 2)]
+    if table.gaussian:
+        consts.append(table.i)
+    out = {}
+    for name in table.symbols:
+        kind = draw(st.sampled_from(["const", "const", "const", "free", "sym"]))
+        if kind == "const":
+            c = draw(st.sampled_from(consts))
+            out[name] = c if isinstance(c, Scalar) else table.scalar(c)
+        elif kind == "sym":
+            out[name] = table.sym(draw(st.sampled_from(table.symbols))) + 1
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_substitute_matches_eval_poly(data):
+    from oqa.scalar import _eval_poly
+
+    table = data.draw(st.sampled_from(_laurent_tables))
+    x = data.draw(_dividends(table))
+    if len(table.symbols) >= 2:
+        s0, s1 = table.syms(*table.symbols[:2])
+        x = data.draw(st.sampled_from([x, x / (s0 - s1), x / (s0 * s1 - 1)]))
+    bindings = data.draw(_bindings(table))
+    values = [bindings.get(n, table.sym(n)) for n in table.symbols]
+    num = _eval_poly(table, x.elem.numer, values)
+    den = _eval_poly(table, x.elem.denom, values)
+    if den.is_zero:
+        message = (
+            f"substitution {dict(bindings)!r} makes the denominator of "
+            f"{x.text()} vanish"
+        )
+        with pytest.raises(ZeroDenominatorError) as info:
+            substitute(x, bindings)
+        assert str(info.value) == message
+    else:
+        _assert_same(substitute(x, bindings), table, num.elem / den.elem)
+
+
+def _parse_expr_route(table, text):
+    """What ``parse`` did before it had a reader: sympy's parse_expr."""
+    import sympy
+
+    try:
+        expr = sympy.parse_expr(text, local_dict=dict(table._sympy_syms), evaluate=True)
+    except Exception as exc:
+        raise ScalarError(f"cannot parse scalar text {text!r}: {exc}") from exc
+    return table.from_expr(expr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parse_reads_canonical_text(data):
+    from oqa.scalar import _read
+
+    table = data.draw(st.sampled_from(_laurent_tables))
+    x = data.draw(_dividends(table))
+    if len(table.symbols) >= 2:
+        s0, s1 = table.syms(*table.symbols[:2])
+        x = data.draw(st.sampled_from([x, x / (s0 - s1), x**2 / (s0 * s1 - 1)]))
+    text = x.text()
+    assert _read(table, text) == x
+    assert table.parse(text) == x == _parse_expr_route(table, text)
+
+
+@st.composite
+def _expression_texts(draw, table):
+    """Texts in and around the reader's grammar, spaces and unary signs
+    included."""
+    names = list(table.symbols) + (["I"] if table.gaussian else [])
+    atoms = st.sampled_from(names + ["0", "1", "2", "12", "007", "zz"])
+    exponent = st.sampled_from(["2", "-1", "(-2)", "+3", "0", "(1)", "a", "1/2"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/", " * ", " - "]), inner)
+            .map("".join),
+            st.tuples(st.sampled_from(["-", "+", "--"]), inner).map("".join),
+            inner.map(lambda e: f"({e})"),
+            st.tuples(inner, exponent).map(lambda p: f"{p[0]}**{p[1]}"),
+        )
+
+    return draw(st.recursive(atoms, extend, max_leaves=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reader_agrees_with_parse_expr(data):
+    """Whatever the reader accepts, parse_expr reads to the same Scalar; what
+    parse_expr rejects, the reader declines."""
+    from oqa.scalar import _read
+
+    table = data.draw(st.sampled_from(_laurent_tables))
+    text = data.draw(_expression_texts(table))
+    got = _read(table, text)
+    try:
+        want = _parse_expr_route(table, text)
+    except ScalarError:
+        assert got is None
+    else:
+        assert got is None or got == want
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        ("a^2", ScalarError,
+         "cannot parse scalar text 'a^2': unsupported operand type(s) for ^: "
+         "'Symbol' and 'Integer'"),
+        ("a + zz", UndeclaredSymbolError, "undeclared symbols ['zz'] in expression a + zz"),
+        ("1/0", ScalarError, "expression zoo is not a rational function: "),
+        ("(a - a)**-1", ScalarError, "expression zoo is not a rational function: "),
+        ("007", ScalarError, "cannot parse scalar text '007': "),
+        ("I*a", ScalarError, "imaginary unit requires a Gaussian symbol table"),
+    ],
+)
+def test_reader_declines_to_parse_expr(t, text, error, message):
+    from oqa.scalar import _read
+
+    assert _read(t, text) is None
+    with pytest.raises(error) as info:
+        t.parse(text)
+    assert type(info.value) is error and str(info.value).startswith(message)
+
+
+def test_reader_declines_but_parse_expr_reads(t):
+    from oqa.scalar import _read
+
+    for text, value in (("0.5", t.rational(1, 2)), ("a**2**2", t.sym("a") ** 4)):
+        assert _read(t, text) is None
+        assert t.parse(text) == value
+    keyword_table = SymbolTable(["lambda"])
+    assert _read(keyword_table, "lambda") is None
+    with pytest.raises(ScalarError, match="cannot parse scalar text 'lambda'"):
+        keyword_table.parse("lambda")
