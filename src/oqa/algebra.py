@@ -24,7 +24,6 @@ __all__ = [
     "AlgebraSpec",
     "AlgebraElement",
     "TensorSquareElement",
-    "TripleTensor",
     "AlgebraMap",
     "matrix_algebra",
     "sweedler_algebra",
@@ -425,54 +424,7 @@ def tensor_invert(algebra: AlgebraSpec, u: TensorSquareElement) -> TensorSquareE
     return v
 
 
-# -- triple tensors and the quantum Yang-Baxter equation ---------------------
-
-
-@dataclass(frozen=True)
-class TripleTensor:
-    algebra: AlgebraSpec
-    coeffs: Mapping[Tuple[int, int, int], Scalar]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", dict(_clean(self.coeffs)))
-
-    def __mul__(self, other: "TripleTensor") -> "TripleTensor":
-        out: dict = {}
-        structure = self.algebra.structure
-        for (i, j, k), cu in self.coeffs.items():
-            for (p, q, r), cv in other.coeffs.items():
-                t1 = structure.get((i, p))
-                if not t1:
-                    continue
-                t2 = structure.get((j, q))
-                if not t2:
-                    continue
-                t3 = structure.get((k, r))
-                if not t3:
-                    continue
-                c = cu * cv
-                for a1, c1 in t1:
-                    for a2, c2 in t2:
-                        for a3, c3 in t3:
-                            key = (a1, a2, a3)
-                            contrib = c * c1 * c2 * c3
-                            s = out.get(key)
-                            out[key] = contrib if s is None else s + contrib
-        return TripleTensor(self.algebra, out)
-
-
-def _embed(u: TensorSquareElement, slots: Tuple[int, int]) -> TripleTensor:
-    algebra = u.algebra
-    unit_slot = ({0, 1, 2} - set(slots)).pop()
-    out: dict = {}
-    for (i, j), c in u.coeffs.items():
-        for k, ck in algebra.unit:
-            key = [0, 0, 0]
-            key[slots[0]] = i
-            key[slots[1]] = j
-            key[unit_slot] = k
-            out[tuple(key)] = c * ck
-    return TripleTensor(algebra, out)
+# -- the quantum Yang-Baxter equation ----------------------------------------
 
 
 def qybe_check(algebra: AlgebraSpec, rho: TensorSquareElement) -> bool:
@@ -480,21 +432,58 @@ def qybe_check(algebra: AlgebraSpec, rho: TensorSquareElement) -> bool:
     return not qybe_defect(algebra, rho)
 
 
+def _qybe_side(algebra: AlgebraSpec, rho: TensorSquareElement, left: bool) -> dict:
+    """rho_12 rho_13 rho_23 (``left``) or rho_23 rho_13 rho_12 as a triple table.
+
+    With rho = sum_s c_s e_{i_s} (x) e_{j_s}, the left side is
+    sum_{s,t,u} c_s c_t c_u e_{i_s} e_{i_t} (x) e_{j_s} e_{i_u} (x) e_{j_t} e_{j_u}
+    and the right side the same sum with every product reversed.  The (s, t)
+    pairs are summed first, keyed by (first slot, j_s, j_t); each u then
+    multiplies into the second and third slots.
+    """
+    structure = algebra.structure
+    terms = list(rho.coeffs.items())
+    pairs: dict = {}
+    for (i_s, j_s), c_s in terms:
+        for (i_t, j_t), c_t in terms:
+            first = structure.get((i_s, i_t) if left else (i_t, i_s))
+            if not first:
+                continue
+            c = c_s * c_t
+            for k1, c1 in first:
+                key = (k1, j_s, j_t)
+                contrib = c * c1
+                s = pairs.get(key)
+                pairs[key] = contrib if s is None else s + contrib
+    out: dict = {}
+    for (k1, j_s, j_t), cp in pairs.items():
+        if cp.is_zero:
+            continue
+        for (i_u, j_u), c_u in terms:
+            second = structure.get((j_s, i_u) if left else (i_u, j_s))
+            if not second:
+                continue
+            third = structure.get((j_t, j_u) if left else (j_u, j_t))
+            if not third:
+                continue
+            c = cp * c_u
+            for k2, c2 in second:
+                c12 = c * c2
+                for k3, c3 in third:
+                    key = (k1, k2, k3)
+                    contrib = c12 * c3
+                    s = out.get(key)
+                    out[key] = contrib if s is None else s + contrib
+    return out
+
+
 def qybe_defect(algebra: AlgebraSpec, rho: TensorSquareElement) -> dict:
     """Nonzero slots of rho_12 rho_13 rho_23 - rho_23 rho_13 rho_12 (witnesses)."""
-    r12 = _embed(rho, (0, 1))
-    r13 = _embed(rho, (0, 2))
-    r23 = _embed(rho, (1, 2))
-    lhs = (r12 * r13) * r23
-    rhs = (r23 * r13) * r12
-    out = dict(lhs.coeffs)
-    for k, c in rhs.coeffs.items():
-        s = out.get(k, algebra.table.zero) - c
-        if s.is_zero:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+    out = _qybe_side(algebra, rho, left=True)
+    for k, c in _qybe_side(algebra, rho, left=False).items():
+        s = out.get(k)
+        out[k] = -c if s is None else s - c
+    return {k: c for k, c in out.items() if not c.is_zero}
 
 
 # -- linear and algebra maps -------------------------------------------------

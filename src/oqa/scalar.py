@@ -20,6 +20,14 @@ same Laurent route when the dividend's denominator and the divisor's
 numerator are single monomials.  Any other operand pair goes through sympy's
 ``FracField`` arithmetic, which cancels by a polynomial gcd.
 
+A product with the unit costs nothing: when either factor's element is the
+field's own ``one`` (the element ``SymbolTable.one`` and every constant 1
+hold), the product is the other factor, unchanged.  This is an identity test,
+so it is exact; a 1 reached by arithmetic is a different object and takes the
+ordinary route to the same canonical value.  Equal tables share one
+``FracField``, so the rule and every other operation hold across tables built
+separately from the same symbols and domain.
+
 Substitution of constants for every symbol evaluates numerator and
 denominator in the ground domain (Q or Q(i)) and divides once.  Parsing reads
 the grammar ``text()`` writes (integers, declared symbols, ``I``, ``+ - * /``,
@@ -73,6 +81,10 @@ class NotLaurentError(ScalarError):
 
 _PRINTER = StrPrinter({"order": "lex"})
 
+# one FracField per (symbols, gaussian), shared by equal tables: sympy builds
+# a new field and ring on every FracField call
+_FIELDS: dict = {}
+
 ScalarLike = Union["Scalar", int]
 
 
@@ -96,7 +108,11 @@ class SymbolTable:
         self.symbols = symbols
         self.gaussian = bool(gaussian)
         self._domain = QQ_I if gaussian else QQ
-        self._field = FracField(symbols, self._domain)
+        key = (symbols, self.gaussian)
+        field = _FIELDS.get(key)
+        if field is None:
+            field = _FIELDS[key] = FracField(symbols, self._domain)
+        self._field = field
         self._sympy_syms = {name: sympy.Symbol(name) for name in symbols}
         self._gens = dict(zip(symbols, self._field.gens))
 
@@ -155,10 +171,15 @@ class SymbolTable:
         """The constant Scalar of a ground-domain element.
 
         ``FracField.ground_new`` would cancel c / 1 through a gcd; a constant
-        over 1 is already reduced with a monic denominator.
+        over 1 is already reduced with a monic denominator, and shares the
+        denominator of the field's ``one`` (``ring.one`` is a fresh copy on
+        every read).  The constant 1 is the field's ``one`` itself, so
+        products by it take the unit rule.
         """
-        ring = self._field.ring
-        return Scalar(self, self._field.raw_new(ring.ground_new(c), ring.one))
+        field = self._field
+        if c == self._domain.one:
+            return Scalar(self, field.one)
+        return Scalar(self, field.raw_new(field.ring.ground_new(c), field.one.denom))
 
     def rational(self, p: int, q: int = 1) -> "Scalar":
         if q == 0:
@@ -212,7 +233,7 @@ def make_scalar(table: SymbolTable, expr) -> "Scalar":
     raise ScalarError(f"cannot build a scalar from {expr!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scalar:
     """An exact rational function; immutable, canonical, hashable."""
 
@@ -236,7 +257,7 @@ class Scalar:
 
     def _coerce(self, other: ScalarLike) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.table != self.table:
+            if other.table is not self.table and other.table != self.table:
                 raise ScalarError("scalars from different symbol tables")
             return other
         return self.table.scalar(other)
@@ -267,7 +288,13 @@ class Scalar:
         return self._sum(self._coerce(other).elem, self.elem, sub)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        x, y = self.elem, self._coerce(other).elem
+        other = self._coerce(other)
+        x, y = self.elem, other.elem
+        one = self.table._field.one
+        if x is one:
+            return other
+        if y is one:
+            return self
         ex, ey = _monomial(x.denom), _monomial(y.denom)
         if ex is None or ey is None:
             return Scalar(self.table, x * y)
@@ -374,7 +401,8 @@ def _laurent(table: SymbolTable, num, exp: tuple) -> Scalar:
             num = num.new([(tuple(map(sub, m, low)), c) for m, c in num.items()])
             exp = tuple(map(sub, exp, low))
     field = table._field
-    den = field.ring.dtype([(exp, table._domain.one)])
+    # a zero exponent shares the denominator of the field's one
+    den = field.ring.dtype([(exp, table._domain.one)]) if any(exp) else field.one.denom
     return Scalar(table, field.raw_new(num, den))
 
 

@@ -9,6 +9,11 @@ and sums plain full products over every assignment of matrix units to
 crossings via itertools.product.  Shared with the package: only the algebra
 arithmetic, the structure's tensor tables and the decoration convention
 (first tensor factor on the over strand).
+
+It also holds the embedded route to the quantum Yang-Baxter defect: each of
+rho_12, rho_13, rho_23 is written out as a triple tensor with the algebra's
+unit in its free slot, and the two triple products are multiplied out slot by
+slot.  The library sums the same products directly over rho's terms.
 """
 
 import itertools
@@ -162,3 +167,54 @@ def oracle_evaluate(S: OrientedQuantumAlgebraStructure, d: MorseDiagram):
         else:
             scalar_total = scalar_total + coeff * closed_part
     return open_total if is_open_diagram else scalar_total
+
+
+# -- the embedded QYBE route -------------------------------------------------
+
+
+def _embed(rho, slots):
+    """rho placed in two of three tensor slots, the unit in the third."""
+    algebra = rho.algebra
+    unit_slot = ({0, 1, 2} - set(slots)).pop()
+    out = {}
+    for (i, j), c in rho.coeffs.items():
+        for k, ck in algebra.unit:
+            key = [0, 0, 0]
+            key[slots[0]] = i
+            key[slots[1]] = j
+            key[unit_slot] = k
+            out[tuple(key)] = c * ck
+    return out
+
+
+def _triple_mul(algebra, u, v):
+    """Product of two triple tensors given as {(i, j, k): Scalar}."""
+    out = {}
+    structure = algebra.structure
+    for (i, j, k), cu in u.items():
+        for (p, q, r), cv in v.items():
+            t1 = structure.get((i, p))
+            t2 = structure.get((j, q))
+            t3 = structure.get((k, r))
+            if not (t1 and t2 and t3):
+                continue
+            c = cu * cv
+            for a1, c1 in t1:
+                for a2, c2 in t2:
+                    for a3, c3 in t3:
+                        key = (a1, a2, a3)
+                        contrib = c * c1 * c2 * c3
+                        out[key] = contrib if key not in out else out[key] + contrib
+    return {key: c for key, c in out.items() if not c.is_zero}
+
+
+def oracle_qybe_defect(algebra, rho):
+    """Nonzero slots of rho_12 rho_13 rho_23 - rho_23 rho_13 rho_12."""
+    r12, r13, r23 = (_embed(rho, slots) for slots in ((0, 1), (0, 2), (1, 2)))
+    lhs = _triple_mul(algebra, _triple_mul(algebra, r12, r13), r23)
+    rhs = _triple_mul(algebra, _triple_mul(algebra, r23, r13), r12)
+    out = dict(lhs)
+    for key, c in rhs.items():
+        out[key] = out.get(key, algebra.table.zero) - c
+    return {key: c for key, c in out.items() if not c.is_zero}
+

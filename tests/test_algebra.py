@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oqa import (
@@ -8,12 +10,18 @@ from oqa import (
     apply_map_tensor,
     build_rho_abc,
     matrix_algebra,
+    opposite,
     qybe_check,
     sweedler_algebra,
+    sweedler_oqa,
     tensor_invert,
     tensor_mul,
     tensor_unit,
 )
+from oqa.algebra import qybe_defect
+
+from oracles import oracle_qybe_defect
+from test_structures import _structure_from_params, sample_params, tamper_params
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +155,67 @@ def test_qybe_unit_and_perturbed(t, m2):
     rho = build_rho_abc(t, 2, a, sbc * sbc, {(1, 2): b}, m2)
     perturbed = rho + TensorSquareElement(m2, {(0, 1): t.one})
     assert not qybe_check(m2, perturbed)
+
+
+# -- the direct-sum QYBE defect against the embedded route -------------------
+
+
+def _assert_defect_matches(algebra, rho):
+    got = qybe_defect(algebra, rho)
+    want = oracle_qybe_defect(algebra, rho)
+    assert got == want
+    assert {k: c.text() for k, c in got.items()} == {k: c.text() for k, c in want.items()}
+    return got
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_qybe_defect_matches_oracle_rho_abc(n):
+    t = SymbolTable(["a", "sbc", "b"])
+    a, sbc, b = t.syms("a", "sbc", "b")
+    B = {(i, j): b * (i + j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    algebra = matrix_algebra(t, n)
+    rho = build_rho_abc(t, n, a, sbc * sbc, B, algebra)
+    assert _assert_defect_matches(algebra, rho) == {}
+    perturbed = rho + TensorSquareElement(algebra, {(1, 0): a, (0, n + 1): t.one})
+    assert _assert_defect_matches(algebra, perturbed)
+    if n < 4:
+        assert _assert_defect_matches(algebra, tensor_invert(algebra, rho)) == {}
+
+
+def test_qybe_defect_matches_oracle_tampered_thm5():
+    """Sampled Gaussian Thm-5 tables, each tampered in at most one clause."""
+    rng = random.Random(7)
+    failing = 0
+    for _ in range(12):
+        params = sample_params(rng, rng.choice([2, 3]))
+        tampered, sigma_scale, _ = tamper_params(rng, params)
+        S = _structure_from_params(tampered, sigma_scale)
+        failing += bool(_assert_defect_matches(S.algebra, S.rho))
+    assert failing
+
+
+def test_qybe_defect_matches_oracle_example2(ex2_n2, ex2_n3):
+    for S in (ex2_n2, ex2_n3):
+        assert _assert_defect_matches(S.algebra, S.rho) == {}
+        assert _assert_defect_matches(S.algebra, S.rho_inv) == {}
+    t = ex2_n2.algebra.table
+    broken = ex2_n2.rho + TensorSquareElement(ex2_n2.algebra, {(0, 3): t.sym("b")})
+    assert _assert_defect_matches(ex2_n2.algebra, broken)
+
+
+def test_qybe_defect_matches_oracle_sweedler(t):
+    """H4's structure constants include -1; so do those of its opposite."""
+    S = sweedler_oqa(t, t.sym("a"))
+    for T in (S, opposite(S)):
+        assert _assert_defect_matches(T.algebra, T.rho) == {}
+        assert _assert_defect_matches(T.algebra, T.rho_inv) == {}
+        broken = T.rho + TensorSquareElement(T.algebra, {(1, 2): t.sym("b")})
+        assert _assert_defect_matches(T.algebra, broken)
+
+
+def test_qybe_defect_matches_oracle_unit(t, m2):
+    for algebra in (m2, matrix_algebra(t, 3), sweedler_algebra(t)):
+        assert _assert_defect_matches(algebra, tensor_unit(algebra)) == {}
 
 
 def test_apply_map_tensor(t, m2):

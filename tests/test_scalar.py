@@ -260,6 +260,56 @@ def test_laurent_cancellations(t):
     assert (mixed - 1 / (a - sbc)).text() == "1/sbc"
 
 
+# -- products by the unit -------------------------------------------------------
+
+
+def _unit_operands(table):
+    """Symbolic (over a non-monomial too), Gaussian and zero operands."""
+    ops = [laurent_scalars(table), st.just(table.zero)]
+    if len(table.symbols) >= 2:
+        s0, s1 = table.syms(*table.symbols[:2])
+        ops.append(laurent_scalars(table).map(lambda y: y / (s0 - s1)))
+    return st.one_of(ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_unit_products_match_full_product(data):
+    table = data.draw(st.sampled_from(_laurent_tables))
+    x = data.draw(_unit_operands(table))
+    one = table.one
+    for got in (x * one, one * x, x * 1, 1 * x, x * table.scalar(1)):
+        _assert_same(got, table, x.elem * one.elem)
+        # the unit rule hands back the other factor itself
+        assert got.elem is x.elem
+    # a 1 reached by arithmetic is not the field's one: full route, same value
+    if x:
+        computed = x / x
+        assert computed.is_one and computed.elem is not one.elem
+        _assert_same(x * computed, table, x.elem * computed.elem)
+        _assert_same(computed * x, table, computed.elem * x.elem)
+
+
+def test_equal_tables_share_a_field():
+    t1 = SymbolTable(["a", "b"], gaussian=True)
+    t2 = SymbolTable(["a", "b"], gaussian=True)
+    assert t1 is not t2 and t1 == t2 and t1._field is t2._field
+    assert SymbolTable(["a", "b"])._field is not t1._field
+    assert SymbolTable(["b", "a"], gaussian=True)._field is not t1._field
+    a1, b1 = t1.syms("a", "b")
+    a2, b2 = t2.syms("a", "b")
+    x = (a1 + t1.i * b1) / (a1 - b1)
+    y = (b2 - 3) / (a2 * b2)
+    assert x * y == y * x == ((a1 + t1.i * b1) / (a1 - b1)) * ((b1 - 3) / (a1 * b1))
+    assert (x * y).text() == (y * x).text()
+    assert x * t2.one == x and t2.one * x == x and (t2.one * x).text() == x.text()
+    assert a1 == a2 and hash(a1) == hash(a2) and a1 * b2 == b1 * a2
+    assert x + y == y + x and x - y == -(y - x) and x / y == (y / x).inv()
+    assert t1.one == t2.one and t1.zero * x == t2.zero
+    with pytest.raises(ScalarError, match="different symbol tables"):
+        x * SymbolTable(["a", "b"]).sym("a")
+
+
 # -- Laurent quotients, ground substitution and the text reader ---------------
 
 
