@@ -236,12 +236,6 @@ class TensorSquareElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def flip(self) -> "TensorSquareElement":
-        """The opposite tensor: sum b_i (x) a_i."""
-        return TensorSquareElement(
-            self.algebra, {(j, i): c for (i, j), c in self.coeffs.items()}
-        )
-
     def first_tensorand_span(self) -> List[AlgebraElement]:
         by_second: Dict[int, dict] = {}
         for (i, j), c in self.coeffs.items():

@@ -198,10 +198,8 @@ def parse_diagram(text: str, boundary: Optional[str] = None) -> MorseDiagram:
     return d
 
 
-def serialize(d: MorseDiagram, sep: str = "\n", header: bool = True) -> str:
+def serialize(d: MorseDiagram, sep: str = "\n") -> str:
     body = sep.join(f"{s.kind.value} {s.pos}" for s in d.slices)
-    if not header:
-        return body
     head = f"boundary: {d.boundary}"
     return head + (sep + body if body else "")
 
@@ -299,44 +297,6 @@ class TraversalRecord:
         return tuple(c.whitney for c in self.components)
 
 
-def _step_up(d: MorseDiagram, g: int, p: int):
-    """Advance an upward walker across slice g.  Returns (event, g, p, dir)."""
-    s = d.slices[g]
-    q = s.pos
-    if s.kind.is_cup:
-        return None, g + 1, p + 2 if p >= q else p, "u"
-    if s.kind.is_cap:
-        if p == q:
-            return ("ext", EXTREMUM_TYPE[s.kind]), g, q + 1, "d"
-        if p == q + 1:
-            return ("ext", EXTREMUM_TYPE[s.kind]), g, q, "d"
-        return None, g + 1, p - 2 if p > q + 1 else p, "u"
-    if p == q:
-        return ("line", g, "L"), g + 1, q + 1, "u"
-    if p == q + 1:
-        return ("line", g, "R"), g + 1, q, "u"
-    return None, g + 1, p, "u"
-
-
-def _step_down(d: MorseDiagram, g: int, p: int):
-    """Advance a downward walker across slice g-1."""
-    s = d.slices[g - 1]
-    q = s.pos
-    if s.kind.is_cup:
-        if p == q:
-            return ("ext", EXTREMUM_TYPE[s.kind]), g, q + 1, "u"
-        if p == q + 1:
-            return ("ext", EXTREMUM_TYPE[s.kind]), g, q, "u"
-        return None, g - 1, p - 2 if p > q + 1 else p, "d"
-    if s.kind.is_cap:
-        return None, g - 1, p + 2 if p >= q else p, "d"
-    if p in (q, q + 1):
-        raise DiagramValidationError(
-            f"slice {g - 1}: downward strand inside a crossing"
-        )
-    return None, g - 1, p, "d"
-
-
 def _tensorand(kind: SliceKind, side: str) -> int:
     if kind is SliceKind.X_POS:
         return 0 if side == "L" else 1
@@ -348,40 +308,81 @@ def traverse(
 ) -> TraversalRecord:
     """Walk every component, labelling crossing lines and counting extrema.
 
-    Components are discovered at their first upward point in scan order
-    (gaps bottom-to-top, positions left-to-right); ``preferred_starts`` seeds
-    the scan with explicit upward points (basepoint overrides).  For the open
-    strand of a tangle the walk runs bottom boundary to top boundary; closed
-    components cycle back to their basepoint.
+    One pass over the slices links the strand edges.  An edge runs from the
+    slice that makes it (a cup, a crossing, or the bottom boundary of a
+    tangle) to the slice that consumes it (a cap, a crossing, or the top
+    boundary).  Upward edges are walked up and downward edges down, so each
+    edge ends in at most one event and hands the walk on to one edge: a
+    crossing to its other output, a cap down its other leg, and the cup that
+    made a downward edge up its other leg.
+
+    The open strand of a tangle is walked first, from the bottom boundary to
+    the top.  ``preferred_starts`` then seeds components at explicit upward
+    points (basepoint overrides).  Every other component starts at its first
+    upward point in scan order (gaps bottom-to-top, positions left-to-right),
+    which is the first point of one of its upward edges.  Closed components
+    cycle back to their basepoint.
     """
     all_dirs = strand_dirs(d)
-    ngaps = len(d.slices) + 1
-    visited = [[False] * len(all_dirs[g]) for g in range(ngaps)]
+    for g, p in preferred_starts:
+        if not (0 <= g < len(all_dirs) and 0 <= p < len(all_dirs[g])):
+            raise DiagramError(f"basepoint {(g, p)} outside the diagram")
+        if all_dirs[g][p] != "u":
+            raise DiagramError(f"basepoint {(g, p)} is not on an upward strand")
+    wanted = {g for g, _ in preferred_starts}
 
-    def walk(g0: int, p0: int, is_open: bool):
+    # every edge's first point and direction; the event that ends an edge and
+    # the edge the walk takes next (none past the top boundary)
+    first: List[Tuple[int, int]] = []
+    upward: List[bool] = []
+    event: Dict[int, Tuple] = {}
+    after: Dict[int, int] = {}
+
+    def new_edges(g: int, q: int, dirs: Tuple[str, str]) -> List[int]:
+        """The two edges slice g makes at positions q, q + 1."""
+        first.extend(((g + 1, q), (g + 1, q + 1)))
+        upward.extend(x == "u" for x in dirs)
+        return [len(first) - 2, len(first) - 1]
+
+    if d.boundary == "open":
+        first.append((0, 0))
+        upward.append(True)
+    row = list(range(len(first)))
+    rows = {0: list(row)} if 0 in wanted else {}
+    for g, s in enumerate(d.slices):
+        q = s.pos
+        if s.kind.is_cup:
+            a, b = new_edges(g, q, _CUP_DIRS[s.kind])
+            down, up = (b, a) if upward[a] else (a, b)
+            event[down], after[down] = ("ext", EXTREMUM_TYPE[s.kind]), up
+            row[q:q] = [a, b]
+        elif s.kind.is_cap:
+            a, b = row[q], row[q + 1]
+            up, down = (a, b) if upward[a] else (b, a)
+            event[up], after[up] = ("ext", EXTREMUM_TYPE[s.kind]), down
+            del row[q : q + 2]
+        else:
+            a, b = row[q], row[q + 1]
+            row[q : q + 2] = left, right = new_edges(g, q, ("u", "u"))
+            event[a], after[a] = ("line", g, "L"), right
+            event[b], after[b] = ("line", g, "R"), left
+        if g + 1 in wanted:
+            rows[g + 1] = list(row)
+
+    visited = [False] * len(first)
+    components: List[ComponentRecord] = []
+
+    def start_component(e: Optional[int], start: Tuple[int, int], is_open: bool) -> None:
+        if visited[e]:
+            return
         events: List[Tuple] = []
-        g, p, direction = g0, p0, "u"
-        while True:
-            visited[g][p] = True
-            if direction == "u":
-                if g == len(d.slices):
-                    if not is_open:
-                        raise DiagramValidationError("closed strand reached the top")
-                    break
-                event, g, p, direction = _step_up(d, g, p)
-            else:
-                if g == 0:
-                    raise DiagramValidationError("downward strand reached the bottom")
-                event, g, p, direction = _step_down(d, g, p)
-            if event is not None:
-                events.append(event)
-            if not is_open and (g, p, direction) == (g0, p0, "u"):
-                break
-        return events
-
-    def component_from(events: List[Tuple], is_open: bool, start) -> ComponentRecord:
-        extrema = tuple(e[1] for e in events if e[0] == "ext")
-        cw = sum(1 for e in extrema if e in _CLOCKWISE)
+        while e is not None and not visited[e]:
+            visited[e] = True
+            if e in event:
+                events.append(event[e])
+            e = after.get(e)
+        extrema = tuple(ev[1] for ev in events if ev[0] == "ext")
+        cw = sum(1 for t in extrema if t in _CLOCKWISE)
         whitney2 = cw - (len(extrema) - cw)
         if whitney2 % 2:
             raise DiagramValidationError("odd extremum imbalance on a component")
@@ -405,35 +406,22 @@ def traverse(
                     LineLabel(crossing, _tensorand(d.slices[crossing].kind, side), ud, uu)
                 )
         labels.reverse()
-        return ComponentRecord(
-            is_open, start, tuple(labels), extrema, whitney2 // 2, tuple(events)
+        components.append(
+            ComponentRecord(
+                is_open, start, tuple(labels), extrema, whitney2 // 2, tuple(events)
+            )
         )
 
-    components: List[ComponentRecord] = []
-
-    def start_component(g: int, p: int) -> None:
-        is_open = d.boundary == "open" and (g, p) == (0, 0) and all_dirs[0]
-        events = walk(g, p, bool(is_open))
-        components.append(component_from(events, bool(is_open), (g, p)))
-
     if d.boundary == "open":
-        start_component(0, 0)
+        start_component(0, (0, 0), True)
     for g, p in preferred_starts:
-        if not (0 <= g < ngaps and 0 <= p < len(all_dirs[g])):
-            raise DiagramError(f"basepoint {(g, p)} outside the diagram")
-        if all_dirs[g][p] != "u":
-            raise DiagramError(f"basepoint {(g, p)} is not on an upward strand")
-        if not visited[g][p]:
-            start_component(g, p)
-    for g in range(ngaps):
-        for p in range(len(all_dirs[g])):
-            if not visited[g][p] and all_dirs[g][p] == "u":
-                start_component(g, p)
-    # sanity: everything visited (downward points are covered by the walks)
-    for g in range(ngaps):
-        for p in range(len(all_dirs[g])):
-            if not visited[g][p]:
-                raise DiagramValidationError(f"point {(g, p)} not on any component")
+        start_component(rows[g][p], (g, p), False)
+    for e, point in enumerate(first):
+        if upward[e]:
+            start_component(e, point, False)
+    if not all(visited):
+        missing = first[visited.index(False)]
+        raise DiagramValidationError(f"edge from {missing} not on any component")
     return TraversalRecord(tuple(components))
 
 

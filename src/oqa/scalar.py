@@ -29,18 +29,18 @@ ordinary route to the same canonical value.  Equal tables share one
 separately from the same symbols and domain.
 
 Substitution of constants for every symbol evaluates numerator and
-denominator in the ground domain (Q or Q(i)) and divides once.  Parsing reads
-the grammar ``text()`` writes (integers, declared symbols, ``I``, ``+ - * /``,
-integer powers, parentheses) with Scalar arithmetic and hands any other text
-to sympy's ``parse_expr``.
+denominator in the ground domain (Q or Q(i)) and divides once.  Parsing lets
+Python's ``ast`` parser read the text and evaluates the tree of the grammar
+``text()`` writes (decimal integers, declared symbols, ``I``, ``+ - * /``,
+integer powers) with Scalar arithmetic; any other text goes to sympy's
+``parse_expr``.
 """
 
 from __future__ import annotations
 
-import keyword
-import re
+import ast
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, mul, sub, truediv
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import sympy
@@ -425,97 +425,55 @@ def _laurent_quotient(table: SymbolTable, x, y) -> Optional[Scalar]:
 
 # -- parsing ---------------------------------------------------------------
 
-_TOKEN = re.compile(r" *(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[-+*/()]))")
-
-
-class _Decline(Exception):
-    """The text is outside the grammar `_read` handles."""
+_BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv}
 
 
 def _read(table: SymbolTable, text: str) -> Optional[Scalar]:
     """Read the grammar ``text()`` writes with Scalar arithmetic, or None.
 
-    expr := term (('+' | '-') term)*,  term := unary (('*' | '/') unary)*,
-    unary := ('+' | '-') unary | atom ['**' exponent],
-    exponent := ('+' | '-') exponent | integer | '(' exponent ')',
-    atom := integer | symbol | 'I' | '(' expr ')' -- Python's precedence, so
-    ``-a**2`` is ``-(a**2)``.  Any other token, and any error (a zero
-    divisor included), gives None, leaving the text to ``parse_expr``.
+    Python's own parser builds the tree, so precedence is Python's (``-a**2``
+    is ``-(a**2)``).  The walk evaluates ``+ - * /``, unary signs, decimal
+    integer literals, declared symbols and ``I`` on Gaussian tables; an
+    exponent must be a signed integer literal.  Any other node, non-ASCII
+    text (Python normalizes non-ASCII names, ``parse_expr`` does not), and
+    any error (a zero divisor included) give None, leaving the text to
+    ``parse_expr``.
     """
-    tokens = []
-    pos, end = 0, len(text.rstrip(" "))
-    while pos < end:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            return None
-        tokens.append(m.group(m.lastindex))
-        pos = m.end()
-    tokens.append("")
-    at = 0
 
-    def take() -> str:
-        nonlocal at
-        at += 1
-        return tokens[at - 1]
-
-    def expr() -> Scalar:
-        value = term()
-        while tokens[at] in ("+", "-"):
-            value = value + term() if take() == "+" else value - term()
+    def integer(node) -> int:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            n = integer(node.operand)
+            return n if isinstance(node.op, ast.UAdd) else -n
+        # a decimal literal without leading zeros or underscores reads back
+        # as its own value; 0x10, 1_0, 00 and True do not
+        value = getattr(node, "value", None)
+        if type(value) is not int or node.lineno != 1 or (
+            source[node.col_offset : node.end_col_offset] != str(value)
+        ):
+            raise ValueError(text)
         return value
 
-    def term() -> Scalar:
-        value = unary()
-        while tokens[at] in ("*", "/"):
-            value = value * unary() if take() == "*" else value / unary()
-        return value
+    def scalar(node) -> Scalar:
+        if isinstance(node, ast.BinOp):
+            if isinstance(node.op, ast.Pow):
+                return scalar(node.left) ** integer(node.right)
+            return _BINARY[type(node.op)](scalar(node.left), scalar(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            value = scalar(node.operand)
+            return value if isinstance(node.op, ast.UAdd) else -value
+        if isinstance(node, ast.Name):
+            if node.id == "I" and table.gaussian:
+                return table.i
+            return table.sym(node.id)
+        return table.scalar(integer(node))
 
-    def unary() -> Scalar:
-        if tokens[at] in ("+", "-"):
-            return unary() if take() == "+" else -unary()
-        value = atom()
-        if tokens[at] != "**":
-            return value
-        take()
-        return value ** exponent()
-
-    def exponent() -> int:
-        if tokens[at] in ("+", "-"):
-            return exponent() if take() == "+" else -exponent()
-        tok = take()
-        if tok == "(":
-            n = exponent()
-            if take() != ")":
-                raise _Decline
-            return n
-        return integer(tok)
-
-    def atom() -> Scalar:
-        tok = take()
-        if tok == "(":
-            value = expr()
-            if take() != ")":
-                raise _Decline
-            return value
-        if tok[:1].isdigit():
-            return table.scalar(integer(tok))
-        if tok == "I" and table.gaussian:
-            return table.i
-        if tok in table._gens and not keyword.iskeyword(tok):
-            return table.sym(tok)
-        raise _Decline
-
-    def integer(tok: str) -> int:
-        # Python rejects leading zeros ("007")
-        if not tok[:1].isdigit() or (tok[0] == "0" and len(tok) > 1):
-            raise _Decline
-        return int(tok)
-
+    source = text.lstrip(" ")  # Python rejects an indented expression
+    if not source.isascii():
+        return None
     try:
-        value = expr()
+        return scalar(ast.parse(source, mode="eval").body)
     except Exception:
         return None
-    return value if tokens[at] == "" else None
 
 
 # -- substitution ----------------------------------------------------------

@@ -140,7 +140,7 @@ class OrientedQuantumAlgebraStructure:
             algebra, rho, rho_inv, t_d, t_u, None, trace, name
         )
         if twist is not None:
-            S = attach_twist(S, twist.g)
+            S = attach_twist(S, twist.g, twist.g_inv)
         return S
 
     @property
@@ -267,19 +267,8 @@ def build_rho_abc(
         if table.scalar(v).is_zero:
             raise StructureError(f"parameter {name} must be invertible")
     algebra = algebra if algebra is not None else matrix_algebra(table, n)
-    x = a - bc / a
-    coeffs: Dict[Tuple[int, int], Scalar] = {}
-    for i in range(1, n + 1):
-        coeffs[(_unit_index(n, i, i), _unit_index(n, i, i))] = a
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            b_ij = table.scalar(B[(i, j)])
-            if b_ij.is_zero:
-                raise StructureError(f"parameter b_{i}{j} must be invertible")
-            coeffs[(_unit_index(n, i, j), _unit_index(n, j, i))] = x
-            coeffs[(_unit_index(n, i, i), _unit_index(n, j, j))] = b_ij
-            coeffs[(_unit_index(n, j, j), _unit_index(n, i, i))] = bc / b_ij
-    return TensorSquareElement(algebra, coeffs)
+    # single_block_params raises "parameter b_ij must be invertible"
+    return _params_rho(single_block_params(table, n, [a] * n, bc, B, table.one), algebra)
 
 
 def matrix_trace(algebra: AlgebraSpec, n: int) -> Dict[int, Scalar]:
@@ -561,6 +550,32 @@ def _block_root_ratios(params: MnStructureParams, k: int) -> Dict[int, Scalar]:
     return out
 
 
+def _params_rho(params: MnStructureParams, algebra: AlgebraSpec) -> TensorSquareElement:
+    """rho on M_n from a parameter table: the diagonal values rho_iiii, the
+    off-diagonal rho_ilil and the nonzero exchange values rho_illi."""
+    t = params.table
+    n = params.n
+    coeffs: Dict[Tuple[int, int], Scalar] = {}
+    for i in range(1, n + 1):
+        coeffs[(_unit_index(n, i, i), _unit_index(n, i, i))] = t.scalar(
+            params.diag[i]
+        )
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                coeffs[(_unit_index(n, i, i), _unit_index(n, j, j))] = t.scalar(
+                    params.off_diag[(i, j)]
+                )
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            v = params.exchange_value(i, j)
+            if not v.is_zero:
+                coeffs[(_unit_index(n, i, j), _unit_index(n, j, i))] = v
+    return TensorSquareElement(algebra, coeffs)
+
+
 def build_thm5(
     params: MnStructureParams, name: str = "thm5"
 ) -> OrientedQuantumAlgebraStructure:
@@ -582,26 +597,7 @@ def build_thm5(
     t = params.table
     n = params.n
     algebra = matrix_algebra(t, n)
-
-    coeffs: Dict[Tuple[int, int], Scalar] = {}
-    for i in range(1, n + 1):
-        coeffs[(_unit_index(n, i, i), _unit_index(n, i, i))] = t.scalar(
-            params.diag[i]
-        )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                coeffs[(_unit_index(n, i, i), _unit_index(n, j, j))] = t.scalar(
-                    params.off_diag[(i, j)]
-                )
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            v = params.exchange_value(i, j)
-            if not v.is_zero:
-                coeffs[(_unit_index(n, i, j), _unit_index(n, j, i))] = v
-    rho = TensorSquareElement(algebra, coeffs)
+    rho = _params_rho(params, algebra)
 
     # automorphism entries sigma_i / sigma_j
     sigma: Dict[int, Scalar] = {}

@@ -164,6 +164,47 @@ def test_counter_whitney_identity(name, m):
         _check_counters(traverse(d, [point]))
 
 
+# (is_open, start, [(crossing, tensorand, u_d, u_u), ...]) per component, in
+# traversal order; the CLI whitney lists follow this order
+_PINNED_TRAVERSALS = [
+    ("hopf", builtin("hopf"), (), [
+        (False, (1, 1), [(2, 0, 1, 1), (3, 1, 1, 1)]),
+        (False, (2, 2), [(2, 1, -1, -1), (3, 0, -1, -1)]),
+    ]),
+    ("trefoil_knot", builtin("trefoil_knot"), (), [
+        (False, (1, 1), [(2, 0, 0, 0), (3, 1, 0, 0), (4, 0, 0, 0),
+                         (2, 1, 1, 1), (3, 0, 1, 1), (4, 1, 1, 1)]),
+    ]),
+    ("figure8_knot", builtin("figure8_knot"), (), [
+        (False, (1, 1), [(4, 0, 3, 3), (5, 1, 3, 3), (3, 0, 2, 2), (4, 1, 2, 2),
+                         (6, 0, 2, 2), (3, 1, 1, 1), (5, 0, 1, 1), (6, 1, 1, 1)]),
+    ]),
+    ("open tangle with a closed component",
+     word(("cup_cw", 1), ("xp", 0), ("cup_ccw", 0), ("xn", 1), ("xp", 2),
+          ("cap_cw", 3), ("cap_ccw", 0), boundary="open"), (), [
+        (True, (0, 0), [(1, 0, 0, 0), (4, 1, 0, 0)]),
+        (False, (1, 1), [(1, 1, 0, 0), (3, 0, 0, 0), (3, 1, -1, -1), (4, 0, -1, -1)]),
+    ]),
+    ("hopf from (3, 2)", builtin("hopf"), [(3, 2)], [
+        (False, (3, 2), [(3, 1, 1, 1), (2, 0, 0, 0)]),
+        (False, (2, 2), [(2, 1, -1, -1), (3, 0, -1, -1)]),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "d,starts,want", [case[1:] for case in _PINNED_TRAVERSALS],
+    ids=[case[0] for case in _PINNED_TRAVERSALS],
+)
+def test_traversal_order_pinned(d, starts, want):
+    """Component order, start points and line labels of traverse."""
+    got = [
+        (c.is_open, c.start, [(l.crossing, l.tensorand, l.u_d, l.u_u) for l in c.labels])
+        for c in traverse(d, starts).components
+    ]
+    assert got == want
+
+
 def test_counter_whitney_identity_random():
     """The brute-force suffix check on seeded criterion-13 diagrams (closed
     and open) and mixed-sign braid closures, at every upward basepoint."""
