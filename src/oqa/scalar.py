@@ -196,6 +196,13 @@ class SymbolTable:
             expr = sympy.parse_expr(text, local_dict=local, evaluate=True)
         except Exception as exc:
             raise ScalarError(f"cannot parse scalar text {text!r}: {exc}") from exc
+        # True, None and [1] read as Python values; sympy objects that are
+        # not expressions (a < 1) are rejected by from_expr
+        if not isinstance(expr, sympy.Basic):
+            raise ScalarError(
+                f"cannot parse scalar text {text!r}: "
+                f"it reads as a {type(expr).__name__}, not an expression"
+            )
         return self.from_expr(expr)
 
     def from_expr(self, expr: sympy.Expr) -> "Scalar":

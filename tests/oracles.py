@@ -14,6 +14,10 @@ It also holds the embedded route to the quantum Yang-Baxter defect: each of
 rho_12, rho_13, rho_23 is written out as a triple tensor with the algebra's
 unit in its free slot, and the two triple products are multiplied out slot by
 slot.  The library sums the same products directly over rho's terms.
+
+Last, it holds the full sparse elimination ``oqa.algebra.solve_sparse`` ran
+before it learned to skip the rows that no nonzero right-hand side reaches:
+here every row takes part, so a block the library leaves out is still solved.
 """
 
 import itertools
@@ -218,3 +222,64 @@ def oracle_qybe_defect(algebra, rho):
         out[key] = out.get(key, algebra.table.zero) - c
     return {key: c for key, c in out.items() if not c.is_zero}
 
+
+# -- the full sparse elimination ---------------------------------------------
+
+
+def oracle_solve_sparse(table, rows, rhs, nunknowns):
+    """Eliminate over every row; None when the system is inconsistent."""
+    rows = [{c: v for c, v in r.items() if not v.is_zero} for r in rows]
+    rhs = list(rhs)
+    assignments = {}
+    active = [k for k, r in enumerate(rows) if r or not rhs[k].is_zero]
+    solved_order = []
+    while True:
+        best = None
+        for k in active:
+            row = rows[k]
+            if not row:
+                if not rhs[k].is_zero:
+                    return None
+                continue
+            score = len(row)
+            if best is None or score < best[0]:
+                best = (score, k)
+        if best is None:
+            break
+        _, k = best
+        row, b = rows[k], rhs[k]
+        col = min(row)
+        pivot = row[col]
+        inv = pivot.inv()
+        norm_row = {c: v * inv for c, v in row.items() if c != col}
+        norm_b = b * inv
+        assignments[col] = (norm_row, norm_b)
+        solved_order.append(col)
+        active = [m for m in active if m != k]
+        for m in active:
+            r = rows[m]
+            factor = r.pop(col, None)
+            if factor is None or factor.is_zero:
+                continue
+            for c, v in norm_row.items():
+                s = r.get(c)
+                nv = (s - factor * v) if s is not None else -factor * v
+                if nv.is_zero:
+                    r.pop(c, None)
+                else:
+                    r[c] = nv
+            rhs[m] = rhs[m] - factor * norm_b
+        active = [m for m in active if rows[m] or not rhs[m].is_zero]
+
+    solution = [table.zero] * nunknowns
+    known = {}
+    for col in reversed(solved_order):
+        row, b = assignments[col]
+        val = b
+        for c, v in row.items():
+            if c in known:
+                val = val - v * known[c]
+            # unsolved columns are free; set to zero
+        known[col] = val
+        solution[col] = val
+    return solution

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oqa.algebra
 from oqa import (
     AlgebraMap,
     SingularError,
@@ -18,9 +19,9 @@ from oqa import (
     tensor_mul,
     tensor_unit,
 )
-from oqa.algebra import qybe_defect
+from oqa.algebra import qybe_defect, solve_sparse
 
-from oracles import oracle_qybe_defect
+from oracles import oracle_qybe_defect, oracle_solve_sparse
 from test_structures import _structure_from_params, sample_params, tamper_params
 
 
@@ -244,3 +245,164 @@ def test_map_inverse_and_powers(t, m2):
     singular = AlgebraMap(m2, {0: {0: t.one}})
     with pytest.raises(SingularError):
         singular.inverse()
+
+
+# -- the reached-block solver against the full elimination -------------------
+
+
+def _random_system(rng, table, entry):
+    """A sparse system with its kind: "consistent" (rhs = A x, with a kernel
+    when there are fewer rows than unknowns), "random" (mostly inconsistent
+    when rows outnumber unknowns), "empty" (an empty row with rhs 1) or
+    "chain" (x_1 + x_2 = 0, ..., x_m = 1 up to scale, rows shuffled: one
+    nonzero rhs and a dense solution, reached only row by row).
+
+    Explicit zero entries and zero right-hand sides are kept, and unknowns
+    come in small bands so that some blocks go unreached.
+    """
+    nunknowns = rng.randint(1, 8)
+    kind = rng.choice(["consistent", "consistent", "random", "empty", "chain"])
+    if kind == "chain":
+        def nonzero():
+            v = entry(rng)
+            return table.one if v.is_zero else v
+
+        order = rng.sample(range(nunknowns), nunknowns)
+        rows = [{c: nonzero(), d: nonzero()} for c, d in zip(order, order[1:])]
+        rows.append({order[-1]: nonzero()})
+        rhs = [table.zero] * (len(rows) - 1) + [nonzero()]
+        shuffled = rng.sample(range(len(rows)), len(rows))
+        return [rows[k] for k in shuffled], [rhs[k] for k in shuffled], nunknowns, kind
+    width = rng.randint(1, 3)
+    rows = []
+    for _ in range(rng.randint(1, nunknowns + 3)):
+        start = rng.randrange(nunknowns)
+        band = range(start, min(nunknowns, start + width + 1))
+        rows.append({rng.choice(band): entry(rng) for _ in range(rng.randint(1, width + 1))})
+    if kind == "consistent":
+        x = [entry(rng) if rng.random() < 0.6 else table.zero for _ in range(nunknowns)]
+        rhs = []
+        for r in rows:
+            b = table.zero
+            for c, v in r.items():
+                b = b + v * x[c]
+            rhs.append(b)
+    else:
+        rhs = [entry(rng) if rng.random() < 0.4 else table.zero for _ in rows]
+    if kind == "empty":
+        k = rng.randrange(len(rows) + 1)
+        rows.insert(k, {})
+        rhs.insert(k, table.one)
+    return rows, rhs, nunknowns, kind
+
+
+def test_solve_sparse_matches_full_elimination():
+    """Seeded random systems over QQ, a symbolic and a Gaussian table."""
+    rng = random.Random(2024)
+    qq = SymbolTable([])
+    sym = SymbolTable(["a", "b"])
+    gauss = SymbolTable([], gaussian=True)
+    small = lambda r: r.choice([-2, -1, 0, 1, 1, 2, 3])
+    monomials = [sym.one, *sym.syms("a", "b"), sym.sym("a") / sym.sym("b")]
+    entries = [
+        (qq, 120, lambda r: qq.rational(small(r), r.randint(1, 3))),
+        (sym, 60, lambda r: r.choice(monomials) * small(r) + small(r)),
+        (gauss, 120, lambda r: gauss.scalar(small(r)) + gauss.i * small(r)),
+    ]
+    seen = dict.fromkeys(["consistent", "random", "empty", "chain", "none", "free", "tall"], 0)
+    for table, count, entry in entries:
+        for _ in range(count):
+            rows, rhs, nunknowns, kind = _random_system(rng, table, entry)
+            want = oracle_solve_sparse(table, [dict(r) for r in rows], list(rhs), nunknowns)
+            got = solve_sparse(table, rows, rhs, nunknowns)
+            if want is None:
+                assert got is None, (rows, rhs)
+                seen["none"] += 1
+            else:
+                assert got is not None, (rows, rhs)
+                assert [c.text() for c in got] == [c.text() for c in want], (rows, rhs)
+            seen[kind] += 1
+            seen["tall"] += len(rows) > nunknowns
+            seen["free"] += kind == "consistent" and len(rows) < nunknowns
+    # every shape the reach has to get right turns up
+    assert min(seen.values()) >= 20, seen
+
+
+def test_tensor_invert_matches_full_elimination(t, monkeypatch):
+    """Inverses on H4, a dense random rho on M_2 and Thm-5 rhos on M_4."""
+    rng = random.Random(11)
+    sweedler = sweedler_oqa(t, t.sym("a"))
+    m2 = matrix_algebra(SymbolTable([]), 2)
+    qq = m2.table
+    dense = [
+        TensorSquareElement(
+            m2,
+            {(i, j): qq.rational(rng.randint(-3, 3), rng.randint(1, 2))
+             for i in range(4) for j in range(4)},
+        )
+        for _ in range(3)
+    ]
+    thm5 = [
+        _structure_from_params(sample_params(rng, 4), {}).rho for _ in range(2)
+    ]
+    cases = [(sweedler.algebra, sweedler.rho)] + [(m2, u) for u in dense]
+    cases += [(rho.algebra, rho) for rho in thm5]
+
+    def invert_all():
+        out = []
+        for algebra, u in cases:
+            try:
+                out.append(tensor_invert(algebra, u).to_json())
+            except SingularError as exc:
+                out.append(str(exc))
+        return out
+
+    got = invert_all()
+    monkeypatch.setattr(oqa.algebra, "solve_sparse", oracle_solve_sparse)
+    assert got == invert_all()
+    assert all(isinstance(v, list) for v in got)
+
+
+def _nilpotent_conjugation(algebra, n, entries):
+    """x -> P x P^-1 for P = 1 + N with N nilpotent (P^-1 = 1 - N + N^2 - ...)."""
+    t = algebra.table
+    unit = lambda i, j: (i - 1) * n + (j - 1)
+    N = algebra.element({unit(i, j): c for (i, j), c in entries.items()})
+    P, P_inv, power, sign = algebra.one() + N, algebra.one(), algebra.one(), -t.one
+    for _ in range(n - 1):
+        power = power * N
+        P_inv = P_inv + power.scale(sign)
+        sign = -sign
+    assert P * P_inv == algebra.one()
+    return P, P_inv
+
+
+def test_map_inverse_matches_full_elimination(monkeypatch):
+    """Conjugation on M_3 by a non-diagonal element, and a singular map."""
+    t = SymbolTable(["a"])
+    a = t.sym("a")
+    m3 = matrix_algebra(t, 3)
+    upper, upper_inv = _nilpotent_conjugation(
+        m3, 3, {(1, 2): a, (2, 3): t.scalar(2), (1, 3): t.one}
+    )
+    lower, lower_inv = _nilpotent_conjugation(m3, 3, {(2, 1): t.scalar(3), (3, 2): a})
+    P, P_inv = upper * lower, lower_inv * upper_inv
+    conj = AlgebraMap(
+        m3, {j: (P * m3.basis_element(j) * P_inv).coeffs for j in range(9)}
+    )
+    assert conj.is_multiplicative()
+    assert any(len(col) > 1 for col in conj.columns.values())
+    # E33 goes to a E11 + E12, inside the span of the first two columns
+    singular = AlgebraMap(m3, {j: {j: t.one} for j in range(8)} | {8: {0: a, 1: t.one}})
+
+    def invert(m):
+        try:
+            return m.inverse().to_json()
+        except SingularError as exc:
+            return str(exc)
+
+    got = [invert(conj), invert(singular)]
+    assert conj.inverse().compose(conj).is_identity()
+    assert got[1] == "map is not invertible"
+    monkeypatch.setattr(oqa.algebra, "solve_sparse", oracle_solve_sparse)
+    assert got == [invert(conj), invert(singular)]

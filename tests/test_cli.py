@@ -159,19 +159,30 @@ def test_homfly_conway_commands(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_bind_input_errors(capsys, ex2_file):
-    """An undeclared symbol and a vanishing denominator are input errors."""
+def test_bind_input_errors(capsys, tmp_path, ex2_file):
+    """An undeclared symbol, a vanishing denominator and a value that is not
+    an expression are input errors, as is such a value in a structure file."""
+    not_expressions = ("a=True", "a=None", "a=[1]")
     for command in (["check-axioms"], ["invariant", "--diagram", "builtin:hopf"]):
-        for bind in ("zz=3", "zz=symbolic", "a=0"):
+        for bind in ("zz=3", "zz=symbolic", "a=0") + not_expressions:
             code, out, err = run_cli(
                 capsys, *command, "--structure", ex2_file, "--bind", bind
             )
             assert code == 2 and out == "", (command, bind)
             assert err.startswith("error: ") and err.count("\n") == 1, (command, bind)
+            if bind in not_expressions:
+                assert err.startswith(f"error: bad binding {bind!r}: cannot parse"), err
     _, _, err = run_cli(capsys, "check-axioms", "--structure", ex2_file, "--bind", "zz=3")
     assert "'zz'" in err
     _, _, err = run_cli(capsys, "check-axioms", "--structure", ex2_file, "--bind", "a=0")
     assert "denominator" in err
+    blob = json.loads(open(ex2_file).read())
+    blob["a"] = "None"
+    bad = tmp_path / "none.json"
+    bad.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "check-axioms", "--structure", str(bad))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: bad structure file {bad}: cannot parse"), err
 
 
 def test_diagram_file_input(capsys, tmp_path, ex2_file):

@@ -482,6 +482,11 @@ def test_reader_agrees_with_parse_expr(data):
         ("(a - a)**-1", ScalarError, "expression zoo is not a rational function: "),
         ("007", ScalarError, "cannot parse scalar text '007': "),
         ("I*a", ScalarError, "imaginary unit requires a Gaussian symbol table"),
+        # parse_expr reads these as Python values, not sympy expressions
+        ("True", ScalarError, "cannot parse scalar text 'True': it reads as a bool"),
+        ("None", ScalarError, "cannot parse scalar text 'None': it reads as a NoneType"),
+        ("[1]", ScalarError, "cannot parse scalar text '[1]': it reads as a list"),
+        ("(1, a)", ScalarError, "cannot parse scalar text '(1, a)': it reads as a tuple"),
     ],
 )
 def test_reader_declines_to_parse_expr(t, text, error, message):
