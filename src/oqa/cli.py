@@ -10,9 +10,10 @@ Subcommands:
                    single-block structure
 
 Structures are JSON files (explicit tables or builder shorthands); diagrams
-are Morse-word text files or ``builtin:<name>[:m]``.  ``--bind sym=value``
-substitutes numeric values into every structure scalar (``symbolic`` leaves
-the symbol free).  Exit codes: 0 success, 1 semantic failure, 2 input error.
+are Morse-word text files or ``builtin:<name>[:m]``; only the curl families
+``c_*`` take the count m.  ``--bind sym=value`` substitutes numeric values
+into every structure scalar (``symbolic`` leaves the symbol free).  Exit
+codes: 0 success, 1 semantic failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -259,6 +260,8 @@ def cmd_invariant(args) -> int:
 
 def _cmd_skein(args, which: str) -> int:
     d = _load_diagram(args.diagram)
+    if d.boundary != "closed":
+        raise CliInputError(f"{which} needs a closed diagram")
     poly = homfly(d) if which == "homfly" else conway(d)
     payload = {"diagram": serialize(d, sep=" / "), which: poly.text()}
     _emit(payload, args.format, [poly.text()])

@@ -616,7 +616,9 @@ _CURL_FAMILIES = {
 
 
 def builtin(name: str, m: Optional[int] = None) -> MorseDiagram:
-    """Catalogue diagrams; curl families take the kink count m."""
+    """Catalogue diagrams; only the curl families take the kink count m."""
+    if m is not None and (name == "curl_op" or name in _FIXED_BUILTINS):
+        raise DiagramError(f"builtin {name!r} takes no count")
     if name == "curl_op":
         return orientation_reverse(builtin("curl"))
     if name in _FIXED_BUILTINS:

@@ -5,10 +5,14 @@ This module computes the two-variable regular-isotopy polynomial H_L(alpha, z)
 unknot value 1, distant unions scale by (alpha - alpha^-1)/z) directly on
 Morse diagrams, by switching crossings toward descending diagrams.  Each
 skein node is walked once: the switched words share its traversal, and only
-the smoothings L0 are new nodes.  The one-variable Alexander polynomial
-nabla_L(z) (same skein, unknot 1, split links 0) is H_L(1, z).  Nothing here
-touches the state-sum evaluator, so the two provide independent routes to the
-same invariants.
+the smoothings L0 are new nodes.  Every node is reduced before it is looked
+up: inside each run of consecutive crossing slices, crossings on disjoint
+strand pairs are put in position order and opposite crossings that meet
+cancel (M2).  Both are regular isotopies, so H is unchanged, and smoothings
+reached along different paths share one memo entry.  The one-variable
+Alexander polynomial nabla_L(z) (same skein, unknot 1, split links 0) is
+H_L(1, z).  Nothing here touches the state-sum evaluator, so the two provide
+independent routes to the same invariants.
 
 For a single-block diagonal structure on M_n with parameters a (= rho_1111)
 and bc = sbc^2, writing q = a/sbc and r = q^2, the closed-link trace formula
@@ -48,6 +52,7 @@ from .algebra import AlgebraElement
 from .diagram import (
     DiagramError,
     MorseDiagram,
+    Slice,
     SliceKind,
     TraversalRecord,
     crossing_triple,
@@ -194,8 +199,36 @@ def _descending_value(d: MorseDiagram, record: TraversalRecord) -> SkeinPolynomi
     return value
 
 
+_OPPOSITE = {SliceKind.X_POS: SliceKind.X_NEG, SliceKind.X_NEG: SliceKind.X_POS}
+
+
+def _reduced(d: MorseDiagram) -> MorseDiagram:
+    """``d`` with each run of consecutive crossing slices reduced.
+
+    A crossing sinks below the crossings two or more positions above it
+    (disjoint strand pairs: a height exchange), and cancels with an opposite
+    crossing at its own position that it meets (M2, M2rev).  Cups and caps
+    end runs and keep their places.
+    """
+    out: List[Slice] = []
+    for s in d.slices:
+        k = len(out)
+        if s.kind.is_crossing:
+            while k and out[k - 1].kind.is_crossing and out[k - 1].pos >= s.pos + 2:
+                k -= 1
+            if k and out[k - 1] == Slice(_OPPOSITE[s.kind], s.pos):
+                del out[k - 1]
+                continue
+        out.insert(k, s)
+    return d.with_slices(out)
+
+
 def _skein(d: MorseDiagram, memo: Dict) -> SkeinPolynomial:
     """H(d) by switching d toward its descending diagram.
+
+    ``d`` is first reduced (``_reduced``) by regular isotopies, which leave H
+    unchanged; smoothings reached along different switching paths then often
+    share one reduced word and one memo entry.
 
     Scanning components in order, every crossing first met on its under line
     (tensorand 1: the first tensor factor rides the over strand) is switched
@@ -204,6 +237,7 @@ def _skein(d: MorseDiagram, memo: Dict) -> SkeinPolynomial:
     connectivity nor which line of another crossing is met first, so one
     traversal of ``d`` serves every switched word and the descending leaf.
     """
+    d = _reduced(d)
     key = d.key()
     hit = memo.get(key)
     if hit is not None:

@@ -15,14 +15,28 @@ rho_12, rho_13, rho_23 is written out as a triple tensor with the algebra's
 unit in its free slot, and the two triple products are multiplied out slot by
 slot.  The library sums the same products directly over rho's terms.
 
-Last, it holds the full sparse elimination ``oqa.algebra.solve_sparse`` ran
+It holds the full sparse elimination ``oqa.algebra.solve_sparse`` ran
 before it learned to skip the rows that no nonzero right-hand side reaches:
 here every row takes part, so a block the library leaves out is still solved.
+
+Last, it holds the skein recursion ``oqa.homfly_bridge._skein`` ran before it
+reduced each word: here every smoothing is memoized as the word it is, with
+no height exchange and no M2 cancellation.  It shares the traversal,
+``crossing_triple`` and the descending leaf with the library, so it checks
+the reduction and nothing else.
 """
 
 import itertools
 
-from oqa import MorseDiagram, OrientedQuantumAlgebraStructure, SliceKind
+from oqa import (
+    MorseDiagram,
+    OrientedQuantumAlgebraStructure,
+    SkeinPolynomial,
+    SliceKind,
+    crossing_triple,
+    traverse,
+)
+from oqa.homfly_bridge import _descending_value
 
 
 def _directions(d: MorseDiagram):
@@ -283,3 +297,49 @@ def oracle_solve_sparse(table, rows, rhs, nunknowns):
         known[col] = val
         solution[col] = val
     return solution
+
+
+# -- the unreduced skein recursion -------------------------------------------
+
+
+def oracle_skein(d: MorseDiagram, memo) -> SkeinPolynomial:
+    """H(d) by switching d toward its descending diagram, word for word."""
+    key = d.key()
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    record = traverse(d)
+    z = SkeinPolynomial.monomial(0, 1)
+    value = SkeinPolynomial.zero()
+    switched = d
+    seen: set = set()
+    for comp in record.components:
+        for label in comp.labels:
+            if label.crossing in seen:
+                continue
+            seen.add(label.crossing)
+            if label.tensorand != 1:
+                continue
+            l_plus, l_minus, l_zero = crossing_triple(switched, label.crossing)
+            if switched.slices[label.crossing].kind is SliceKind.X_POS:
+                # H(L+) = H(L-) + z H(L0)
+                value = value + z * oracle_skein(l_zero, memo)
+                switched = l_minus
+            else:
+                value = value - z * oracle_skein(l_zero, memo)
+                switched = l_plus
+    value = value + _descending_value(switched, record)
+    memo[key] = value
+    return value
+
+
+def oracle_homfly(d: MorseDiagram) -> SkeinPolynomial:
+    return oracle_skein(d, {})
+
+
+def oracle_conway(d: MorseDiagram) -> SkeinPolynomial:
+    """H at alpha = 1, as ``oqa.homfly_bridge.conway`` takes it."""
+    terms = {}
+    for (_, ez), c in oracle_skein(d, {}).terms.items():
+        terms[(0, ez)] = terms.get((0, ez), 0) + c
+    return SkeinPolynomial(terms)

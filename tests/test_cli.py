@@ -157,6 +157,16 @@ def test_homfly_conway_commands(capsys):
     code, out, err = run_cli(capsys, "homfly", "--diagram", "builtin:c_r_plus:x")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # a count on a builtin that takes none, and an open tangle, are bad input
+    for spec in ("builtin:hopf:7", "builtin:curl_op:1"):
+        code, out, err = run_cli(capsys, "homfly", "--diagram", spec)
+        assert code == 2 and out == "", spec
+        assert err.startswith("error: ") and err.count("\n") == 1, spec
+        assert "takes no count" in err, spec
+    for command in ("homfly", "conway"):
+        code, out, err = run_cli(capsys, command, "--diagram", "builtin:trefoil_tangle")
+        assert code == 2 and out == ""
+        assert err == f"error: {command} needs a closed diagram\n"
 
 
 def test_bind_input_errors(capsys, tmp_path, ex2_file):

@@ -258,6 +258,17 @@ def test_compose_identity():
         compose_tangles(curl, builtin("hopf"))
 
 
+def test_builtin_counts():
+    """Only the curl families take a kink count."""
+    assert builtin("c_r_plus", 0).key() != builtin("c_r_plus", 2).key()
+    with pytest.raises(DiagramError, match="needs a kink count"):
+        builtin("c_l_minus")
+    for name in builtin_names():
+        if not name.startswith("c_"):
+            with pytest.raises(DiagramError, match="takes no count"):
+                builtin(name, 7)
+
+
 def test_orientation_reverse_involution():
     for name in ("curl", "trefoil_tangle", "curl_op"):
         d = builtin(name)
