@@ -53,6 +53,7 @@ from .structures import (
     matrix_trace,
     minimal_subalgebra,
     opposite,
+    params_from_json,
     single_block_params,
     standardize,
     structure_from_json,

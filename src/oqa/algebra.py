@@ -112,6 +112,12 @@ class AlgebraSpec:
                 )
 
 
+def _json_object(data, what: str) -> Mapping:
+    if not isinstance(data, Mapping):
+        raise AlgebraError(f"{what} must be a JSON object, not {type(data).__name__}")
+    return data
+
+
 def _clean(coeffs: Mapping) -> dict:
     return {k: c for k, c in coeffs.items() if not c.is_zero}
 
@@ -611,11 +617,11 @@ class AlgebraMap:
     @staticmethod
     def from_json(algebra: AlgebraSpec, data: Mapping) -> "AlgebraMap":
         cols = {}
-        for jlabel, col in data.items():
+        for jlabel, col in _json_object(data, "a map").items():
             j = algebra.label_index(jlabel)
             cols[j] = {
                 algebra.label_index(ilabel): algebra.table.parse(text)
-                for ilabel, text in col.items()
+                for ilabel, text in _json_object(col, f"column {jlabel}").items()
             }
         return AlgebraMap(algebra, cols)
 

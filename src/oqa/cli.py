@@ -52,16 +52,13 @@ from .scalar import (
     substitute,
 )
 from .structures import (
-    AlgebraMap,
     OrientedQuantumAlgebraStructure,
     StructureError,
-    TensorSquareElement,
-    Twist,
+    _map_scalars,
     check_axioms,
-    single_block_params,
+    params_from_json,
     structure_from_json,
 )
-from .algebra import AlgebraElement, AlgebraError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -75,18 +72,23 @@ class CliInputError(Exception):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise CliInputError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise CliInputError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise CliInputError(f"malformed JSON in {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise CliInputError(f"{path} holds a JSON {type(data).__name__}, not an object")
+    return data
 
 
 def _load_structure(path: str) -> OrientedQuantumAlgebraStructure:
     data = _load_json(path)
     try:
         return structure_from_json(data)
-    except (ScalarError, AlgebraError, StructureError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliInputError(f"bad structure file {path}: {exc}") from None
 
 
@@ -105,14 +107,16 @@ def _load_diagram(spec: str) -> MorseDiagram:
         try:
             return builtin(name, m)
         except DiagramError as exc:
-            raise CliInputError(
-                f"{exc} (known: {', '.join(builtin_names())})"
-            ) from None
+            known = builtin_names()
+            hint = "" if name in known else f" (known: {', '.join(known)})"
+            raise CliInputError(f"{exc}{hint}") from None
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise CliInputError(f"no such diagram file: {spec}") from None
+    except (OSError, ValueError) as exc:  # ValueError: bytes that are not UTF-8
+        raise CliInputError(f"cannot read diagram file {spec}: {exc}") from None
     try:
         return parse_diagram(text)
     except DiagramError as exc:
@@ -153,34 +157,10 @@ def _substitute_structure(
         except ZeroDenominatorError as exc:
             raise CliInputError(str(exc)) from None
 
-    def sub_tensor(u: TensorSquareElement) -> TensorSquareElement:
-        return TensorSquareElement(S.algebra, {k: sub(c) for k, c in u.coeffs.items()})
-
-    def sub_map(m: AlgebraMap) -> AlgebraMap:
-        return AlgebraMap(
-            S.algebra,
-            {j: {i: sub(c) for i, c in col.items()} for j, col in m.columns.items()},
-        )
-
-    def sub_elem(x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(S.algebra, {k: sub(c) for k, c in x.coeffs.items()})
-
-    twist = None
-    if S.twist is not None:
-        twist = Twist(sub_elem(S.twist.g), sub_elem(S.twist.g_inv))
-    trace = None
-    if S.trace is not None:
-        trace = {k: sub(c) for k, c in S.trace.items()}
+    T = _map_scalars(S, sub)
     return OrientedQuantumAlgebraStructure.create(
-        S.algebra,
-        sub_tensor(S.rho),
-        sub_map(S.t_d),
-        sub_map(S.t_u),
-        rho_inv=sub_tensor(S.rho_inv),
-        twist=twist,
-        trace=trace,
-        name=S.name,
-        validate_maps=False,
+        T.algebra, T.rho, T.t_d, T.t_u, rho_inv=T.rho_inv, twist=T.twist,
+        trace=T.trace, name=T.name, validate_maps=False,
     )
 
 
@@ -272,24 +252,8 @@ def _load_single_block(path: str):
     """Single-block parameter file for verify-section6."""
     data = _load_json(path)
     try:
-        table = SymbolTable(
-            tuple(data.get("symbols", ())), bool(data.get("gaussian"))
-        )
-        n = int(data["n"])
-        a = table.parse(data["a"])
-        bc = table.parse(data["bc"])
-        if "a_values" in data:
-            a_values = [table.parse(v) for v in data["a_values"]]
-        else:
-            a_values = [a] * n
-        B = {}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                key = f"{i},{j}"
-                B[(i, j)] = table.parse(data.get("b", {}).get(key, "1"))
-        omega1_sq = table.parse(data.get("omega1_sq", "1"))
-        return single_block_params(table, n, a_values, bc, B, omega1_sq)
-    except (KeyError, TypeError, ScalarError, StructureError) as exc:
+        return params_from_json(data)
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliInputError(f"bad single-block parameter file {path}: {exc}") from None
 
 

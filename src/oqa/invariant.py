@@ -186,6 +186,17 @@ def _state_sum(
     return total
 
 
+def _check_functional(S: OrientedQuantumAlgebraStructure, functional: Mapping) -> None:
+    """Raise unless functional is tracelike and invariant under t_d and t_u."""
+    if not is_tracelike(S.algebra, functional):
+        raise InvariantError("functional is not tracelike")
+    for m, tag in ((S.t_d, "t_d"), (S.t_u, "t_u")):
+        for j in range(S.algebra.dim):
+            want = functional.get(j, S.algebra.table.zero)
+            if m.apply_basis(j).pairing(functional) != want:
+                raise InvariantError(f"functional is not {tag}-invariant")
+
+
 def _twist_powers(S: OrientedQuantumAlgebraStructure, record: TraversalRecord):
     """G^{d_c} per distinct Whitney degree d_c of a closed component."""
     degrees = {c.whitney for c in record.components if not c.is_open}
@@ -199,8 +210,9 @@ def evaluate_tangle(
 ) -> AlgebraElement:
     """w(T) for an open tangle; a regular-isotopy invariant element of A.
 
-    Extra closed components, if any, are traced against the twist; a diagram
-    without them needs no twist.
+    Extra closed components, if any, are traced against the twist with the
+    structure's trace, which must pass evaluate_link's checks; a diagram
+    without them needs neither.
     """
     if d.boundary != "open":
         raise InvariantError("evaluate_tangle needs an open tangle")
@@ -211,6 +223,7 @@ def evaluate_tangle(
             raise InvariantError("closed components need a trace functional")
         if S.twist is None:
             raise InvariantError("closed components need a twist on the structure")
+        _check_functional(S, S.trace)
     g_powers = _twist_powers(S, record)
 
     def leaf(coeff: Scalar, prods: List[AlgebraElement]) -> AlgebraElement:
@@ -246,13 +259,7 @@ def evaluate_link(
     functional = trace if trace is not None else S.trace
     if functional is None:
         raise InvariantError("no trace functional supplied")
-    if not is_tracelike(S.algebra, functional):
-        raise InvariantError("functional is not tracelike")
-    for m, tag in ((S.t_d, "t_d"), (S.t_u, "t_u")):
-        for j in range(S.algebra.dim):
-            want = functional.get(j, S.algebra.table.zero)
-            if m.apply_basis(j).pairing(functional) != want:
-                raise InvariantError(f"functional is not {tag}-invariant")
+    _check_functional(S, functional)
 
     record = traverse(d, preferred_starts)
     comps = record.components

@@ -188,6 +188,8 @@ class SymbolTable:
 
     def parse(self, text: str) -> "Scalar":
         """Parse canonical scalar text (the serialization format) back to a Scalar."""
+        if not isinstance(text, str):
+            raise ScalarError(f"cannot parse scalar text {text!r}: it is not a string")
         value = _read(self, text)
         if value is not None:
             return value

@@ -22,8 +22,8 @@ attachment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     AlgebraElement,
@@ -31,6 +31,7 @@ from .algebra import (
     AlgebraSpec,
     SingularError,
     TensorSquareElement,
+    _json_object,
     apply_map_tensor,
     echelon_basis,
     matrix_algebra,
@@ -65,6 +66,7 @@ __all__ = [
     "is_tracelike",
     "structure_to_json",
     "structure_from_json",
+    "params_from_json",
 ]
 
 
@@ -676,38 +678,41 @@ def build_thm5(
 
 def standardize(S: OrientedQuantumAlgebraStructure) -> OrientedQuantumAlgebraStructure:
     """(A, rho, 1, t_d o t_u), twist and trace carried over unchanged."""
-    return OrientedQuantumAlgebraStructure(
-        algebra=S.algebra,
-        rho=S.rho,
-        rho_inv=S.rho_inv,
+    return replace(
+        S,
         t_d=AlgebraMap.identity(S.algebra),
         t_u=S.t_u.compose(S.t_d),
-        twist=S.twist,
-        trace=S.trace,
         name=S.name + "_std",
     )
 
 
 def opposite(S: OrientedQuantumAlgebraStructure) -> OrientedQuantumAlgebraStructure:
     """(A^op, rho, t_d, t_u); the twist inverts, the trace is unchanged."""
-    algebra_op = S.algebra.opposite()
-    retag = lambda u: TensorSquareElement(algebra_op, dict(u.coeffs))
-    remap = lambda m: AlgebraMap(algebra_op, {j: dict(c) for j, c in m.columns.items()})
-    twist = None
-    if S.twist is not None:
-        twist = Twist(
-            AlgebraElement(algebra_op, dict(S.twist.g_inv.coeffs)),
-            AlgebraElement(algebra_op, dict(S.twist.g.coeffs)),
-        )
-    return OrientedQuantumAlgebraStructure(
-        algebra=algebra_op,
-        rho=retag(S.rho),
-        rho_inv=retag(S.rho_inv),
-        t_d=remap(S.t_d),
-        t_u=remap(S.t_u),
-        twist=twist,
-        trace=S.trace,
-        name=S.name + "_op",
+    op = _map_scalars(S, lambda c: c, S.algebra.opposite())
+    twist = None if op.twist is None else Twist(op.twist.g_inv, op.twist.g)
+    return replace(op, twist=twist, name=S.name + "_op")
+
+
+def _map_scalars(
+    S: OrientedQuantumAlgebraStructure,
+    f: Callable[[Scalar], Scalar],
+    algebra: Optional[AlgebraSpec] = None,
+) -> OrientedQuantumAlgebraStructure:
+    """S with f applied to every table entry, over ``algebra`` (default S's),
+    unverified.  The order is fixed -- twist g and g^-1, trace, rho, t_d, t_u,
+    rho^-1 -- so the first entry on which f raises is always the same one."""
+    A = algebra if algebra is not None else S.algebra
+    element = lambda x: AlgebraElement(A, {k: f(c) for k, c in x.coeffs.items()})
+    tensor = lambda u: TensorSquareElement(A, {k: f(c) for k, c in u.coeffs.items()})
+    linear = lambda m: AlgebraMap(
+        A, {j: {i: f(c) for i, c in col.items()} for j, col in m.columns.items()}
+    )
+    twist = None if S.twist is None else Twist(element(S.twist.g), element(S.twist.g_inv))
+    trace = None if S.trace is None else {k: f(c) for k, c in S.trace.items()}
+    rho, t_d, t_u = tensor(S.rho), linear(S.t_d), linear(S.t_u)
+    return replace(
+        S, algebra=A, rho=rho, rho_inv=tensor(S.rho_inv), t_d=t_d, t_u=t_u,
+        twist=twist, trace=trace,
     )
 
 
@@ -797,16 +802,7 @@ def attach_twist(
                 "conjugation by the twist differs from t_d o t_u on basis "
                 + algebra.basis_labels[j]
             )
-    return OrientedQuantumAlgebraStructure(
-        algebra=algebra,
-        rho=S.rho,
-        rho_inv=S.rho_inv,
-        t_d=S.t_d,
-        t_u=S.t_u,
-        twist=Twist(g, g_inv),
-        trace=S.trace,
-        name=S.name,
-    )
+    return replace(S, twist=Twist(g, g_inv))
 
 
 # -- JSON serialization -------------------------------------------------------
@@ -817,11 +813,12 @@ def _element_to_json(x: AlgebraElement) -> dict:
     return {labels[i]: c.text() for i, c in sorted(x.coeffs.items())}
 
 
-def _element_from_json(algebra: AlgebraSpec, data: Mapping) -> AlgebraElement:
-    return AlgebraElement(
-        algebra,
-        {algebra.label_index(k): algebra.table.parse(v) for k, v in data.items()},
-    )
+def _scalars_from_json(algebra: AlgebraSpec, data, what: str) -> Dict[int, Scalar]:
+    """{basis label: scalar text} as {basis index: Scalar}."""
+    return {
+        algebra.label_index(k): algebra.table.parse(v)
+        for k, v in _json_object(data, what).items()
+    }
 
 
 def _algebra_from_json(table: SymbolTable, alg: Mapping) -> AlgebraSpec:
@@ -870,22 +867,38 @@ def structure_to_json(S: OrientedQuantumAlgebraStructure) -> dict:
     return out
 
 
-def structure_from_json(data: Mapping) -> OrientedQuantumAlgebraStructure:
+def params_from_json(data: Mapping) -> MnStructureParams:
+    """Single-block parameters from the JSON layout example2 files and
+    verify-section6 share: symbols, gaussian, n, a, optional a_values, bc,
+    b ({"i,j": b_ij} for 1 <= i < j <= n, default 1), omega1_sq (default 1)."""
     table = SymbolTable(tuple(data.get("symbols", ())), bool(data.get("gaussian")))
+    n = int(data["n"])
+    a = table.parse(data["a"])
+    bc = table.parse(data["bc"])
+    a_values = [a] * n
+    if "a_values" in data:
+        a_values = [table.parse(v) for v in data["a_values"]]
+        if len(a_values) != n:
+            raise StructureError(f"a_values has {len(a_values)} entries, not n = {n}")
+    B = {(i, j): table.one for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    for key, text in _json_object(data.get("b", {}), "b").items():
+        try:
+            pair = tuple(int(x) for x in key.split(","))
+        except ValueError:
+            pair = None
+        if pair not in B:
+            raise StructureError(f"b key {key!r} is not i,j with 1 <= i < j <= {n}")
+        B[pair] = table.parse(text)
+    omega1_sq = table.parse(data.get("omega1_sq", "1"))
+    return single_block_params(table, n, a_values, bc, B, omega1_sq)
 
+
+def structure_from_json(data: Mapping) -> OrientedQuantumAlgebraStructure:
     builder = data.get("builder")
     if builder == "example2":
-        n = int(data["n"])
-        a = table.parse(data["a"])
-        bc = table.parse(data["bc"])
-        B = {
-            tuple(int(x) for x in key.split(",")): table.parse(text)
-            for key, text in data.get("b", {}).items()
-        }
-        B = {k: B.get(k, table.one) for k in
-             ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))}
-        omega1_sq = table.parse(data.get("omega1_sq", "1"))
-        return build_balanced_example2(table, n, a, bc, B, omega1_sq)
+        params = params_from_json(data)
+        return build_thm5(params, name=f"example2(n={params.n})")
+    table = SymbolTable(tuple(data.get("symbols", ())), bool(data.get("gaussian")))
     if builder == "sweedler":
         return sweedler_oqa(table, table.parse(data.get("alpha", "1")))
     if builder is not None:
@@ -903,9 +916,7 @@ def structure_from_json(data: Mapping) -> OrientedQuantumAlgebraStructure:
     t_u = AlgebraMap.from_json(algebra, data["t_u"])
     trace = None
     if "trace" in data:
-        trace = {
-            algebra.label_index(k): table.parse(v) for k, v in data["trace"].items()
-        }
+        trace = _scalars_from_json(algebra, data["trace"], "trace")
     S = OrientedQuantumAlgebraStructure.create(
         algebra,
         rho,
@@ -916,7 +927,9 @@ def structure_from_json(data: Mapping) -> OrientedQuantumAlgebraStructure:
         name=data.get("name", "oqa"),
     )
     if "twist" in data:
-        g = _element_from_json(algebra, data["twist"]["g"])
-        g_inv = _element_from_json(algebra, data["twist"]["g_inv"])
+        g, g_inv = (
+            AlgebraElement(algebra, _scalars_from_json(algebra, data["twist"][k], k))
+            for k in ("g", "g_inv")
+        )
         S = attach_twist(S, g, g_inv)
     return S

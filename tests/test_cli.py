@@ -152,8 +152,13 @@ def test_homfly_conway_commands(capsys):
     assert code == 0 and out.strip() == "z^2 + 1"
     code, out, _ = run_cli(capsys, "homfly", "--diagram", "builtin:unknot_ccw")
     assert code == 0 and out.strip() == "1"
-    code, out, _ = run_cli(capsys, "conway", "--diagram", "builtin:nonsense")
+    code, out, err = run_cli(capsys, "conway", "--diagram", "builtin:nonsense")
     assert code == 2
+    # the list of known names is offered only when the name is unknown
+    assert "(known: " in err and "c_r_plus" in err
+    for spec in ("builtin:hopf:7", "builtin:c_r_plus"):
+        code, out, err = run_cli(capsys, "homfly", "--diagram", spec)
+        assert code == 2 and "(known: " not in err, spec
     code, out, err = run_cli(capsys, "homfly", "--diagram", "builtin:c_r_plus:x")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -261,3 +266,62 @@ def test_verify_section6_alexander_branch(capsys, tmp_path):
     assert "open=FAIL" in out and "(cut_open needs a diagram" in out
     assert len(out.splitlines()) == 4
     assert code == 1
+
+
+def test_malformed_files_are_input_errors(capsys, tmp_path, ex2_file, single_block_file):
+    """Wrong JSON types, bad integers and out-of-range b keys in structure and
+    parameter files exit 2 with one error line, never a traceback."""
+    from oqa import structure_from_json, structure_to_json
+
+    ex2 = json.loads(open(ex2_file).read())
+    explicit = structure_to_json(structure_from_json(ex2))
+    block = json.loads(open(single_block_file).read())
+    bad_structures = [
+        [1, 2],
+        "ex2",
+        dict(ex2, n="two"),
+        dict(ex2, a=2),
+        dict(ex2, b={"x": "1"}),
+        dict(ex2, b=[]),
+        dict(ex2, b={"1,3": "b"}),
+        dict(ex2, b={"2,1": "b"}),
+        dict(ex2, b={"1,2,3": "b"}),
+        dict(ex2, a_values=["a"]),
+        dict(explicit, algebra={"kind": "matrix", "n": "x"}),
+        dict(explicit, t_d=[]),
+        dict(explicit, t_u={"E11": []}),
+        dict(explicit, trace=[]),
+        dict(explicit, trace={"E11": 1}),
+        dict(explicit, twist={"g": [], "g_inv": {}}),
+    ]
+    bad_blocks = [
+        [1, 2],
+        dict(block, n="2x"),
+        dict(block, bc=None),
+        dict(block, b={"1,3": "2"}),
+        dict(block, b=[]),
+        dict(block, a_values=["a", "a", "a"]),
+    ]
+    path = tmp_path / "bad.json"
+    for command, blobs in (("check-axioms", bad_structures), ("verify-section6", bad_blocks)):
+        for blob in blobs:
+            path.write_text(json.dumps(blob))
+            code, out, err = run_cli(capsys, command, "--structure", str(path))
+            assert code == 2 and out == "", (command, blob)
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, blob, err)
+    path.write_text(json.dumps(dict(ex2, b={"1,3": "b"})))
+    _, _, err = run_cli(capsys, "check-axioms", "--structure", str(path))
+    assert "b key '1,3' is not i,j with 1 <= i < j <= 2" in err
+    path.write_text("[1, 2]")
+    _, _, err = run_cli(capsys, "check-axioms", "--structure", str(path))
+    assert err == f"error: {path} holds a JSON list, not an object\n"
+    # a directory, and bytes that are not UTF-8, as structure or diagram
+    path.write_bytes(b"\xff\xfe{}")
+    for argv in (
+        ["check-axioms", "--structure", str(tmp_path)],
+        ["check-axioms", "--structure", str(path)],
+        ["invariant", "--structure", ex2_file, "--diagram", str(tmp_path)],
+        ["invariant", "--structure", ex2_file, "--diagram", str(path)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, (argv, err)

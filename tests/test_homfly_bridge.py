@@ -118,9 +118,6 @@ def test_mirror_symmetry():
 def test_skein_recursion_consistency():
     # H(L+) - H(L-) = z H(L0) holds for the engine itself at a chosen site
     lp = builtin("hopf")
-    lm = lp.with_slices(
-        lp.slices[:3] + (lp.slices[3].__class__(lp.slices[3].kind, 1),) + lp.slices[4:]
-    )
     from oqa.diagram import Slice, SliceKind
 
     lm = lp.with_slices(lp.slices[:2] + (Slice(SliceKind.X_NEG, 1),) + lp.slices[3:])

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from oqa import (
     mirror,
     opposite,
     orientation_reverse,
+    parse_diagram,
     standardize,
     sweedler_oqa,
     traverse,
@@ -136,6 +138,21 @@ def test_non_tracelike_functional_rejected(ex2_n2):
     weighted = {0: t.one, 3: t.sym("b")}
     with pytest.raises(InvariantError, match="tracelike"):
         evaluate_link(ex2_n2, builtin("hopf"), trace=weighted)
+
+
+def test_tangle_closed_components_check_the_trace(ex2_n2):
+    """evaluate_tangle closes extra components only with a trace that
+    evaluate_link accepts; a tangle without them does not consult it."""
+    t = ex2_n2.table
+    weighted = replace(ex2_n2, trace={0: t.one, 3: t.scalar(2)})
+    strand_and_circle = parse_diagram("boundary: open\ncup_ccw 1\ncap_ccw 1")
+    with pytest.raises(InvariantError, match="functional is not tracelike"):
+        evaluate_link(weighted, builtin("hopf"))
+    with pytest.raises(InvariantError, match="functional is not tracelike"):
+        evaluate_tangle(weighted, strand_and_circle)
+    assert not evaluate_tangle(ex2_n2, strand_and_circle).is_zero
+    curl = builtin("curl")
+    assert evaluate_tangle(weighted, curl) == evaluate_tangle(ex2_n2, curl)
 
 
 def test_basepoint_independence(ex2_n2):

@@ -23,6 +23,7 @@ from oqa import (
     matrix_algebra,
     minimal_subalgebra,
     opposite,
+    params_from_json,
     single_block_params,
     standardize,
     structure_from_json,
@@ -579,6 +580,24 @@ def test_structure_json_round_trip_opposite_matrix(ex2_n2):
     assert "opposite" not in _assert_json_round_trip(ex2_n2)["algebra"]
     data = _assert_json_round_trip(opposite(ex2_n2))
     assert data["algebra"] == {"kind": "matrix", "n": 2, "opposite": True}
+
+
+def test_params_from_json():
+    """The shared parameter reader: a missing b_ij is 1, a key may carry
+    spaces, a_values override a, and example2 files build from the result."""
+    t = SymbolTable(["a", "sbc", "b"])
+    a, sbc, b = t.syms("a", "sbc", "b")
+    data = {"symbols": ["a", "sbc", "b"], "n": 3, "a": "a", "bc": "sbc**2",
+            "b": {"1, 3": "b"}, "omega1_sq": "2"}
+    B = {(1, 2): t.one, (1, 3): b, (2, 3): t.one}
+    assert params_from_json(data) == single_block_params(t, 3, [a] * 3, sbc * sbc, B, t.scalar(2))
+    a_values = [a, -sbc * sbc / a, a]
+    got = params_from_json(dict(data, a_values=["a", "-sbc**2/a", "a"]))
+    assert got == single_block_params(t, 3, a_values, sbc * sbc, B, t.scalar(2))
+    built = structure_from_json(dict(data, builder="example2"))
+    assert built.name == "example2(n=3)"
+    want = build_balanced_example2(t, 3, a, sbc * sbc, B, t.scalar(2))
+    assert structure_to_json(built) == structure_to_json(want)
 
 
 def test_example2_numeric_n4():
