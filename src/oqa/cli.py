@@ -11,18 +11,28 @@ Subcommands:
 
 Structures are JSON files (explicit tables or builder shorthands); diagrams
 are Morse-word text files or ``builtin:<name>[:m]``; only the curl families
-``c_*`` take the count m.  ``--bind sym=value`` substitutes numeric values
-into every structure scalar (``symbolic`` leaves the symbol free).  Exit
-codes: 0 success, 1 semantic failure, 2 input error.
+``c_*`` take the count m.  Exit codes: 0 success, 1 semantic failure,
+2 input error.
+
+``--bind sym=value`` substitutes a value into every table of the structure
+(twist, trace, rho, t_d, t_u, rho^-1); ``sym=symbolic`` leaves the symbol
+free.  Loading verified the structure's tables (rho^-1 inverts rho, and
+the twist G, G^-1 fixed by t_d, t_u with G x G^-1 = t_d(t_u(x))), so the
+bound structure is not verified again: these conditions, like the axioms,
+are polynomial identities in the stored table entries, and substitution at a
+point where no denominator vanishes is a ring homomorphism that preserves
+them.  A binding at which a denominator vanishes is an input error; the
+first vanishing denominator, in the table order above, decides the message.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from .diagram import (
     DiagramError,
@@ -84,14 +94,6 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _load_structure(path: str) -> OrientedQuantumAlgebraStructure:
-    data = _load_json(path)
-    try:
-        return structure_from_json(data)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliInputError(f"bad structure file {path}: {exc}") from None
-
-
 def _load_diagram(spec: str) -> MorseDiagram:
     if spec.startswith("builtin:"):
         parts = spec.split(":")
@@ -145,9 +147,15 @@ def _parse_bindings(pairs: List[str], table: SymbolTable) -> Dict[str, Scalar]:
     return out
 
 
-def _substitute_structure(
-    S: OrientedQuantumAlgebraStructure, bindings: Mapping[str, Scalar]
-) -> OrientedQuantumAlgebraStructure:
+def _load_structure(path: str, binds: List[str]) -> OrientedQuantumAlgebraStructure:
+    """The structure in ``path`` with the ``--bind`` values substituted into
+    every table; the module docstring says why it is not verified again."""
+    data = _load_json(path)
+    try:
+        S = structure_from_json(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliInputError(f"bad structure file {path}: {exc}") from None
+    bindings = _parse_bindings(binds, S.table)
     if not bindings:
         return S
 
@@ -157,11 +165,7 @@ def _substitute_structure(
         except ZeroDenominatorError as exc:
             raise CliInputError(str(exc)) from None
 
-    T = _map_scalars(S, sub)
-    return OrientedQuantumAlgebraStructure.create(
-        T.algebra, T.rho, T.t_d, T.t_u, rho_inv=T.rho_inv, twist=T.twist,
-        trace=T.trace, name=T.name, validate_maps=False,
-    )
+    return _map_scalars(S, sub)
 
 
 def _emit(payload: dict, fmt: str, text_lines: List[str]) -> None:
@@ -176,9 +180,7 @@ def _emit(payload: dict, fmt: str, text_lines: List[str]) -> None:
 
 
 def cmd_check_axioms(args) -> int:
-    S = _load_structure(args.structure)
-    bindings = _parse_bindings(args.bind, S.table)
-    S = _substitute_structure(S, bindings)
+    S = _load_structure(args.structure, args.bind)
     report = check_axioms(S, full_report=args.full)
     payload = {
         "structure": S.name,
@@ -198,9 +200,7 @@ def cmd_check_axioms(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    S = _load_structure(args.structure)
-    bindings = _parse_bindings(args.bind, S.table)
-    S = _substitute_structure(S, bindings)
+    S = _load_structure(args.structure, args.bind)
     d = _load_diagram(args.diagram)
     st = stats(d)
     if d.boundary == "closed":
@@ -211,29 +211,18 @@ def cmd_invariant(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_FAIL
-        value = evaluate_link(S, d)
-        payload = {
-            "diagram": serialize(d, sep=" / "),
-            "algebra": S.name,
-            "value": value.text(),
-            "writhe": st.writhe,
-            "whitney": list(st.whitney),
-        }
-        lines = [
-            f"value: {value.text()}",
-            f"writhe: {st.writhe}",
-            f"whitney: {list(st.whitney)}",
-        ]
+        value = evaluate_link(S, d).text()
+        lines = [f"value: {value}", f"writhe: {st.writhe}", f"whitney: {list(st.whitney)}"]
     else:
-        element = evaluate_tangle(S, d)
-        payload = {
-            "diagram": serialize(d, sep=" / "),
-            "algebra": S.name,
-            "value": element.text(),
-            "writhe": st.writhe,
-            "whitney": list(st.whitney),
-        }
-        lines = [f"w(T) = {element.text()}", f"writhe: {st.writhe}"]
+        value = evaluate_tangle(S, d).text()
+        lines = [f"w(T) = {value}", f"writhe: {st.writhe}"]
+    payload = {
+        "diagram": serialize(d, sep=" / "),
+        "algebra": S.name,
+        "value": value,
+        "writhe": st.writhe,
+        "whitney": list(st.whitney),
+    }
     _emit(payload, args.format, lines)
     return EXIT_OK
 
@@ -336,6 +325,9 @@ def cmd_verify_section6(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
+# one parser per process: parse_args starts every call from a fresh namespace,
+# and the append action copies its default list before it appends
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oqa",
@@ -377,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliInputError as exc:

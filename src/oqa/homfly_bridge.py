@@ -61,7 +61,7 @@ from .diagram import (
     traverse,
 )
 from .invariant import evaluate_link, evaluate_tangle
-from .scalar import Scalar, SymbolTable
+from .scalar import Scalar, SymbolTable, perfect_sqrt
 from .structures import (
     MnStructureParams,
     OrientedQuantumAlgebraStructure,
@@ -393,8 +393,6 @@ def section6_context(params: MnStructureParams) -> SectionSixContext:
 
 
 def _require_sqrt(table: SymbolTable, bc: Scalar) -> Scalar:
-    from .scalar import perfect_sqrt
-
     root = perfect_sqrt(bc)
     if root is None:
         raise StructureError(

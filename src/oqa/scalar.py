@@ -658,8 +658,8 @@ def perfect_sqrt(s: Scalar) -> Optional[Scalar]:
             pieces.append(f ** (e // 2))
         return sympy.Mul(*pieces)
 
-    num_root = half(sympy.together(s.as_expr()).as_numer_denom()[0])
-    den_root = half(sympy.together(s.as_expr()).as_numer_denom()[1])
+    num, den = sympy.together(s.as_expr()).as_numer_denom()
+    num_root, den_root = half(num), half(den)
     if num_root is None or den_root is None:
         return None
     try:

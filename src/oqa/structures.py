@@ -111,7 +111,6 @@ class OrientedQuantumAlgebraStructure:
         t_d: AlgebraMap,
         t_u: AlgebraMap,
         rho_inv: Optional[TensorSquareElement] = None,
-        twist: Optional[Twist] = None,
         trace: Optional[Mapping[int, Scalar]] = None,
         name: str = "oqa",
         validate_maps: bool = True,
@@ -120,7 +119,7 @@ class OrientedQuantumAlgebraStructure:
 
         Validates that t_d, t_u are commuting algebra automorphisms and that
         the supplied inverse really is one.  Axioms are not checked here;
-        that is check_axioms' job.
+        that is check_axioms' job, and a twist is added by attach_twist.
         """
         if rho_inv is None:
             rho_inv = tensor_invert(algebra, rho)
@@ -138,12 +137,9 @@ class OrientedQuantumAlgebraStructure:
                 m.inverse()  # raises SingularError when not bijective
             if not t_d.commutes_with(t_u):
                 raise StructureError("t_d and t_u do not commute")
-        S = OrientedQuantumAlgebraStructure(
+        return OrientedQuantumAlgebraStructure(
             algebra, rho, rho_inv, t_d, t_u, None, trace, name
         )
-        if twist is not None:
-            S = attach_twist(S, twist.g, twist.g_inv)
-        return S
 
     @property
     def table(self) -> SymbolTable:
@@ -813,6 +809,13 @@ def _element_to_json(x: AlgebraElement) -> dict:
     return {labels[i]: c.text() for i, c in sorted(x.coeffs.items())}
 
 
+def _json_n(value) -> int:
+    # bool is an int subclass, and int() would truncate 2.7 and read "2"
+    if type(value) is not int:
+        raise StructureError(f"n must be a JSON integer, got {value!r}")
+    return value
+
+
 def _scalars_from_json(algebra: AlgebraSpec, data, what: str) -> Dict[int, Scalar]:
     """{basis label: scalar text} as {basis index: Scalar}."""
     return {
@@ -823,7 +826,7 @@ def _scalars_from_json(algebra: AlgebraSpec, data, what: str) -> Dict[int, Scala
 
 def _algebra_from_json(table: SymbolTable, alg: Mapping) -> AlgebraSpec:
     if alg["kind"] == "matrix":
-        algebra = matrix_algebra(table, int(alg["n"]))
+        algebra = matrix_algebra(table, _json_n(alg["n"]))
     elif alg["kind"] == "sweedler":
         algebra = sweedler_algebra(table)
     else:
@@ -872,7 +875,7 @@ def params_from_json(data: Mapping) -> MnStructureParams:
     verify-section6 share: symbols, gaussian, n, a, optional a_values, bc,
     b ({"i,j": b_ij} for 1 <= i < j <= n, default 1), omega1_sq (default 1)."""
     table = SymbolTable(tuple(data.get("symbols", ())), bool(data.get("gaussian")))
-    n = int(data["n"])
+    n = _json_n(data["n"])
     a = table.parse(data["a"])
     bc = table.parse(data["bc"])
     a_values = [a] * n

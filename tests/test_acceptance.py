@@ -510,7 +510,8 @@ def test_criterion_13_state_sum_vs_brute_force():
     t = SymbolTable(["a", "sbc", "b"])
     a, sbc, b = t.syms("a", "sbc", "b")
     S = build_balanced_example2(t, 2, a, sbc * sbc, {(1, 2): b}, t.one)
-    from oqa.cli import _substitute_structure
+    from oqa.scalar import substitute
+    from oqa.structures import _map_scalars
 
     cases = 0
     ok = True
@@ -524,9 +525,8 @@ def test_criterion_13_state_sum_vs_brute_force():
             bv = Fraction(rng.randint(1, 9), rng.randint(1, 5))
             if av**2 not in (sv**2, 1) and av != 0 and sv != 0:
                 break
-        Sn = _substitute_structure(
-            S, {"a": t.scalar(av), "sbc": t.scalar(sv), "b": t.scalar(bv)}
-        )
+        binds = {"a": t.scalar(av), "sbc": t.scalar(sv), "b": t.scalar(bv)}
+        Sn = _map_scalars(S, lambda s: substitute(s, binds))
         ok = ok and oracle_evaluate(Sn, d) == evaluate_link(Sn, d)
         cases += 1
     ok = ok and cases >= 20

@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -288,6 +290,8 @@ def test_malformed_files_are_input_errors(capsys, tmp_path, ex2_file, single_blo
         dict(ex2, b={"1,2,3": "b"}),
         dict(ex2, a_values=["a"]),
         dict(explicit, algebra={"kind": "matrix", "n": "x"}),
+        dict(explicit, algebra={"kind": "matrix", "n": 2.0}),
+        dict(explicit, algebra={"kind": "matrix", "n": True}),
         dict(explicit, t_d=[]),
         dict(explicit, t_u={"E11": []}),
         dict(explicit, trace=[]),
@@ -297,6 +301,9 @@ def test_malformed_files_are_input_errors(capsys, tmp_path, ex2_file, single_blo
     bad_blocks = [
         [1, 2],
         dict(block, n="2x"),
+        dict(block, n=2.7),
+        dict(block, n="2"),
+        dict(block, n=True),
         dict(block, bc=None),
         dict(block, b={"1,3": "2"}),
         dict(block, b=[]),
@@ -312,6 +319,12 @@ def test_malformed_files_are_input_errors(capsys, tmp_path, ex2_file, single_blo
     path.write_text(json.dumps(dict(ex2, b={"1,3": "b"})))
     _, _, err = run_cli(capsys, "check-axioms", "--structure", str(path))
     assert "b key '1,3' is not i,j with 1 <= i < j <= 2" in err
+    # n is read only as a JSON integer: no truncation, no string, no bool
+    for n, shown in ((2.7, "2.7"), (2.0, "2.0"), ("2", "'2'"), (True, "True")):
+        path.write_text(json.dumps(dict(ex2, n=n)))
+        code, out, err = run_cli(capsys, "check-axioms", "--structure", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: bad structure file {path}: n must be a JSON integer, got {shown}\n"
     path.write_text("[1, 2]")
     _, _, err = run_cli(capsys, "check-axioms", "--structure", str(path))
     assert err == f"error: {path} holds a JSON list, not an object\n"
@@ -325,3 +338,101 @@ def test_malformed_files_are_input_errors(capsys, tmp_path, ex2_file, single_blo
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err.count("\n") == 1, (argv, err)
+
+
+def test_successive_calls_share_no_options(capsys, tmp_path, ex2_file):
+    """main() builds its parser once per process; the --bind and --full of
+    one call do not reach the next."""
+    from oqa import cli, structure_from_json, structure_to_json
+
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    argv = ["check-axioms", "--structure", ex2_file]
+    assert parser.parse_args(argv + ["--bind", "a=2", "--full"]).bind == ["a=2"]
+    args = parser.parse_args(argv)
+    assert args.bind == [] and args.full is False
+
+    hopf = ["invariant", "--structure", ex2_file, "--diagram", "builtin:hopf"]
+    _, symbolic, _ = run_cli(capsys, *hopf)
+    _, bound, _ = run_cli(capsys, *hopf, "--bind", "a=2", "--bind", "sbc=1")
+    _, bound_b, _ = run_cli(capsys, *hopf, "--bind", "b=3")
+    _, again, _ = run_cli(capsys, *hopf)
+    assert "value: 85/4" in bound and bound_b == symbolic == again != bound
+
+    blob = structure_to_json(structure_from_json(json.loads(open(ex2_file).read())))
+    blob["rho"].append({"i": "E11", "j": "E12", "c": "1"})
+    del blob["rho_inv"]
+    del blob["twist"]
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(blob))
+    tampered = ["check-axioms", "--structure", str(bad)]
+    _, default, _ = run_cli(capsys, *tampered)
+    _, full, _ = run_cli(capsys, *tampered, "--full")
+    _, default_again, _ = run_cli(capsys, *tampered)
+    assert full.count("witness:") > default.count("witness:")
+    assert default_again == default
+
+
+def _bind_and_reassemble(S, bindings):
+    """Binding as it was done before: substituted tables assembled again by
+    create, which re-checks rho_inv, and attach_twist, which re-checks the
+    twist."""
+    from oqa import OrientedQuantumAlgebraStructure, attach_twist
+    from oqa.scalar import substitute
+    from oqa.structures import _map_scalars
+
+    T = _map_scalars(S, lambda s: substitute(s, bindings))
+    R = OrientedQuantumAlgebraStructure.create(
+        T.algebra, T.rho, T.t_d, T.t_u, rho_inv=T.rho_inv, trace=T.trace,
+        name=T.name, validate_maps=False,
+    )
+    return R if T.twist is None else attach_twist(R, T.twist.g, T.twist.g_inv)
+
+
+def test_bound_structure_equals_reassembled_one(tmp_path):
+    """--bind maps the tables of the verified structure and checks nothing
+    again: on seeded example2 bindings over M_2-M_4 (full, partial and with
+    a < 0) and on explicit tables that store rho_inv and a twist, the bound
+    structure equals the re-checked re-assembly table for table and
+    satisfies the axioms."""
+    from oqa import check_axioms, structure_from_json, structure_to_json
+    from oqa.cli import _load_structure, _parse_bindings
+
+    def example2(n):
+        b = {f"{i},{j}": "b" if (i, j) == (1, 2) else f"{i + j}/{j}"
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+        return {"builder": "example2", "symbols": ["a", "sbc", "b"], "n": n,
+                "a": "a", "bc": "sbc**2", "b": b, "omega1_sq": "1"}
+
+    rng = random.Random(12)
+
+    def draw():
+        while True:
+            av = Fraction(rng.randint(2, 9), rng.randint(1, 3))
+            sv = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+            if av**2 not in (sv**2, 1):
+                return av, sv, Fraction(rng.randint(1, 9), rng.randint(1, 5))
+
+    files = []
+    for n in (2, 3, 4):
+        av, sv, bv = draw()
+        files.append((example2(n), [
+            [f"a={av}", f"sbc={sv}", f"b={bv}"],
+            [f"a={av}", f"sbc={sv}", "b=symbolic"],
+            [f"a={-av}", f"sbc={sv}", f"b={bv}"],
+        ]))
+    explicit = structure_to_json(structure_from_json(example2(2)))
+    assert "rho_inv" in explicit and "twist" in explicit
+    av, sv, bv = draw()
+    files.append((explicit, [[f"a={-av}", f"sbc={sv}", f"b={bv}"], [f"b={bv}"]]))
+
+    path = tmp_path / "structure.json"
+    for blob, binds_list in files:
+        path.write_text(json.dumps(blob))
+        S = structure_from_json(blob)
+        for binds in binds_list:
+            bound = _load_structure(str(path), binds)
+            old = _bind_and_reassemble(S, _parse_bindings(binds, S.table))
+            for field in ("algebra", "rho", "rho_inv", "t_d", "t_u", "twist", "trace", "name"):
+                assert getattr(bound, field) == getattr(old, field), (binds, field)
+            assert check_axioms(bound).all_true, binds

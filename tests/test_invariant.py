@@ -255,14 +255,14 @@ def test_state_sum_vs_oracle_random(ex2_n2, alexander_n2):
     structure and on the Tr G = 0 structure, open tangles on Sweedler's H4,
     and closed diagrams at every upward basepoint.
     """
-    from oqa.cli import _substitute_structure
+    from oqa.scalar import substitute
+    from oqa.structures import _map_scalars
 
     from test_acceptance import _random_small_diagram
 
     t = ex2_n2.table
-    m2 = _substitute_structure(
-        ex2_n2, {"a": t.scalar(3), "sbc": t.rational(5, 2), "b": t.rational(2, 7)}
-    )
+    binds = {"a": t.scalar(3), "sbc": t.rational(5, 2), "b": t.rational(2, 7)}
+    m2 = _map_scalars(ex2_n2, lambda s: substitute(s, binds))
     ts = SymbolTable(["alpha"])
     h4 = sweedler_oqa(ts, ts.sym("alpha"))
     rng = random.Random(4)
