@@ -23,6 +23,7 @@ are polynomial identities in the stored table entries, and substitution at a
 point where no denominator vanishes is a ring homomorphism that preserves
 them.  A binding at which a denominator vanishes is an input error; the
 first vanishing denominator, in the table order above, decides the message.
+A binding that makes t_d or t_u singular is an input error too.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import os
 import sys
 from typing import Dict, List, Optional
 
+from .algebra import SingularError
 from .diagram import (
     DiagramError,
     MorseDiagram,
@@ -165,7 +167,18 @@ def _load_structure(path: str, binds: List[str]) -> OrientedQuantumAlgebraStruct
         except ZeroDenominatorError as exc:
             raise CliInputError(str(exc)) from None
 
-    return _map_scalars(S, sub)
+    S = _map_scalars(S, sub)
+    # det t_d or det t_u can vanish at the bound values; with a twist, t_d o t_u
+    # is conjugation by G, so both maps stay bijective and need no check
+    if S.twist is None:
+        for label, m in (("t_d", S.t_d), ("t_u", S.t_u)):
+            try:
+                m.inverse()
+            except SingularError:
+                raise CliInputError(
+                    f"{label} is not invertible at the bound values"
+                ) from None
+    return S
 
 
 def _emit(payload: dict, fmt: str, text_lines: List[str]) -> None:

@@ -344,24 +344,21 @@ def section6_context(params: MnStructureParams) -> SectionSixContext:
     table = params.table
     n = params.n
     block = params.blocks[0]
-    a = table.scalar(params.diag[block[0]])
-    bc = table.scalar(params.bc[0])
+    a = params.diag[block[0]]
+    bc = params.bc[0]
     sbc = _require_sqrt(table, bc)
-    a_values = tuple(table.scalar(params.diag[i]) for i in block)
+    a_values = tuple(params.diag[i] for i in block)
     for i, ai in enumerate(a_values, start=1):
         if not (ai == a or ai == -bc / a):
             raise StructureError(f"a_{i} must be a or -bc/a")
-    if table.scalar(params.omega_sq[block[0]]) != table.one:
+    if params.omega_sq[block[0]] != table.one:
         raise StructureError("the closed forms assume omega_1^2 = 1")
 
     q = a / sbc
     r = q * q
     structure = build_thm5(params, name=f"single_block(n={n})")
 
-    eta_plus = [0]
-    for i in range(1, n + 1):
-        eta_plus.append(eta_plus[-1] + (1 if a_values[i - 1] == a else 0))
-    e = eta_plus[n] - (n - eta_plus[n])
+    e = sum(1 if ai == a else -1 for ai in a_values)
 
     trace_g = structure.twist.g.pairing(structure.trace)
     trace_g_inv = structure.twist.g_inv.pairing(structure.trace)
@@ -384,7 +381,7 @@ def section6_context(params: MnStructureParams) -> SectionSixContext:
     # coherence of the stored squares with the closed-form family
     family = ctx.omega_sq_family(r)
     for i in range(1, n + 1):
-        if table.scalar(params.omega_sq[block[i - 1]]) != family[i - 1]:
+        if params.omega_sq[block[i - 1]] != family[i - 1]:
             raise StructureError(f"omega_{i}^2 differs from the closed form")
     # geometric-sum identity (1 - r^e) = Tr(G)(1 - r)
     if trace_g * (table.one - r) != table.one - r**e:

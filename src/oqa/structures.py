@@ -196,29 +196,27 @@ def check_axioms(
     witnesses: List[str] = []
     one = tensor_unit(algebra)
 
+    def witness(want: TensorSquareElement, *tagged: Tuple[str, TensorSquareElement]):
+        for tag, got in tagged:
+            w = _tensor_diff_witness(got, want)
+            if w:
+                witnesses.append(f"{tag}: {w}")
+                if not full_report:
+                    return
+
     p = apply_map_tensor(AlgebraMap.identity(algebra), S.t_u, S.rho)
     r = apply_map_tensor(S.t_d, AlgebraMap.identity(algebra), S.rho_inv)
     prod1 = tensor_mul(algebra, p, r, second_factor_opposite=True)
     prod2 = tensor_mul(algebra, r, p, second_factor_opposite=True)
     qa1 = prod1 == one and prod2 == one
     if not qa1:
-        for tag, prod in (("qa1 left", prod1), ("qa1 right", prod2)):
-            w = _tensor_diff_witness(prod, one)
-            if w:
-                witnesses.append(f"{tag}: {w}")
-                if not full_report:
-                    break
+        witness(one, ("qa1 left", prod1), ("qa1 right", prod2))
 
     dd = apply_map_tensor(S.t_d, S.t_d, S.rho)
     uu = apply_map_tensor(S.t_u, S.t_u, S.rho)
     qa2 = dd == S.rho and uu == S.rho
     if not qa2:
-        for tag, img in (("qa2 t_d", dd), ("qa2 t_u", uu)):
-            w = _tensor_diff_witness(img, S.rho)
-            if w:
-                witnesses.append(f"{tag}: {w}")
-                if not full_report:
-                    break
+        witness(S.rho, ("qa2 t_d", dd), ("qa2 t_u", uu))
 
     qa3 = qybe_check(algebra, S.rho)
     if not qa3:
@@ -321,6 +319,10 @@ class MnStructureParams:
     ordered pair and must vanish off the block orders.  ``omega_base_root``
     optionally provides a square root of omega_e^2 for each block's least
     element (needed only when several blocks must be related by t).
+
+    From construction on, every value of ``bc``, ``diag``, ``off_diag``,
+    ``omega_sq``, ``exchange`` and ``omega_base_root`` is a Scalar of ``table``:
+    ints and Fractions are coerced, a Scalar of another table raises ScalarError.
     """
 
     table: SymbolTable
@@ -332,6 +334,13 @@ class MnStructureParams:
     omega_sq: Mapping[int, Scalar]
     exchange: Optional[Mapping[Tuple[int, int], Scalar]] = None
     omega_base_root: Optional[Mapping[int, Scalar]] = None
+
+    def __post_init__(self):
+        for name in ("bc", "diag", "off_diag", "omega_sq", "exchange", "omega_base_root"):
+            values = getattr(self, name)
+            if values is not None:
+                coerced = {k: self.table.scalar(v) for k, v in values.items()}
+                object.__setattr__(self, name, coerced)
 
     def block_of(self, i: int) -> int:
         for k, blk in enumerate(self.blocks):
@@ -359,6 +368,16 @@ class MnStructureParams:
         return self.table.zero
 
 
+def _omega_sq_chain(a: Sequence[Scalar], bc: Scalar, w_e: Scalar) -> List[Scalar]:
+    """omega^2 along a block whose diagonal values are ``a`` in block order:
+    omega_e^2 = w_e and omega_cur^2 = omega_prev^2 a_prev a_cur / bc, that is
+    omega_u^2 = (a_e a_u / bc) omega_e^2 prod_{e<j<u} a_j^2 / bc."""
+    out = [w_e]
+    for prev, cur in zip(a, a[1:]):
+        out.append(out[-1] * (prev * cur / bc))
+    return out
+
+
 def single_block_params(
     table: SymbolTable,
     n: int,
@@ -379,12 +398,6 @@ def single_block_params(
                 raise StructureError(f"parameter b_{i}{j} must be invertible")
             off[(i, j)] = b_ij
             off[(j, i)] = bc / b_ij
-    omega_sq = {1: omega1_sq}
-    for u in range(2, n + 1):
-        w = (a_values[0] * a_values[u - 1] / bc) * omega1_sq
-        for j in range(2, u):
-            w = w * (a_values[j - 1] ** 2 / bc)
-        omega_sq[u] = w
     return MnStructureParams(
         table=table,
         n=n,
@@ -392,7 +405,7 @@ def single_block_params(
         bc={0: bc},
         diag={i: a_values[i - 1] for i in range(1, n + 1)},
         off_diag=off,
-        omega_sq=omega_sq,
+        omega_sq=dict(enumerate(_omega_sq_chain(a_values, bc, omega1_sq), start=1)),
     )
 
 
@@ -421,7 +434,6 @@ class Thm5Report:
 
 def classify_thm5(params: MnStructureParams) -> Thm5Report:
     """Decide, clause by clause, whether params define a balanced structure."""
-    t = params.table
     n = params.n
     clauses: Dict[str, Tuple[bool, Tuple[str, ...]]] = {}
 
@@ -431,11 +443,11 @@ def classify_thm5(params: MnStructureParams) -> Thm5Report:
     # (a) invertible diagonal-slot coefficients
     problems = []
     for i in range(1, n + 1):
-        if t.scalar(params.diag[i]).is_zero:
+        if params.diag[i].is_zero:
             problems.append(f"rho_{i}{i}{i}{i} = 0")
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i != j and t.scalar(params.off_diag[(i, j)]).is_zero:
+            if i != j and params.off_diag[(i, j)].is_zero:
                 problems.append(f"rho_{i}{j}{i}{j} = 0")
     record("a", problems)
 
@@ -469,19 +481,18 @@ def classify_thm5(params: MnStructureParams) -> Thm5Report:
     for k, blk in enumerate(params.blocks):
         if len(blk) < 2:
             continue
-        bc = t.scalar(params.bc[k])
+        bc = params.bc[k]
         if bc.is_zero:
             d_ii.append(f"bc of block {k} is zero")
             continue
         e = blk[0]
-        a_e = t.scalar(params.diag[e])
         x = params.derived_x(k)
         if x.is_zero:
             d_iii.append(f"x of block {k} vanishes (a_{e}^2 = bc)")
         for pos_i, i in enumerate(blk):
-            a_i = t.scalar(params.diag[i])
+            a_i = params.diag[i]
             for j in blk[pos_i + 1 :]:
-                a_j = t.scalar(params.diag[j])
+                a_j = params.diag[j]
                 if params.off_diag[(i, j)] * params.off_diag[(j, i)] != bc:
                     d_ii.append(f"rho_{i}{j}{i}{j} * rho_{j}{i}{j}{i} != bc_{k}")
                 if not (a_i == a_j or a_i * a_j == -bc):
@@ -492,13 +503,9 @@ def classify_thm5(params: MnStructureParams) -> Thm5Report:
                         f"rho_{i}{j}{j}{i} = {v.text()} != a_{i} - bc_{k}/a_{i}"
                     )
         # omega squares against the product formula
-        w_e = t.scalar(params.omega_sq[e])
-        for pos_u in range(1, len(blk)):
-            u = blk[pos_u]
-            expected = (a_e * t.scalar(params.diag[u]) / bc) * w_e
-            for j in blk[1:pos_u]:
-                expected = expected * (t.scalar(params.diag[j]) ** 2 / bc)
-            if t.scalar(params.omega_sq[u]) != expected:
+        chain = _omega_sq_chain([params.diag[i] for i in blk], bc, params.omega_sq[e])
+        for u, expected in zip(blk[1:], chain[1:]):
+            if params.omega_sq[u] != expected:
                 d_i.append(f"omega_{u}^2 != block formula value")
     record("d_i", d_i)
     record("d_ii", d_ii)
@@ -535,9 +542,7 @@ def _block_root_ratios(params: MnStructureParams, k: int) -> Dict[int, Scalar]:
     out = {blk[0]: t.one}
     for prev, cur in zip(blk, blk[1:]):
         # (omega_prev / omega_cur)^2 = bc / (a_prev a_cur)
-        ratio_sq = t.scalar(params.bc[k]) / (
-            t.scalar(params.diag[prev]) * t.scalar(params.diag[cur])
-        )
+        ratio_sq = params.bc[k] / (params.diag[prev] * params.diag[cur])
         ratio = perfect_sqrt(ratio_sq)
         if ratio is None:
             raise StructureError(
@@ -551,19 +556,15 @@ def _block_root_ratios(params: MnStructureParams, k: int) -> Dict[int, Scalar]:
 def _params_rho(params: MnStructureParams, algebra: AlgebraSpec) -> TensorSquareElement:
     """rho on M_n from a parameter table: the diagonal values rho_iiii, the
     off-diagonal rho_ilil and the nonzero exchange values rho_illi."""
-    t = params.table
     n = params.n
     coeffs: Dict[Tuple[int, int], Scalar] = {}
+    diagonal = {i: _unit_index(n, i, i) for i in range(1, n + 1)}
     for i in range(1, n + 1):
-        coeffs[(_unit_index(n, i, i), _unit_index(n, i, i))] = t.scalar(
-            params.diag[i]
-        )
+        coeffs[(diagonal[i], diagonal[i])] = params.diag[i]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                coeffs[(_unit_index(n, i, i), _unit_index(n, j, j))] = t.scalar(
-                    params.off_diag[(i, j)]
-                )
+                coeffs[(diagonal[i], diagonal[j])] = params.off_diag[(i, j)]
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i == j:
@@ -583,6 +584,10 @@ def build_thm5(
     fails.  The returned structure carries t from the positive-branch
     square-root convention, the diagonal twist G = sum omega_i^2 E_ii and the
     matrix trace.
+
+    sigma is not re-checked against omega^2: each step (sigma_cur /
+    sigma_prev)^2 = a_prev a_cur / bc is the omega^2 chain step clause d_i checked.
+    attach_twist is the one exact check that G conjugates by t o t.
     """
     report = classify_thm5(params)
     if not report.ok:
@@ -599,44 +604,27 @@ def build_thm5(
 
     # automorphism entries sigma_i / sigma_j
     sigma: Dict[int, Scalar] = {}
-    multi_block = len(params.blocks) > 1
     for k, blk in enumerate(params.blocks):
-        ratios = (
-            _block_root_ratios(params, k) if len(blk) >= 2 else {blk[0]: t.one}
-        )
+        ratios = _block_root_ratios(params, k)
         base = t.one
-        if multi_block:
+        if len(params.blocks) > 1:
             e = blk[0]
-            w_e = t.scalar(params.omega_sq[e])
+            w_e = params.omega_sq[e]
             if params.omega_base_root and e in params.omega_base_root:
-                base = t.scalar(params.omega_base_root[e])
+                base = params.omega_base_root[e]
                 if base * base != w_e:
                     raise StructureError(
                         f"omega_base_root for block {k} does not square to omega_{e}^2"
                     )
             else:
-                root = perfect_sqrt(w_e)
-                if root is None:
+                base = perfect_sqrt(w_e)
+                if base is None:
                     raise StructureError(
                         f"relating block {k} to the others needs a square root "
                         f"of omega_{e}^2 = {w_e.text()}; pass omega_base_root"
                     )
-                base = root
         for i, ratio in ratios.items():
             sigma[i] = base * ratio
-
-    # consistency of the chosen roots with the stored squares: in the
-    # single-block case sigma is only defined up to the base root, so the
-    # check is relative to omega_e^2
-    for k, blk in enumerate(params.blocks):
-        e = blk[0]
-        w_e = t.scalar(params.omega_sq[e])
-        for i in blk:
-            if multi_block:
-                if sigma[i] ** 2 != t.scalar(params.omega_sq[i]):
-                    raise StructureError(f"sigma_{i}^2 != omega_{i}^2")
-            elif sigma[i] ** 2 * w_e != t.scalar(params.omega_sq[i]):
-                raise StructureError(f"sigma_{i}^2 omega_{e}^2 != omega_{i}^2")
 
     t_cols: Dict[int, Dict[int, Scalar]] = {}
     for i in range(1, n + 1):
@@ -647,14 +635,11 @@ def build_thm5(
 
     g = AlgebraElement(
         algebra,
-        {_unit_index(n, i, i): t.scalar(params.omega_sq[i]) for i in range(1, n + 1)},
+        {_unit_index(n, i, i): params.omega_sq[i] for i in range(1, n + 1)},
     )
     g_inv = AlgebraElement(
         algebra,
-        {
-            _unit_index(n, i, i): t.scalar(params.omega_sq[i]).inv()
-            for i in range(1, n + 1)
-        },
+        {_unit_index(n, i, i): params.omega_sq[i].inv() for i in range(1, n + 1)},
     )
 
     S = OrientedQuantumAlgebraStructure.create(
@@ -813,6 +798,8 @@ def _json_n(value) -> int:
     # bool is an int subclass, and int() would truncate 2.7 and read "2"
     if type(value) is not int:
         raise StructureError(f"n must be a JSON integer, got {value!r}")
+    if value < 1:
+        raise StructureError("matrix algebra needs n >= 1")
     return value
 
 

@@ -202,6 +202,49 @@ def test_bind_input_errors(capsys, tmp_path, ex2_file):
     assert err.startswith(f"error: bad structure file {bad}: cannot parse"), err
 
 
+def test_bind_making_t_singular_is_an_input_error(capsys, tmp_path, ex2_file):
+    """A binding that makes t_u singular on a structure without a twist exits
+    2, as the same file with the value written in does; with a twist the
+    maps stay bijective and nothing is rejected."""
+    from oqa import SymbolTable, structure_to_json, sweedler_oqa
+
+    t = SymbolTable(["c"])
+    blob = structure_to_json(sweedler_oqa(t, t.zero))
+    del blob["rho_inv"]
+    path = tmp_path / "h4c.json"
+    for c, binds, message in (
+        ("0", [], f"bad structure file {path}: map is not invertible"),
+        ("c", ["--bind", "c=0"], "t_u is not invertible at the bound values"),
+    ):
+        blob["t_u"] = {"1": {"1": "1"}, "g": {"g": "1"}, "x": {"x": c}, "gx": {"gx": c}}
+        path.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "check-axioms", "--structure", str(path), *binds)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run_cli(capsys, "check-axioms", "--structure", str(path), "--bind", "c=2")
+    assert code == 0 and "qa3 (Yang-Baxter): pass" in out
+    code, _, _ = run_cli(
+        capsys, "check-axioms", "--structure", ex2_file,
+        "--bind", "a=2", "--bind", "sbc=3", "--bind", "b=5",
+    )
+    assert code == 0
+
+
+def test_nonpositive_n_names_n(capsys, tmp_path, ex2_file, single_block_file):
+    """example2 and single-block files with n < 1 are rejected for their n,
+    with the message an explicit matrix algebra of that size gets."""
+    path = tmp_path / "n.json"
+    for command, source in (
+        ("check-axioms", ex2_file),
+        ("verify-section6", single_block_file),
+    ):
+        for n in (0, -1):
+            path.write_text(json.dumps(dict(json.loads(open(source).read()), n=n)))
+            code, out, err = run_cli(capsys, command, "--structure", str(path))
+            assert code == 2 and out == "", (command, n)
+            assert err.startswith("error: bad ") and err.count("\n") == 1, err
+            assert err.endswith(f"{path}: matrix algebra needs n >= 1\n"), err
+
+
 def test_diagram_file_input(capsys, tmp_path, ex2_file):
     p = tmp_path / "hopf.morse"
     p.write_text("boundary: closed\ncup_ccw 0\ncup_cw 2\nxp 1\nxp 1\ncap_cw 2\ncap_ccw 0\n")

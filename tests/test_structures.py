@@ -10,6 +10,7 @@ from oqa import (
     MnStructureParams,
     build_balanced_example2,
     OrientedQuantumAlgebraStructure,
+    ScalarError,
     SingularError,
     StructureError,
     SymbolTable,
@@ -223,6 +224,46 @@ def test_singleton_blocks_any_off_diagonal():
     assert check_axioms(S).all_true
     # no exchange term: only E_ii (x) E_jj slots survive
     assert set(S.rho.coeffs) <= {(0, 0), (0, 3), (3, 0), (3, 3)}
+
+
+def test_params_coerced_at_construction():
+    """Ints and Fractions become Scalars of the table at construction, so a
+    raw table classifies and builds exactly as its Scalar twin; a Scalar of
+    another table is refused there."""
+    t = SymbolTable([])
+    raw = dict(
+        n=3,
+        blocks=((1, 2), (3,)),
+        bc={0: 4, 1: 1},
+        diag={1: 3, 2: 3, 3: 5},
+        off_diag={(1, 2): 2, (2, 1): 2, (1, 3): 7, (3, 1): 1, (2, 3): 7, (3, 2): 1},
+        omega_sq={1: 1, 2: Fraction(9, 4), 3: 1},
+        omega_base_root={1: 1, 3: 1},
+    )
+
+    def params(exchange, convert):
+        fields = dict(raw, exchange={(1, 2): exchange})
+        fields = {
+            k: {key: convert(v) for key, v in vals.items()} if isinstance(vals, dict) else vals
+            for k, vals in fields.items()
+        }
+        return MnStructureParams(table=t, **fields)
+
+    keep = lambda v: v
+    for exchange, failing in ((Fraction(5, 3), []), (1, ["d_iii"])):
+        from_raw, from_scalars = params(exchange, keep), params(exchange, t.scalar)
+        report = classify_thm5(from_raw)
+        assert report == classify_thm5(from_scalars) and report.failing() == failing
+        assert from_raw == from_scalars
+    built = [build_thm5(params(Fraction(5, 3), f)) for f in (keep, t.scalar)]
+    assert structure_to_json(built[0]) == structure_to_json(built[1])
+
+    other = SymbolTable(["a"])
+    for field in ("bc", "diag", "off_diag", "omega_sq", "exchange", "omega_base_root"):
+        fields = dict(raw, exchange={(1, 2): Fraction(5, 3)})
+        fields[field] = {k: other.scalar(v) for k, v in fields[field].items()}
+        with pytest.raises(ScalarError, match="different symbol table"):
+            MnStructureParams(table=t, **fields)
 
 
 def test_alexander_branch_builds(alexander_n2):
