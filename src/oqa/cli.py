@@ -16,14 +16,26 @@ are Morse-word text files or ``builtin:<name>[:m]``; only the curl families
 
 ``--bind sym=value`` substitutes a value into every table of the structure
 (twist, trace, rho, t_d, t_u, rho^-1); ``sym=symbolic`` leaves the symbol
-free.  Loading verified the structure's tables (rho^-1 inverts rho, and
-the twist G, G^-1 fixed by t_d, t_u with G x G^-1 = t_d(t_u(x))), so the
-bound structure is not verified again: these conditions, like the axioms,
-are polynomial identities in the stored table entries, and substitution at a
-point where no denominator vanishes is a ring homomorphism that preserves
-them.  A binding at which a denominator vanishes is an input error; the
-first vanishing denominator, in the table order above, decides the message.
-A binding that makes t_d or t_u singular is an input error too.
+free.
+
+An ``example2`` file is built once, at the bound values: the bindings go into
+its parameters, which are classified there, and the build checks rho^-1 and
+the twist as any build does.  t keeps the square-root branch of the unbound
+file (its sigma is taken symbolically and then bound), so the result is the
+structure the table map below would give.  When that build fails -- a bad
+binding, or values at which the parameters do not classify or a denominator
+vanishes -- the file takes the table map instead, and its result or message
+stands.
+
+Any other file is loaded and its tables mapped.  Loading verified the
+structure's tables (rho^-1 inverts rho, and the twist G, G^-1 fixed by t_d,
+t_u with G x G^-1 = t_d(t_u(x))), so the bound structure is not verified
+again: these conditions, like the axioms, are polynomial identities in the
+stored table entries, and substitution at a point where no denominator
+vanishes is a ring homomorphism that preserves them.  A binding at which a
+denominator vanishes is an input error; the first vanishing denominator, in
+the table order above, decides the message.  A binding that makes t_d or t_u
+singular is an input error too.
 """
 
 from __future__ import annotations
@@ -56,6 +68,7 @@ from .homfly_bridge import (
 )
 from .invariant import InvariantError, evaluate_link, evaluate_tangle
 from .scalar import (
+    NotLaurentError,
     Scalar,
     ScalarError,
     SymbolTable,
@@ -64,8 +77,10 @@ from .scalar import (
     substitute,
 )
 from .structures import (
+    MnStructureParams,
     OrientedQuantumAlgebraStructure,
     StructureError,
+    _bind_thm5,
     _map_scalars,
     check_axioms,
     params_from_json,
@@ -151,9 +166,14 @@ def _parse_bindings(pairs: List[str], table: SymbolTable) -> Dict[str, Scalar]:
 
 def _load_structure(path: str, binds: List[str]) -> OrientedQuantumAlgebraStructure:
     """The structure in ``path`` with the ``--bind`` values substituted into
-    every table; the module docstring says why it is not verified again."""
+    every table; the module docstring says when it is built at the bound
+    values and why a mapped one is not verified again."""
     data = _load_json(path)
     try:
+        if binds and data.get("builder") == "example2":
+            S = _build_bound(params_from_json(data), binds)
+            if S is not None:
+                return S
         S = structure_from_json(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliInputError(f"bad structure file {path}: {exc}") from None
@@ -179,6 +199,23 @@ def _load_structure(path: str, binds: List[str]) -> OrientedQuantumAlgebraStruct
                     f"{label} is not invertible at the bound values"
                 ) from None
     return S
+
+
+def _build_bound(
+    params: MnStructureParams, binds: List[str]
+) -> Optional[OrientedQuantumAlgebraStructure]:
+    """The example2 structure of ``params`` built once at the bound values, or
+    None when a binding is bad, nothing is bound, or the bound build fails;
+    the table-map route then reports what it always reported."""
+    try:
+        bindings = _parse_bindings(binds, params.table)
+        if not bindings:
+            return None
+        return _bind_thm5(
+            params, lambda s: substitute(s, bindings), f"example2(n={params.n})"
+        )
+    except (CliInputError, StructureError, ScalarError, SingularError):
+        return None
 
 
 def _emit(payload: dict, fmt: str, text_lines: List[str]) -> None:
@@ -259,6 +296,13 @@ def _load_single_block(path: str):
         raise CliInputError(f"bad single-block parameter file {path}: {exc}") from None
 
 
+def _homogeneous_degree(s: Scalar, symbols) -> Optional[int]:
+    try:
+        return laurent_homogeneous_degree(s, symbols)
+    except NotLaurentError:
+        return None
+
+
 def cmd_verify_section6(args) -> int:
     params = _load_single_block(args.structure)
     try:
@@ -278,6 +322,16 @@ def cmd_verify_section6(args) -> int:
     # on the Tr G = 0 branch the closed trace vanishes, so the verdict is the
     # cut-open tangle's identity (identify_open)
     open_branch = ctx.trace_g.is_zero
+    # F is homogeneous of degree writhe in (a, sbc).  The check reads the
+    # degree in the symbols that a and sbc hold, so it applies only when
+    # scaling those symbols by l scales a and sbc by l; otherwise (numbers
+    # included) it reports null
+    free = {str(x) for v in (ctx.a, ctx.sbc) for x in v.as_expr().free_symbols}
+    degree_symbols = tuple(name for name in ctx.table.symbols if name in free)
+    if degree_symbols and not all(
+        _homogeneous_degree(v, degree_symbols) == 1 for v in (ctx.a, ctx.sbc)
+    ):
+        degree_symbols = ()
     results = []
     all_ok = True
     for spec in diagrams:
@@ -301,12 +355,11 @@ def cmd_verify_section6(args) -> int:
                 entry["open_error"] = str(exc)
             all_ok = all_ok and entry["open_identified"]
         else:
-            degree = laurent_homogeneous_degree(
-                rep.lhs, (ctx.table.symbols[0], ctx.table.symbols[1])
-            ) if len(ctx.table.symbols) >= 2 else None
-            hom_ok = degree == rep.writhe
+            hom_ok = None
+            if degree_symbols:
+                hom_ok = laurent_homogeneous_degree(rep.lhs, degree_symbols) == rep.writhe
             entry["homogeneous_degree_is_writhe"] = hom_ok
-            all_ok = all_ok and rep.passed and hom_ok
+            all_ok = all_ok and rep.passed and hom_ok is not False
         results.append(entry)
 
     # skein triples at the first crossing of hopf and trefoil, and a curl

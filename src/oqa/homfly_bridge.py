@@ -62,10 +62,13 @@ from .diagram import (
 )
 from .invariant import evaluate_link, evaluate_tangle
 from .scalar import Scalar, SymbolTable, perfect_sqrt
+# build_thm5 is not called here; perfbench/spans.py traces the name in this module
 from .structures import (
     MnStructureParams,
     OrientedQuantumAlgebraStructure,
     StructureError,
+    _assemble_thm5,
+    _thm5_sigma,
     build_thm5,
     classify_thm5,
 )
@@ -356,7 +359,8 @@ def section6_context(params: MnStructureParams) -> SectionSixContext:
 
     q = a / sbc
     r = q * q
-    structure = build_thm5(params, name=f"single_block(n={n})")
+    # classified above, so the build's own classification would repeat it
+    structure = _assemble_thm5(params, _thm5_sigma(params), f"single_block(n={n})")
 
     e = sum(1 if ai == a else -1 for ai in a_values)
 

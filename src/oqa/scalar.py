@@ -39,6 +39,7 @@ integer powers) with Scalar arithmetic; any other text goes to sympy's
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass
 from operator import add, mul, sub, truediv
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -645,9 +646,53 @@ def perfect_sqrt(s: Scalar) -> Optional[Scalar]:
 
     Used by the matrix-algebra builders, whose automorphism entries are square
     roots of ratios of the stored squared parameters.
+
+    A Laurent monomial c x**e with c rational, every exponent even and |c| a
+    square rational takes its root without sympy: sqrt(|c|) x**(e/2), times
+    ``I`` when c < 0 on a Gaussian table.  That is the root the factoring
+    route below returns.  Any other scalar takes that route.
     """
     if s.is_zero:
         return s
+    root = _monomial_sqrt(s)
+    if root is None:
+        root = _sympy_sqrt(s)
+    return root if root is not None and root * root == s else None
+
+
+def _monomial_sqrt(s: Scalar) -> Optional[Scalar]:
+    """The root of a Laurent monomial with a square rational coefficient, or
+    None when ``s`` is not one (``perfect_sqrt`` then factors it)."""
+    num, den = s.elem.numer, s.elem.denom
+    if len(num) != 1 or len(den) != 1:
+        return None
+    ((num_exp, c),) = num.items()
+    (den_exp,) = den  # canonical denominators are monic
+    if any(e % 2 for e in num_exp + den_exp):
+        return None
+    table = s.table
+    if table.gaussian:
+        if c.y:
+            return None
+        c = c.x
+    p, q = abs(c.numerator), c.denominator
+    rp, rq = math.isqrt(p), math.isqrt(q)
+    if rp * rp != p or rq * rq != q:
+        return None
+    if c < 0:
+        if not table.gaussian:
+            return None
+        coeff = table._domain(0, QQ(rp, rq))
+    else:
+        coeff = table._domain.convert(QQ(rp, rq))
+    half = lambda exp: tuple(e // 2 for e in exp)
+    return _laurent(table, num.new([(half(num_exp), coeff)]), half(den_exp))
+
+
+def _sympy_sqrt(s: Scalar) -> Optional[Scalar]:
+    """A square root of ``s`` from sympy's factorization of its numerator and
+    denominator, or None when a factor has an odd power or the root leaves
+    the field; the caller checks that it squares to ``s``."""
 
     def half(expr: sympy.Expr) -> Optional[sympy.Expr]:
         const, factors = sympy.factor_list(expr)
@@ -663,9 +708,6 @@ def perfect_sqrt(s: Scalar) -> Optional[Scalar]:
     if num_root is None or den_root is None:
         return None
     try:
-        root = s.table.from_expr(num_root / den_root)
+        return s.table.from_expr(num_root / den_root)
     except ScalarError:
         return None
-    if root * root == s:
-        return root
-    return None

@@ -341,6 +341,7 @@ class MnStructureParams:
             if values is not None:
                 coerced = {k: self.table.scalar(v) for k, v in values.items()}
                 object.__setattr__(self, name, coerced)
+        object.__setattr__(self, "_derived_x", {})
 
     def block_of(self, i: int) -> int:
         for k, blk in enumerate(self.blocks):
@@ -356,9 +357,11 @@ class MnStructureParams:
         return False
 
     def derived_x(self, k: int) -> Scalar:
-        blk = self.blocks[k]
-        a_e = self.diag[blk[0]]
-        return a_e - self.bc[k] / a_e
+        x = self._derived_x.get(k)
+        if x is None:
+            a_e = self.diag[self.blocks[k][0]]
+            x = self._derived_x[k] = a_e - self.bc[k] / a_e
+        return x
 
     def exchange_value(self, i: int, j: int) -> Scalar:
         if self.exchange is not None:
@@ -575,20 +578,31 @@ def _params_rho(params: MnStructureParams, algebra: AlgebraSpec) -> TensorSquare
     return TensorSquareElement(algebra, coeffs)
 
 
-def build_thm5(
-    params: MnStructureParams, name: str = "thm5"
-) -> OrientedQuantumAlgebraStructure:
-    """Assemble the twist balanced structure a valid parameter table defines.
+def _params_rho_inv(params: MnStructureParams, algebra: AlgebraSpec) -> TensorSquareElement:
+    """The inverse of ``_params_rho`` in closed form.  On V (x) V, rho is a_i on
+    v_i (x) v_i and, for i < j, the block [[b_ij, x_ij], [x_ji, b_ji]] on
+    (v_i (x) v_j, v_j (x) v_i), where b_ij = rho_ijij and x_ij = rho_ijji; each
+    block inverts on its own."""
+    n = params.n
+    coeffs: Dict[Tuple[int, int], Scalar] = {}
+    for i in range(1, n + 1):
+        ii = _unit_index(n, i, i)
+        coeffs[(ii, ii)] = params.diag[i].inv()
+        for j in range(i + 1, n + 1):
+            jj = _unit_index(n, j, j)
+            b_ij, b_ji = params.off_diag[(i, j)], params.off_diag[(j, i)]
+            x_ij, x_ji = params.exchange_value(i, j), params.exchange_value(j, i)
+            det = b_ij * b_ji - x_ij * x_ji
+            coeffs[(ii, jj)] = b_ji / det
+            coeffs[(jj, ii)] = b_ij / det
+            for (r, c), x in (((i, j), x_ij), ((j, i), x_ji)):
+                if not x.is_zero:
+                    coeffs[(_unit_index(n, r, c), _unit_index(n, c, r))] = -x / det
+    return TensorSquareElement(algebra, coeffs)
 
-    Raises StructureError naming the failing clause when classification
-    fails.  The returned structure carries t from the positive-branch
-    square-root convention, the diagonal twist G = sum omega_i^2 E_ii and the
-    matrix trace.
 
-    sigma is not re-checked against omega^2: each step (sigma_cur /
-    sigma_prev)^2 = a_prev a_cur / bc is the omega^2 chain step clause d_i checked.
-    attach_twist is the one exact check that G conjugates by t o t.
-    """
+def _require_thm5(params: MnStructureParams) -> None:
+    """Raise StructureError naming the failing clauses unless params classify."""
     report = classify_thm5(params)
     if not report.ok:
         bad = report.failing()
@@ -597,12 +611,12 @@ def build_thm5(
         )
         raise StructureError(f"classification fails clause(s) {bad}: {details}")
 
-    t = params.table
-    n = params.n
-    algebra = matrix_algebra(t, n)
-    rho = _params_rho(params, algebra)
 
-    # automorphism entries sigma_i / sigma_j
+def _thm5_sigma(params: MnStructureParams) -> Dict[int, Scalar]:
+    """sigma_i for t(E_ij) = (sigma_i / sigma_j) E_ij, from classified params:
+    per block, the base root of omega_e^2 (1 for a single block) times the
+    positive-branch ratios sigma_i / sigma_e."""
+    t = params.table
     sigma: Dict[int, Scalar] = {}
     for k, blk in enumerate(params.blocks):
         ratios = _block_root_ratios(params, k)
@@ -625,12 +639,23 @@ def build_thm5(
                     )
         for i, ratio in ratios.items():
             sigma[i] = base * ratio
+    return sigma
+
+
+def _assemble_thm5(
+    params: MnStructureParams, sigma: Mapping[int, Scalar], name: str
+) -> OrientedQuantumAlgebraStructure:
+    """The structure of classified params with t(E_ij) = (sigma_i / sigma_j) E_ij."""
+    t = params.table
+    n = params.n
+    algebra = matrix_algebra(t, n)
 
     t_cols: Dict[int, Dict[int, Scalar]] = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             idx = _unit_index(n, i, j)
-            t_cols[idx] = {idx: sigma[i] / sigma[j]}
+            # the table's own 1 keeps the unit rule of Scalar products
+            t_cols[idx] = {idx: t.one if i == j else sigma[i] / sigma[j]}
     t_map = AlgebraMap(algebra, t_cols)
 
     g = AlgebraElement(
@@ -644,14 +669,57 @@ def build_thm5(
 
     S = OrientedQuantumAlgebraStructure.create(
         algebra,
-        rho,
+        _params_rho(params, algebra),
         t_map,
         t_map,
+        rho_inv=_params_rho_inv(params, algebra),
         trace=matrix_trace(algebra, n),
         name=name,
         validate_maps=False,
     )
     return attach_twist(S, g, g_inv)
+
+
+def build_thm5(
+    params: MnStructureParams, name: str = "thm5"
+) -> OrientedQuantumAlgebraStructure:
+    """Assemble the twist balanced structure a valid parameter table defines.
+
+    Raises StructureError naming the failing clause when classification
+    fails.  The returned structure carries t from the positive-branch
+    square-root convention, the diagonal twist G = sum omega_i^2 E_ii and the
+    matrix trace.
+
+    rho^-1 is 1/a_i on E_ii (x) E_ii and, for i < j, inverts rho's block
+    [[b_ij, x_ij], [x_ji, b_ji]] as [[b_ji, -x_ij], [-x_ji, b_ij]] / det.
+
+    sigma is not re-checked against omega^2: each step (sigma_cur /
+    sigma_prev)^2 = a_prev a_cur / bc is the omega^2 chain step clause d_i checked.
+    attach_twist is the one exact check that G conjugates by t o t.
+    """
+    _require_thm5(params)
+    return _assemble_thm5(params, _thm5_sigma(params), name)
+
+
+def _bind_thm5(
+    params: MnStructureParams, f: Callable[[Scalar], Scalar], name: str
+) -> OrientedQuantumAlgebraStructure:
+    """``build_thm5(params)`` with f applied to every table entry, built once
+    over f's values of the parameters.  sigma is taken from ``params`` and
+    mapped, so t keeps the branch that ``params`` fixes (building over the
+    values could flip it, e.g. where a < 0).  Raises as ``build_thm5(params)``
+    when params do not classify; f's errors, and the values' failure to
+    classify, propagate."""
+    _require_thm5(params)
+    sigma = _thm5_sigma(params)
+    mapped = lambda values: None if values is None else {k: f(v) for k, v in values.items()}
+    bound = replace(
+        params, bc=mapped(params.bc), diag=mapped(params.diag),
+        off_diag=mapped(params.off_diag), omega_sq=mapped(params.omega_sq),
+        exchange=mapped(params.exchange), omega_base_root=mapped(params.omega_base_root),
+    )
+    _require_thm5(bound)
+    return _assemble_thm5(bound, {i: f(s) for i, s in sigma.items()}, name)
 
 
 # -- derived structures -------------------------------------------------------

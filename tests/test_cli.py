@@ -479,3 +479,80 @@ def test_bound_structure_equals_reassembled_one(tmp_path):
             for field in ("algebra", "rho", "rho_inv", "t_d", "t_u", "twist", "trace", "name"):
                 assert getattr(bound, field) == getattr(old, field), (binds, field)
             assert check_axioms(bound).all_true, binds
+
+
+def test_bound_build_matches_table_map_route(capsys, tmp_path, monkeypatch):
+    """A bound example2 file is built once at the bound values; every
+    check-axioms and invariant command prints, byte for byte and with the same
+    exit code, what the load-then-substitute route prints.  Covered: seeded
+    files on M_2-M_4, full and partial bindings, a < 0, and bindings at which
+    the bound build fails (a = 0, sbc = 0, b = 0, a = +-sbc, a = True)."""
+    import oqa.cli as cli
+    from oqa import params_from_json
+
+    rng = random.Random(31)
+
+    def draw():
+        while True:
+            a = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 3))
+            s = Fraction(rng.randint(1, 9), rng.randint(1, 3))
+            if a * a not in (s * s, 1):
+                return a, s, Fraction(rng.randint(1, 9), rng.randint(1, 5))
+
+    commands = []
+    for n in (2, 3, 4):
+        path = tmp_path / f"ex2_n{n}.json"
+        b = {f"{i},{j}": "b" if (i, j) == (1, 2) else f"{rng.randint(1, 9)}/{rng.randint(1, 4)}"
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+        path.write_text(json.dumps({"builder": "example2", "symbols": ["a", "sbc", "b"],
+                                    "n": n, "a": "a", "bc": "sbc**2", "b": b}))
+        a, s, bv = draw()
+        bind_sets = [
+            [f"a={a}", f"sbc={s}", f"b={bv}"],
+            [f"a={a}", f"sbc={s}", "b=symbolic"],
+            [f"a={-abs(a)}", f"sbc={s}", f"b={bv}"],
+            ["a=0"], ["sbc=0"], ["b=0"], [f"a={s}", f"sbc={s}"], [f"a={-s}", f"sbc={s}"],
+            ["a=True"],
+        ]
+        params = params_from_json(json.loads(path.read_text()))
+        for k, binds in enumerate(bind_sets):
+            # the first three build at the bound values, the others fall back
+            assert (cli._build_bound(params, binds) is None) == (k >= 3), binds
+            tail = ["--structure", str(path)] + [x for v in binds for x in ("--bind", v)]
+            for fmt in ("text", "json") if k < 3 else ("text",):
+                head = ["--format", fmt]
+                commands.append(head + ["check-axioms"] + tail)
+                commands.append(head + ["check-axioms", "--full"] + tail)
+                for d in ("hopf", "trefoil_knot", "c_r_plus:1", "trefoil_tangle"):
+                    commands.append(head + ["invariant", "--diagram", f"builtin:{d}"] + tail)
+
+    def run_all():
+        return [run_cli(capsys, *argv) for argv in commands]
+
+    built = run_all()
+    assert sum(code == 0 for code, _, _ in built) > len(commands) // 2
+    assert {code for code, _, _ in built} == {0, 2}
+    monkeypatch.setattr(cli, "_build_bound", lambda params, binds: None)
+    assert run_all() == built
+
+
+def test_verify_section6_reads_the_degree_in_a_and_sbc(capsys, tmp_path):
+    """The homogeneity check takes the degree in the symbols of a and sbc,
+    whatever their place in "symbols".  Where scaling those symbols does not
+    scale a and sbc alike (no symbol at all, or a number for sbc only) it is
+    null and does not fail the command."""
+    path = tmp_path / "sb.json"
+    for blob, expected in (
+        ({"symbols": [], "n": 2, "a": "2", "bc": "9", "b": {"1,2": "5"}}, None),
+        ({"symbols": ["a"], "n": 2, "a": "a", "bc": "4"}, None),
+        ({"symbols": ["s", "b"], "n": 2, "a": "3*s", "bc": "4*s**2", "b": {"1,2": "b"}}, True),
+        ({"symbols": ["b", "a", "sbc"], "n": 2, "a": "a", "bc": "sbc**2",
+          "b": {"1,2": "b"}}, True),
+    ):
+        path.write_text(json.dumps(blob))
+        code, out, err = run_cli(
+            capsys, "--format", "json", "verify-section6", "--structure", str(path)
+        )
+        payload = json.loads(out)
+        assert (code, err, payload["ok"]) == (0, "", True), blob
+        assert {e["homogeneous_degree_is_writhe"] for e in payload["identifications"]} == {expected}

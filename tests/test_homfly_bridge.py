@@ -650,6 +650,26 @@ def test_context_rejects_bad_shapes(table2):
         section6_context(two_blocks)
 
 
+def test_context_classifies_once(table2, monkeypatch):
+    """section6_context classifies the table once, for its own message, and
+    then assembles the structure without classifying it again."""
+    from oqa import homfly_bridge, structures
+
+    calls = []
+
+    def counting(params, original=structures.classify_thm5):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(structures, "classify_thm5", counting)
+    monkeypatch.setattr(homfly_bridge, "classify_thm5", counting)
+    a, sbc, b = table2.syms("a", "sbc", "b")
+    params = single_block_params(table2, 2, [a, a], sbc * sbc, {(1, 2): b}, table2.one)
+    ctx = section6_context(params)
+    assert len(calls) == 1
+    assert ctx.structure == structures.build_thm5(params, name=ctx.structure.name)
+
+
 def test_identify_generic_branch_n3(table3):
     a, sbc = table3.syms("a", "sbc")
     B = {

@@ -124,6 +124,41 @@ def test_perfect_sqrt(t):
     assert perfect_sqrt(t.scalar(2)) is None
 
 
+def test_perfect_sqrt_monomial_route_matches_sympy_route(monkeypatch):
+    """On seeded Laurent monomials c x**e, plain and Gaussian, the root taken
+    without sympy is the one sympy's factoring returns, and both return None
+    on the same values: negative constants, odd exponents, coefficients that
+    are not squares and values without symbols included."""
+    import random
+
+    from oqa import scalar
+
+    rng = random.Random(17)
+    tables = [SymbolTable(syms, gaussian) for syms in ([], ["a", "sbc", "w"])
+              for gaussian in (False, True)]
+    squares = [1, 4, 9, 25, 36, 49, 144]
+    values = []
+    for _ in range(2000):
+        table = rng.choice(tables)
+        p = rng.choice(squares) if rng.random() < 0.7 else rng.randint(2, 30)
+        q = rng.choice(squares) if rng.random() < 0.7 else rng.randint(2, 30)
+        value = table.rational(rng.choice((-1, 1)) * p, q)
+        for name in table.symbols:
+            e = rng.randint(-4, 4)
+            if e and rng.random() < 0.8:
+                e += e % 2
+            value = value * table.sym(name) ** e
+        values.append(value)
+    # where the monomial route declines, perfect_sqrt is the sympy route itself
+    fast = {k: perfect_sqrt(v) for k, v in enumerate(values) if scalar._monomial_sqrt(v)}
+    monkeypatch.setattr(scalar, "_monomial_sqrt", lambda s: None)
+    assert {k: perfect_sqrt(values[k]) for k in fast} == fast
+    assert 500 < len(fast) < 1500
+    assert any(not root.table.symbols for root in fast.values())
+    assert any(root.table.gaussian and not root.is_zero and (root * root).text().startswith("-")
+               for root in fast.values())
+
+
 def test_gaussian_table():
     tg = SymbolTable(["a"], gaussian=True)
     i = tg.i

@@ -543,6 +543,51 @@ def tamper_params(rng, params):
     return MnStructureParams(**fields), sigma_scale, kind
 
 
+def test_closed_form_rho_inv_matches_tensor_invert():
+    """build_thm5's closed-form rho^-1 equals the linear solve on seeded
+    Thm-5 tables (n = 2-4, 1-3 blocks), on symbolic copies of them and on
+    symbolic example2 parameters, also where both exchange slots of a pair
+    are set."""
+    from oqa import tensor_invert
+    from oqa.structures import _params_rho, _params_rho_inv
+
+    rng = random.Random(5)
+    ts = SymbolTable(["s"], gaussian=True)
+    s = ts.sym("s")
+    cases = []
+    for n in (2, 3, 4, 2, 3, 4, 3, 4):
+        params = sample_params(rng, n)
+        cases.append(params)
+        # rho_ijij -> s rho_ijij and rho_jiji -> rho_jiji / s keep every clause
+        lift = lambda v: ts.parse(v.text())
+        off = {(i, j): lift(v) * (s if i < j else s.inv()) for (i, j), v in params.off_diag.items()}
+        cases.append(MnStructureParams(
+            table=ts, n=n, blocks=params.blocks,
+            bc={k: lift(v) for k, v in params.bc.items()},
+            diag={k: lift(v) for k, v in params.diag.items()}, off_diag=off,
+            omega_sq={k: lift(v) for k, v in params.omega_sq.items()},
+            omega_base_root={k: lift(v) for k, v in params.omega_base_root.items()},
+        ))
+    assert {len(p.blocks) for p in cases} >= {1, 2, 3}
+    for n in (2, 3, 4):
+        t = SymbolTable(["a", "sbc", "b"])
+        a, sbc, b = t.syms("a", "sbc", "b")
+        B = {(i, j): b * (i + j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+        cases.append(single_block_params(t, n, [a] * n, sbc * sbc, B, t.one))
+    both = cases[0]
+    exchange = {(i, j): both.table.scalar(i + 2 * j) for i in range(1, 3) for j in range(1, 3) if i != j}
+    cases.append(MnStructureParams(
+        table=both.table, n=2, blocks=((1, 2),), bc={0: both.table.one},
+        diag={1: both.table.one, 2: both.table.scalar(3)},
+        off_diag={(1, 2): both.table.scalar(5), (2, 1): both.table.scalar(7)},
+        omega_sq={1: both.table.one, 2: both.table.one}, exchange=exchange,
+    ))
+    for params in cases:
+        A = matrix_algebra(params.table, params.n)
+        assert _params_rho_inv(params, A) == tensor_invert(A, _params_rho(params, A))
+    assert all(classify_thm5(p).ok for p in cases[:-1])
+
+
 def classification_matches_axioms(params, sigma_scale):
     """classify verdict == axiom verdict for the assembled structure."""
     report = classify_thm5(params)
