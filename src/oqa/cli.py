@@ -16,26 +16,22 @@ are Morse-word text files or ``builtin:<name>[:m]``; only the curl families
 
 ``--bind sym=value`` substitutes a value into every table of the structure
 (twist, trace, rho, t_d, t_u, rho^-1); ``sym=symbolic`` leaves the symbol
-free.
+free.  A binding at which a denominator vanishes is an input error; the first
+vanishing denominator, in that table order, decides the message.
 
-An ``example2`` file is built once, at the bound values: the bindings go into
-its parameters, which are classified there, and the build checks rho^-1 and
-the twist as any build does.  t keeps the square-root branch of the unbound
-file (its sigma is taken symbolically and then bound), so the result is the
-structure the table map below would give.  When that build fails -- a bad
-binding, or values at which the parameters do not classify or a denominator
-vanishes -- the file takes the table map instead, and its result or message
-stands.
+An ``example2`` file is classified and given its t over the unbound
+parameters, so t keeps the symbolic square-root branch (also where a < 0
+would pick the other one over numbers).  Its tables are then assembled,
+mapped to the bound values and checked there: rho^-1 against rho both ways,
+and the twist by attach_twist.
 
 Any other file is loaded and its tables mapped.  Loading verified the
 structure's tables (rho^-1 inverts rho, and the twist G, G^-1 fixed by t_d,
 t_u with G x G^-1 = t_d(t_u(x))), so the bound structure is not verified
 again: these conditions, like the axioms, are polynomial identities in the
 stored table entries, and substitution at a point where no denominator
-vanishes is a ring homomorphism that preserves them.  A binding at which a
-denominator vanishes is an input error; the first vanishing denominator, in
-the table order above, decides the message.  A binding that makes t_d or t_u
-singular is an input error too.
+vanishes is a ring homomorphism that preserves them.  A binding that makes
+t_d or t_u singular is an input error too.
 """
 
 from __future__ import annotations
@@ -77,11 +73,12 @@ from .scalar import (
     substitute,
 )
 from .structures import (
-    MnStructureParams,
     OrientedQuantumAlgebraStructure,
     StructureError,
-    _bind_thm5,
+    _assemble_thm5,
     _map_scalars,
+    _require_thm5,
+    _thm5_sigma,
     check_axioms,
     params_from_json,
     structure_from_json,
@@ -166,20 +163,21 @@ def _parse_bindings(pairs: List[str], table: SymbolTable) -> Dict[str, Scalar]:
 
 def _load_structure(path: str, binds: List[str]) -> OrientedQuantumAlgebraStructure:
     """The structure in ``path`` with the ``--bind`` values substituted into
-    every table; the module docstring says when it is built at the bound
-    values and why a mapped one is not verified again."""
+    every table; the module docstring says where it is checked."""
     data = _load_json(path)
+    example2 = bool(binds) and data.get("builder") == "example2"
     try:
-        if binds and data.get("builder") == "example2":
-            S = _build_bound(params_from_json(data), binds)
-            if S is not None:
-                return S
-        S = structure_from_json(data)
+        if example2:
+            params = params_from_json(data)
+            _require_thm5(params)
+            sigma = _thm5_sigma(params)
+            table = params.table
+        else:
+            S = structure_from_json(data)
+            table = S.table
     except (ValueError, KeyError, TypeError) as exc:
         raise CliInputError(f"bad structure file {path}: {exc}") from None
-    bindings = _parse_bindings(binds, S.table)
-    if not bindings:
-        return S
+    bindings = _parse_bindings(binds, table)
 
     def sub(s: Scalar) -> Scalar:
         try:
@@ -187,6 +185,11 @@ def _load_structure(path: str, binds: List[str]) -> OrientedQuantumAlgebraStruct
         except ZeroDenominatorError as exc:
             raise CliInputError(str(exc)) from None
 
+    if example2:
+        name = f"example2(n={params.n})"
+        return _assemble_thm5(params, sigma, name, sub if bindings else None)
+    if not bindings:
+        return S
     S = _map_scalars(S, sub)
     # det t_d or det t_u can vanish at the bound values; with a twist, t_d o t_u
     # is conjugation by G, so both maps stay bijective and need no check
@@ -199,23 +202,6 @@ def _load_structure(path: str, binds: List[str]) -> OrientedQuantumAlgebraStruct
                     f"{label} is not invertible at the bound values"
                 ) from None
     return S
-
-
-def _build_bound(
-    params: MnStructureParams, binds: List[str]
-) -> Optional[OrientedQuantumAlgebraStructure]:
-    """The example2 structure of ``params`` built once at the bound values, or
-    None when a binding is bad, nothing is bound, or the bound build fails;
-    the table-map route then reports what it always reported."""
-    try:
-        bindings = _parse_bindings(binds, params.table)
-        if not bindings:
-            return None
-        return _bind_thm5(
-            params, lambda s: substitute(s, bindings), f"example2(n={params.n})"
-        )
-    except (CliInputError, StructureError, ScalarError, SingularError):
-        return None
 
 
 def _emit(payload: dict, fmt: str, text_lines: List[str]) -> None:
@@ -335,11 +321,9 @@ def cmd_verify_section6(args) -> int:
     results = []
     all_ok = True
     for spec in diagrams:
-        if not spec.startswith("builtin:") and not os.path.exists(spec):
-            spec_resolved = f"builtin:{spec}"
-        else:
-            spec_resolved = spec
-        d = _load_diagram(spec_resolved)
+        # a bare builtin name (hopf, c_r_plus:2) that is not a file
+        bare = not os.path.exists(spec) and spec.split(":")[0] in builtin_names()
+        d = _load_diagram(f"builtin:{spec}" if bare else spec)
         rep = identify_F(ctx, d)
         entry = {
             "diagram": spec,

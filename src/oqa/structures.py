@@ -469,10 +469,10 @@ def classify_thm5(params: MnStructureParams) -> Thm5Report:
     problems = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i == j:
+            if i == j or params.precedes(i, j):
                 continue
             v = params.exchange_value(i, j)
-            if not params.precedes(i, j) and not v.is_zero:
+            if not v.is_zero:
                 problems.append(f"rho_{i}{j}{j}{i} = {v.text()} off the order")
     record("c", problems)
 
@@ -489,8 +489,9 @@ def classify_thm5(params: MnStructureParams) -> Thm5Report:
             d_ii.append(f"bc of block {k} is zero")
             continue
         e = blk[0]
-        x = params.derived_x(k)
-        if x.is_zero:
+        # x = a - bc/a needs every a of the block nonzero; clause (a) reports a zero
+        has_x = not any(params.diag[i].is_zero for i in blk)
+        if has_x and params.derived_x(k).is_zero:
             d_iii.append(f"x of block {k} vanishes (a_{e}^2 = bc)")
         for pos_i, i in enumerate(blk):
             a_i = params.diag[i]
@@ -500,8 +501,10 @@ def classify_thm5(params: MnStructureParams) -> Thm5Report:
                     d_ii.append(f"rho_{i}{j}{i}{j} * rho_{j}{i}{j}{i} != bc_{k}")
                 if not (a_i == a_j or a_i * a_j == -bc):
                     d_iv.append(f"a_{i}, a_{j} neither equal nor of product -bc_{k}")
+                if not has_x or a_i**2 == bc:
+                    continue
                 v = params.exchange_value(i, j)
-                if a_i**2 != bc and v != a_i - bc / a_i:
+                if v != a_i - bc / a_i:
                     d_iii.append(
                         f"rho_{i}{j}{j}{i} = {v.text()} != a_{i} - bc_{k}/a_{i}"
                     )
@@ -643,9 +646,18 @@ def _thm5_sigma(params: MnStructureParams) -> Dict[int, Scalar]:
 
 
 def _assemble_thm5(
-    params: MnStructureParams, sigma: Mapping[int, Scalar], name: str
+    params: MnStructureParams,
+    sigma: Mapping[int, Scalar],
+    name: str,
+    f: Optional[Callable[[Scalar], Scalar]] = None,
 ) -> OrientedQuantumAlgebraStructure:
-    """The structure of classified params with t(E_ij) = (sigma_i / sigma_j) E_ij."""
+    """The structure of classified params with t(E_ij) = (sigma_i / sigma_j) E_ij.
+
+    With f, the tables are mapped by f (``_map_scalars``, so f's first error
+    is the one the built structure's table map raises) and then checked at
+    f's values; t keeps the square-root branch that sigma fixes.  The checks
+    are create's two-sided rho^-1 product and attach_twist.
+    """
     t = params.table
     n = params.n
     algebra = matrix_algebra(t, n)
@@ -666,18 +678,17 @@ def _assemble_thm5(
         algebra,
         {_unit_index(n, i, i): params.omega_sq[i].inv() for i in range(1, n + 1)},
     )
-
-    S = OrientedQuantumAlgebraStructure.create(
-        algebra,
-        _params_rho(params, algebra),
-        t_map,
-        t_map,
-        rho_inv=_params_rho_inv(params, algebra),
-        trace=matrix_trace(algebra, n),
-        name=name,
-        validate_maps=False,
+    S = OrientedQuantumAlgebraStructure(
+        algebra, _params_rho(params, algebra), _params_rho_inv(params, algebra),
+        t_map, t_map, Twist(g, g_inv), matrix_trace(algebra, n), name,
     )
-    return attach_twist(S, g, g_inv)
+    if f is not None:
+        S = _map_scalars(S, f)
+    checked = OrientedQuantumAlgebraStructure.create(
+        S.algebra, S.rho, S.t_d, S.t_u, rho_inv=S.rho_inv, trace=S.trace,
+        name=name, validate_maps=False,
+    )
+    return attach_twist(checked, S.twist.g, S.twist.g_inv)
 
 
 def build_thm5(
@@ -699,27 +710,6 @@ def build_thm5(
     """
     _require_thm5(params)
     return _assemble_thm5(params, _thm5_sigma(params), name)
-
-
-def _bind_thm5(
-    params: MnStructureParams, f: Callable[[Scalar], Scalar], name: str
-) -> OrientedQuantumAlgebraStructure:
-    """``build_thm5(params)`` with f applied to every table entry, built once
-    over f's values of the parameters.  sigma is taken from ``params`` and
-    mapped, so t keeps the branch that ``params`` fixes (building over the
-    values could flip it, e.g. where a < 0).  Raises as ``build_thm5(params)``
-    when params do not classify; f's errors, and the values' failure to
-    classify, propagate."""
-    _require_thm5(params)
-    sigma = _thm5_sigma(params)
-    mapped = lambda values: None if values is None else {k: f(v) for k, v in values.items()}
-    bound = replace(
-        params, bc=mapped(params.bc), diag=mapped(params.diag),
-        off_diag=mapped(params.off_diag), omega_sq=mapped(params.omega_sq),
-        exchange=mapped(params.exchange), omega_base_root=mapped(params.omega_base_root),
-    )
-    _require_thm5(bound)
-    return _assemble_thm5(bound, {i: f(s) for i, s in sigma.items()}, name)
 
 
 # -- derived structures -------------------------------------------------------
@@ -749,15 +739,25 @@ def _map_scalars(
 ) -> OrientedQuantumAlgebraStructure:
     """S with f applied to every table entry, over ``algebra`` (default S's),
     unverified.  The order is fixed -- twist g and g^-1, trace, rho, t_d, t_u,
-    rho^-1 -- so the first entry on which f raises is always the same one."""
+    rho^-1 -- so the first entry on which f raises is always the same one.
+    f runs once per distinct Scalar: a dict memo answers the repeats, and a
+    repeat of a raising entry comes after that entry."""
     A = algebra if algebra is not None else S.algebra
-    element = lambda x: AlgebraElement(A, {k: f(c) for k, c in x.coeffs.items()})
-    tensor = lambda u: TensorSquareElement(A, {k: f(c) for k, c in u.coeffs.items()})
+    memo: Dict[Scalar, Scalar] = {}
+
+    def once(c: Scalar) -> Scalar:
+        out = memo.get(c)
+        if out is None:
+            out = memo[c] = f(c)
+        return out
+
+    element = lambda x: AlgebraElement(A, {k: once(c) for k, c in x.coeffs.items()})
+    tensor = lambda u: TensorSquareElement(A, {k: once(c) for k, c in u.coeffs.items()})
     linear = lambda m: AlgebraMap(
-        A, {j: {i: f(c) for i, c in col.items()} for j, col in m.columns.items()}
+        A, {j: {i: once(c) for i, c in col.items()} for j, col in m.columns.items()}
     )
     twist = None if S.twist is None else Twist(element(S.twist.g), element(S.twist.g_inv))
-    trace = None if S.trace is None else {k: f(c) for k, c in S.trace.items()}
+    trace = None if S.trace is None else {k: once(c) for k, c in S.trace.items()}
     rho, t_d, t_u = tensor(S.rho), linear(S.t_d), linear(S.t_u)
     return replace(
         S, algebra=A, rho=rho, rho_inv=tensor(S.rho_inv), t_d=t_d, t_u=t_u,

@@ -481,14 +481,40 @@ def test_bound_structure_equals_reassembled_one(tmp_path):
             assert check_axioms(bound).all_true, binds
 
 
+def _table_map_load(path, binds):
+    """Reference route for --bind: the built structure's tables mapped to the
+    bound values, with the CLI's error mapping."""
+    from oqa import structure_from_json
+    from oqa.cli import CliInputError, _load_json, _parse_bindings
+    from oqa.scalar import ZeroDenominatorError, substitute
+    from oqa.structures import _map_scalars
+
+    data = _load_json(path)
+    try:
+        S = structure_from_json(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliInputError(f"bad structure file {path}: {exc}") from None
+    bindings = _parse_bindings(binds, S.table)
+    if not bindings:
+        return S
+
+    def sub(s):
+        try:
+            return substitute(s, bindings)
+        except ZeroDenominatorError as exc:
+            raise CliInputError(str(exc)) from None
+
+    return _map_scalars(S, sub)
+
+
 def test_bound_build_matches_table_map_route(capsys, tmp_path, monkeypatch):
-    """A bound example2 file is built once at the bound values; every
-    check-axioms and invariant command prints, byte for byte and with the same
-    exit code, what the load-then-substitute route prints.  Covered: seeded
-    files on M_2-M_4, full and partial bindings, a < 0, and bindings at which
-    the bound build fails (a = 0, sbc = 0, b = 0, a = +-sbc, a = True)."""
+    """Every check-axioms and invariant command on a bound example2 file
+    prints, byte for byte and with the same exit code, what the table-map
+    reference route prints.  Covered: seeded files on M_2-M_4, full and
+    partial bindings, a < 0, bindings at which a denominator vanishes (a = 0,
+    sbc = 0, b = 0, a = +-sbc), a bad value (a = True), an undeclared symbol
+    and an all-symbolic set."""
     import oqa.cli as cli
-    from oqa import params_from_json
 
     rng = random.Random(31)
 
@@ -512,12 +538,9 @@ def test_bound_build_matches_table_map_route(capsys, tmp_path, monkeypatch):
             [f"a={a}", f"sbc={s}", "b=symbolic"],
             [f"a={-abs(a)}", f"sbc={s}", f"b={bv}"],
             ["a=0"], ["sbc=0"], ["b=0"], [f"a={s}", f"sbc={s}"], [f"a={-s}", f"sbc={s}"],
-            ["a=True"],
+            ["a=True"], [f"a={a}", "c=1"], ["a=symbolic", "sbc=symbolic", "b=symbolic"],
         ]
-        params = params_from_json(json.loads(path.read_text()))
         for k, binds in enumerate(bind_sets):
-            # the first three build at the bound values, the others fall back
-            assert (cli._build_bound(params, binds) is None) == (k >= 3), binds
             tail = ["--structure", str(path)] + [x for v in binds for x in ("--bind", v)]
             for fmt in ("text", "json") if k < 3 else ("text",):
                 head = ["--format", fmt]
@@ -532,8 +555,41 @@ def test_bound_build_matches_table_map_route(capsys, tmp_path, monkeypatch):
     built = run_all()
     assert sum(code == 0 for code, _, _ in built) > len(commands) // 2
     assert {code for code, _, _ in built} == {0, 2}
-    monkeypatch.setattr(cli, "_build_bound", lambda params, binds: None)
+    monkeypatch.setattr(cli, "_load_structure", _table_map_load)
     assert run_all() == built
+
+
+def test_bound_example2_load_classifies_once(monkeypatch, ex2_file):
+    """A bound example2 file is classified over its unbound parameters only;
+    the bound tables are checked by the build's own gate."""
+    from oqa import structures
+    from oqa.cli import _load_structure
+
+    calls = []
+
+    def counting(params, original=structures.classify_thm5):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(structures, "classify_thm5", counting)
+    S = _load_structure(ex2_file, ["a=2", "sbc=1", "b=3"])
+    assert len(calls) == 1
+    assert S == _table_map_load(ex2_file, ["a=2", "sbc=1", "b=3"])
+
+
+def test_verify_section6_missing_diagram_file(capsys, single_block_file):
+    """A --diagrams spec that is neither a file nor a builtin name is a
+    missing file, not an unknown builtin; bare builtin names still resolve."""
+    code, out, err = run_cli(
+        capsys, "verify-section6", "--structure", single_block_file,
+        "--diagrams", "nosuch.txt",
+    )
+    assert (code, out, err) == (2, "", "error: no such diagram file: nosuch.txt\n")
+    code, out, _ = run_cli(
+        capsys, "verify-section6", "--structure", single_block_file,
+        "--diagrams", "hopf", "c_r_plus:2",
+    )
+    assert code == 0 and out.count("identify=pass") == 2
 
 
 def test_verify_section6_reads_the_degree_in_a_and_sbc(capsys, tmp_path):

@@ -315,6 +315,22 @@ def test_classify_tampered_omega(table2):
     assert not rep.qa1
 
 
+def test_classify_zero_diagonal_fails_clause_a():
+    """A zero diagonal value fails clause (a); the clauses that divide by it
+    (the exchange value x = a - bc/a) are not evaluated for its block."""
+    t = SymbolTable([])
+    both_zero = single_block_params(t, 2, [0, 0], 4, {(1, 2): 3}, 1)
+    report = classify_thm5(both_zero)
+    assert report.failing() == ["a"]
+    assert report.clauses["a"][1] == ("rho_1111 = 0", "rho_2222 = 0")
+    middle_zero = single_block_params(t, 3, [2, 0, 2], 4, {(1, 2): 3, (1, 3): 5, (2, 3): 7}, 1)
+    report = classify_thm5(middle_zero)
+    assert "a" in report.failing() and report.clauses["a"][1] == ("rho_2222 = 0",)
+    for params in (both_zero, middle_zero):
+        with pytest.raises(StructureError, match=r"clause\(s\) \['a'"):
+            build_thm5(params)
+
+
 def test_cross_block_clause_matches_yang_baxter():
     """Clauses (a)-(d) alone miss a Yang-Baxter constraint across blocks."""
     t = SymbolTable([])
