@@ -16,22 +16,11 @@ are Morse-word text files or ``builtin:<name>[:m]``; only the curl families
 
 ``--bind sym=value`` substitutes a value into every table of the structure
 (twist, trace, rho, t_d, t_u, rho^-1); ``sym=symbolic`` leaves the symbol
-free.  A binding at which a denominator vanishes is an input error; the first
-vanishing denominator, in that table order, decides the message.
-
-An ``example2`` file is classified and given its t over the unbound
-parameters, so t keeps the symbolic square-root branch (also where a < 0
-would pick the other one over numbers).  Its tables are then assembled,
-mapped to the bound values and checked there: rho^-1 against rho both ways,
-and the twist by attach_twist.
-
-Any other file is loaded and its tables mapped.  Loading verified the
-structure's tables (rho^-1 inverts rho, and the twist G, G^-1 fixed by t_d,
-t_u with G x G^-1 = t_d(t_u(x))), so the bound structure is not verified
-again: these conditions, like the axioms, are polynomial identities in the
-stored table entries, and substitution at a point where no denominator
-vanishes is a ring homomorphism that preserves them.  A binding that makes
-t_d or t_u singular is an input error too.
+free.  The values are read against the file's symbols before its tables, so
+a bad binding is reported before a bad table.  A binding at which a
+denominator vanishes, or that makes t_d or t_u singular, is an input error;
+the first vanishing denominator, in that table order, decides the message.
+``structure_from_json`` maps the tables and says where they are checked.
 """
 
 from __future__ import annotations
@@ -75,13 +64,10 @@ from .scalar import (
 from .structures import (
     OrientedQuantumAlgebraStructure,
     StructureError,
-    _assemble_thm5,
-    _map_scalars,
-    _require_thm5,
-    _thm5_sigma,
     check_axioms,
     params_from_json,
     structure_from_json,
+    table_from_json,
 )
 
 EXIT_OK = 0
@@ -161,39 +147,26 @@ def _parse_bindings(pairs: List[str], table: SymbolTable) -> Dict[str, Scalar]:
     return out
 
 
+def _bound(bindings: Dict[str, Scalar], s: Scalar) -> Scalar:
+    try:
+        return substitute(s, bindings)
+    except ZeroDenominatorError as exc:
+        raise CliInputError(str(exc)) from None
+
+
 def _load_structure(path: str, binds: List[str]) -> OrientedQuantumAlgebraStructure:
     """The structure in ``path`` with the ``--bind`` values substituted into
-    every table; the module docstring says where it is checked."""
+    every table; the module docstring says in which order."""
     data = _load_json(path)
-    example2 = bool(binds) and data.get("builder") == "example2"
     try:
-        if example2:
-            params = params_from_json(data)
-            _require_thm5(params)
-            sigma = _thm5_sigma(params)
-            table = params.table
-        else:
-            S = structure_from_json(data)
-            table = S.table
+        bindings = _parse_bindings(binds, table_from_json(data))
+        sub = functools.partial(_bound, bindings) if bindings else None
+        S = structure_from_json(data, sub)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliInputError(f"bad structure file {path}: {exc}") from None
-    bindings = _parse_bindings(binds, table)
-
-    def sub(s: Scalar) -> Scalar:
-        try:
-            return substitute(s, bindings)
-        except ZeroDenominatorError as exc:
-            raise CliInputError(str(exc)) from None
-
-    if example2:
-        name = f"example2(n={params.n})"
-        return _assemble_thm5(params, sigma, name, sub if bindings else None)
-    if not bindings:
-        return S
-    S = _map_scalars(S, sub)
     # det t_d or det t_u can vanish at the bound values; with a twist, t_d o t_u
     # is conjugation by G, so both maps stay bijective and need no check
-    if S.twist is None:
+    if bindings and S.twist is None:
         for label, m in (("t_d", S.t_d), ("t_u", S.t_u)):
             try:
                 m.inverse()
@@ -324,6 +297,8 @@ def cmd_verify_section6(args) -> int:
         # a bare builtin name (hopf, c_r_plus:2) that is not a file
         bare = not os.path.exists(spec) and spec.split(":")[0] in builtin_names()
         d = _load_diagram(f"builtin:{spec}" if bare else spec)
+        if d.boundary != "closed":
+            raise CliInputError(f"verify-section6 needs closed diagrams, not {spec}")
         rep = identify_F(ctx, d)
         entry = {
             "diagram": spec,

@@ -62,13 +62,11 @@ from .diagram import (
 )
 from .invariant import evaluate_link, evaluate_tangle
 from .scalar import Scalar, SymbolTable, perfect_sqrt
-# build_thm5 is not called here; perfbench/spans.py traces the name in this module
+# classify_thm5 is not called here; perfbench/spans.py traces the name in this module
 from .structures import (
     MnStructureParams,
     OrientedQuantumAlgebraStructure,
     StructureError,
-    _assemble_thm5,
-    _thm5_sigma,
     build_thm5,
     classify_thm5,
 )
@@ -341,15 +339,13 @@ def section6_context(params: MnStructureParams) -> SectionSixContext:
     """
     if len(params.blocks) != 1:
         raise StructureError("the closed forms need a single block")
-    report = classify_thm5(params)
-    if not report.ok:
-        raise StructureError(f"parameters fail clauses {report.failing()}")
     table = params.table
     n = params.n
-    block = params.blocks[0]
-    a = params.diag[block[0]]
     bc = params.bc[0]
     sbc = _require_sqrt(table, bc)
+    structure = build_thm5(params, f"single_block(n={n})")
+    block = params.blocks[0]
+    a = params.diag[block[0]]
     a_values = tuple(params.diag[i] for i in block)
     for i, ai in enumerate(a_values, start=1):
         if not (ai == a or ai == -bc / a):
@@ -359,8 +355,6 @@ def section6_context(params: MnStructureParams) -> SectionSixContext:
 
     q = a / sbc
     r = q * q
-    # classified above, so the build's own classification would repeat it
-    structure = _assemble_thm5(params, _thm5_sigma(params), f"single_block(n={n})")
 
     e = sum(1 if ai == a else -1 for ai in a_values)
 

@@ -67,6 +67,7 @@ __all__ = [
     "structure_to_json",
     "structure_from_json",
     "params_from_json",
+    "table_from_json",
 ]
 
 
@@ -604,17 +605,6 @@ def _params_rho_inv(params: MnStructureParams, algebra: AlgebraSpec) -> TensorSq
     return TensorSquareElement(algebra, coeffs)
 
 
-def _require_thm5(params: MnStructureParams) -> None:
-    """Raise StructureError naming the failing clauses unless params classify."""
-    report = classify_thm5(params)
-    if not report.ok:
-        bad = report.failing()
-        details = "; ".join(
-            w for c in bad for w in report.clauses[c][1][:2]
-        )
-        raise StructureError(f"classification fails clause(s) {bad}: {details}")
-
-
 def _thm5_sigma(params: MnStructureParams) -> Dict[int, Scalar]:
     """sigma_i for t(E_ij) = (sigma_i / sigma_j) E_ij, from classified params:
     per block, the base root of omega_e^2 (1 for a single block) times the
@@ -645,19 +635,36 @@ def _thm5_sigma(params: MnStructureParams) -> Dict[int, Scalar]:
     return sigma
 
 
-def _assemble_thm5(
+def build_thm5(
     params: MnStructureParams,
-    sigma: Mapping[int, Scalar],
-    name: str,
+    name: str = "thm5",
     f: Optional[Callable[[Scalar], Scalar]] = None,
 ) -> OrientedQuantumAlgebraStructure:
-    """The structure of classified params with t(E_ij) = (sigma_i / sigma_j) E_ij.
+    """Assemble the twist balanced structure a valid parameter table defines.
 
-    With f, the tables are mapped by f (``_map_scalars``, so f's first error
-    is the one the built structure's table map raises) and then checked at
-    f's values; t keeps the square-root branch that sigma fixes.  The checks
-    are create's two-sided rho^-1 product and attach_twist.
+    Raises StructureError naming the failing clauses when classification
+    fails.  The returned structure carries t from the positive-branch
+    square-root convention, the diagonal twist G = sum omega_i^2 E_ii and the
+    matrix trace.
+
+    rho^-1 is 1/a_i on E_ii (x) E_ii and, for i < j, inverts rho's block
+    [[b_ij, x_ij], [x_ji, b_ji]] as [[b_ji, -x_ij], [-x_ji, b_ij]] / det.
+
+    sigma is not re-checked against omega^2: each step (sigma_cur /
+    sigma_prev)^2 = a_prev a_cur / bc is the omega^2 chain step clause d_i checked.
+
+    With f, the assembled tables are mapped by f (``_map_scalars``, so f's
+    first error is the one a table map of the unmapped structure raises), and
+    the checks below run at f's values; t keeps the square-root branch taken
+    over params.  The checks are create's two-sided rho^-1 product and
+    attach_twist, the one exact check that G conjugates by t o t.
     """
+    report = classify_thm5(params)
+    if not report.ok:
+        bad = report.failing()
+        details = "; ".join(w for c in bad for w in report.clauses[c][1][:2])
+        raise StructureError(f"classification fails clause(s) {bad}: {details}")
+    sigma = _thm5_sigma(params)
     t = params.table
     n = params.n
     algebra = matrix_algebra(t, n)
@@ -691,27 +698,6 @@ def _assemble_thm5(
     return attach_twist(checked, S.twist.g, S.twist.g_inv)
 
 
-def build_thm5(
-    params: MnStructureParams, name: str = "thm5"
-) -> OrientedQuantumAlgebraStructure:
-    """Assemble the twist balanced structure a valid parameter table defines.
-
-    Raises StructureError naming the failing clause when classification
-    fails.  The returned structure carries t from the positive-branch
-    square-root convention, the diagonal twist G = sum omega_i^2 E_ii and the
-    matrix trace.
-
-    rho^-1 is 1/a_i on E_ii (x) E_ii and, for i < j, inverts rho's block
-    [[b_ij, x_ij], [x_ji, b_ji]] as [[b_ji, -x_ij], [-x_ji, b_ij]] / det.
-
-    sigma is not re-checked against omega^2: each step (sigma_cur /
-    sigma_prev)^2 = a_prev a_cur / bc is the omega^2 chain step clause d_i checked.
-    attach_twist is the one exact check that G conjugates by t o t.
-    """
-    _require_thm5(params)
-    return _assemble_thm5(params, _thm5_sigma(params), name)
-
-
 # -- derived structures -------------------------------------------------------
 
 
@@ -741,7 +727,8 @@ def _map_scalars(
     unverified.  The order is fixed -- twist g and g^-1, trace, rho, t_d, t_u,
     rho^-1 -- so the first entry on which f raises is always the same one.
     f runs once per distinct Scalar: a dict memo answers the repeats, and a
-    repeat of a raising entry comes after that entry."""
+    repeat of a raising entry comes after that entry.  A t_u that is t_d
+    (every Thm-5 build) is mapped once and stays shared."""
     A = algebra if algebra is not None else S.algebra
     memo: Dict[Scalar, Scalar] = {}
 
@@ -758,7 +745,8 @@ def _map_scalars(
     )
     twist = None if S.twist is None else Twist(element(S.twist.g), element(S.twist.g_inv))
     trace = None if S.trace is None else {k: once(c) for k, c in S.trace.items()}
-    rho, t_d, t_u = tensor(S.rho), linear(S.t_d), linear(S.t_u)
+    rho, t_d = tensor(S.rho), linear(S.t_d)
+    t_u = t_d if S.t_u is S.t_d else linear(S.t_u)
     return replace(
         S, algebra=A, rho=rho, rho_inv=tensor(S.rho_inv), t_d=t_d, t_u=t_u,
         twist=twist, trace=trace,
@@ -925,11 +913,17 @@ def structure_to_json(S: OrientedQuantumAlgebraStructure) -> dict:
     return out
 
 
+def table_from_json(data: Mapping) -> SymbolTable:
+    """The symbol table of a structure or parameter file: symbols (default
+    none) and gaussian (default false)."""
+    return SymbolTable(tuple(data.get("symbols", ())), bool(data.get("gaussian")))
+
+
 def params_from_json(data: Mapping) -> MnStructureParams:
     """Single-block parameters from the JSON layout example2 files and
     verify-section6 share: symbols, gaussian, n, a, optional a_values, bc,
     b ({"i,j": b_ij} for 1 <= i < j <= n, default 1), omega1_sq (default 1)."""
-    table = SymbolTable(tuple(data.get("symbols", ())), bool(data.get("gaussian")))
+    table = table_from_json(data)
     n = _json_n(data["n"])
     a = table.parse(data["a"])
     bc = table.parse(data["bc"])
@@ -951,43 +945,48 @@ def params_from_json(data: Mapping) -> MnStructureParams:
     return single_block_params(table, n, a_values, bc, B, omega1_sq)
 
 
-def structure_from_json(data: Mapping) -> OrientedQuantumAlgebraStructure:
+def structure_from_json(
+    data: Mapping, f: Optional[Callable[[Scalar], Scalar]] = None
+) -> OrientedQuantumAlgebraStructure:
+    """The structure a JSON file describes, its tables mapped by f when given.
+
+    An example2 file is built by ``build_thm5``, which maps the tables and
+    checks them at f's values.  Any other file is loaded and verified first
+    (rho^-1 inverts rho; G is invertible, fixed by t_d and t_u, and
+    conjugates by t_d o t_u), and its tables are then mapped unchecked: for f
+    a substitution at a point where no denominator vanishes, f is a ring
+    homomorphism, so it keeps these polynomial identities, and the axioms.
+    """
     builder = data.get("builder")
     if builder == "example2":
         params = params_from_json(data)
-        return build_thm5(params, name=f"example2(n={params.n})")
-    table = SymbolTable(tuple(data.get("symbols", ())), bool(data.get("gaussian")))
+        return build_thm5(params, name=f"example2(n={params.n})", f=f)
+    table = table_from_json(data)
     if builder == "sweedler":
-        return sweedler_oqa(table, table.parse(data.get("alpha", "1")))
-    if builder is not None:
+        S = sweedler_oqa(table, table.parse(data.get("alpha", "1")))
+    elif builder is not None:
         raise StructureError(f"unknown builder {builder!r}")
-
-    algebra = _algebra_from_json(table, data["algebra"])
-
-    rho = TensorSquareElement.from_json(algebra, data["rho"])
-    rho_inv = (
-        TensorSquareElement.from_json(algebra, data["rho_inv"])
-        if "rho_inv" in data
-        else None
-    )
-    t_d = AlgebraMap.from_json(algebra, data["t_d"])
-    t_u = AlgebraMap.from_json(algebra, data["t_u"])
-    trace = None
-    if "trace" in data:
-        trace = _scalars_from_json(algebra, data["trace"], "trace")
-    S = OrientedQuantumAlgebraStructure.create(
-        algebra,
-        rho,
-        t_d,
-        t_u,
-        rho_inv=rho_inv,
-        trace=trace,
-        name=data.get("name", "oqa"),
-    )
-    if "twist" in data:
-        g, g_inv = (
-            AlgebraElement(algebra, _scalars_from_json(algebra, data["twist"][k], k))
-            for k in ("g", "g_inv")
+    else:
+        algebra = _algebra_from_json(table, data["algebra"])
+        rho = TensorSquareElement.from_json(algebra, data["rho"])
+        rho_inv = (
+            TensorSquareElement.from_json(algebra, data["rho_inv"])
+            if "rho_inv" in data
+            else None
         )
-        S = attach_twist(S, g, g_inv)
-    return S
+        t_d = AlgebraMap.from_json(algebra, data["t_d"])
+        t_u = AlgebraMap.from_json(algebra, data["t_u"])
+        trace = None
+        if "trace" in data:
+            trace = _scalars_from_json(algebra, data["trace"], "trace")
+        S = OrientedQuantumAlgebraStructure.create(
+            algebra, rho, t_d, t_u, rho_inv=rho_inv, trace=trace,
+            name=data.get("name", "oqa"),
+        )
+        if "twist" in data:
+            g, g_inv = (
+                AlgebraElement(algebra, _scalars_from_json(algebra, data["twist"][k], k))
+                for k in ("g", "g_inv")
+            )
+            S = attach_twist(S, g, g_inv)
+    return S if f is None else _map_scalars(S, f)

@@ -612,3 +612,37 @@ def test_verify_section6_reads_the_degree_in_a_and_sbc(capsys, tmp_path):
         payload = json.loads(out)
         assert (code, err, payload["ok"]) == (0, "", True), blob
         assert {e["homogeneous_degree_is_writhe"] for e in payload["identifications"]} == {expected}
+
+
+def test_verify_section6_open_diagram_is_input_error(capsys, single_block_file):
+    """verify-section6 identifies closed diagrams only; an open one is bad
+    input, reported in one line that names the spec."""
+    for spec in ("trefoil_tangle", "builtin:curl"):
+        code, out, err = run_cli(
+            capsys, "verify-section6", "--structure", single_block_file,
+            "--diagrams", "hopf", spec,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: verify-section6 needs closed diagrams, not {spec}\n"
+
+
+def test_bound_example2_load_shares_one_t_map(ex2_file):
+    """t_d and t_u of a Thm-5 build are one map, and a bound load maps it once."""
+    from oqa.cli import _load_structure
+
+    S = _load_structure(ex2_file, ["a=2", "sbc=1", "b=3"])
+    assert S.t_u is S.t_d
+
+
+def test_bad_binding_is_reported_before_a_bad_table(capsys, tmp_path):
+    """--bind values are read against the file's symbols before its tables."""
+    path = tmp_path / "bad.json"
+    blob = {"builder": "example2", "symbols": ["a", "sbc"], "n": 2, "a": "a +", "bc": "sbc**2"}
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "check-axioms", "--structure", str(path))
+    assert (code, out) == (2, "") and err.startswith(f"error: bad structure file {path}: ")
+    code, out, err = run_cli(
+        capsys, "check-axioms", "--structure", str(path), "--bind", "zz=3"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --bind names undeclared symbol 'zz' (declared: a, sbc)\n"

@@ -18,3 +18,25 @@ def test_span_bindings_exist():
         if not (attr in vars(owner) if isinstance(owner, type) else hasattr(owner, attr))
     ]
     assert spans.BINDINGS and not missing, missing
+
+
+def test_bound_example2_load_is_traced_as_a_build(tmp_path):
+    """A bound example2 load runs through the traced build entry points, so
+    the benchmark's structures.build layer sees it."""
+    import json
+
+    from oqa import cli
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    ex2 = tmp_path / "ex2.json"
+    ex2.write_text(json.dumps({"builder": "example2", "symbols": ["a", "sbc", "b"], "n": 2,
+                               "a": "a", "bc": "sbc**2", "b": {"1,2": "b"}}))
+    tracer = spans.Tracer()
+    with tracer.active("op"):
+        code = cli.main(["invariant", "--structure", str(ex2), "--diagram",
+                         "builtin:hopf", "--bind", "a=2", "--bind", "sbc=1"])
+    assert code == 0
+    assert tracer.calls["structures.build"] >= 1
