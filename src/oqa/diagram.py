@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "DiagramError",
@@ -84,6 +84,9 @@ class SliceKind(enum.Enum):
     X_POS = "xp"
     X_NEG = "xn"
 
+    # members are singletons: hash them by identity, at C speed
+    __hash__ = object.__hash__
+
     @cached_property
     def is_cup(self) -> bool:
         return self in (SliceKind.CUP_CCW, SliceKind.CUP_CW)
@@ -113,13 +116,26 @@ _CUP_DIRS = {SliceKind.CUP_CCW: ("d", "u"), SliceKind.CUP_CW: ("u", "d")}
 _CAP_DIRS = {SliceKind.CAP_CCW: ("d", "u"), SliceKind.CAP_CW: ("u", "d")}
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(NamedTuple):
+    """One slice of a Morse word: ``kind`` acting at strand position ``pos``.
+
+    A tuple underneath, so that words hash at C speed (the skein memo is
+    keyed by them); a slice still equals only another slice.
+    """
+
     kind: SliceKind
     pos: int
 
     def __repr__(self) -> str:
         return f"{self.kind.value} {self.pos}"
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is Slice and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -303,6 +319,27 @@ def _tensorand(kind: SliceKind, side: str) -> int:
     return 1 if side == "L" else 0
 
 
+def _record(cls, fields: Dict[str, object]):
+    """The frozen dataclass ``cls`` holding ``fields``, all of them, in order.
+
+    The field dict is set in one step rather than by one ``__setattr__`` call
+    per field, as the dataclass's own ``__init__`` does; the instance is the
+    same, field for field.  ``cls`` must keep its fields in ``__dict__`` (no
+    slots) and have no ``__post_init__``.
+    """
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", fields)
+    return record
+
+
+_EXT_EVENT = {kind: ("ext", t) for kind, t in EXTREMUM_TYPE.items()}
+# (left, right) leg is upward, for the legs a cup makes or a cap needs
+_UP = {
+    kind: (left == "u", right == "u")
+    for kind, (left, right) in {**_CUP_DIRS, **_CAP_DIRS}.items()
+}
+
+
 def traverse(
     d: MorseDiagram, preferred_starts: Sequence[Tuple[int, int]] = ()
 ) -> TraversalRecord:
@@ -314,7 +351,9 @@ def traverse(
     boundary).  Upward edges are walked up and downward edges down, so each
     edge ends in at most one event and hands the walk on to one edge: a
     crossing to its other output, a cap down its other leg, and the cup that
-    made a downward edge up its other leg.
+    made a downward edge up its other leg.  Without ``preferred_starts`` the
+    same pass checks the word and raises what ``validate`` raises; with them,
+    ``strand_dirs`` checks it first and places the basepoints.
 
     The open strand of a tangle is walked first, from the bottom boundary to
     the top.  ``preferred_starts`` then seeds components at explicit upward
@@ -323,75 +362,107 @@ def traverse(
     which is the first point of one of its upward edges.  Closed components
     cycle back to their basepoint.
     """
-    all_dirs = strand_dirs(d)
-    for g, p in preferred_starts:
-        if not (0 <= g < len(all_dirs) and 0 <= p < len(all_dirs[g])):
-            raise DiagramError(f"basepoint {(g, p)} outside the diagram")
-        if all_dirs[g][p] != "u":
-            raise DiagramError(f"basepoint {(g, p)} is not on an upward strand")
-    wanted = {g for g, _ in preferred_starts}
+    slices = d.slices
+    is_open = d.boundary == "open"
+    checked = False
+    wanted: set = set()
+    if preferred_starts:
+        all_dirs = strand_dirs(d)
+        checked = True
+        for g, p in preferred_starts:
+            if not (0 <= g < len(all_dirs) and 0 <= p < len(all_dirs[g])):
+                raise DiagramError(f"basepoint {(g, p)} outside the diagram")
+            if all_dirs[g][p] != "u":
+                raise DiagramError(f"basepoint {(g, p)} is not on an upward strand")
+        wanted = {g for g, _ in preferred_starts}
+
+    def dirs(edges) -> List[str]:
+        return ["u" if upward[e] else "d" for e in edges]
 
     # every edge's first point and direction; the event that ends an edge and
-    # the edge the walk takes next (none past the top boundary)
-    first: List[Tuple[int, int]] = []
-    upward: List[bool] = []
-    event: Dict[int, Tuple] = {}
-    after: Dict[int, int] = {}
-
-    def new_edges(g: int, q: int, dirs: Tuple[str, str]) -> List[int]:
-        """The two edges slice g makes at positions q, q + 1."""
-        first.extend(((g + 1, q), (g + 1, q + 1)))
-        upward.extend(x == "u" for x in dirs)
-        return [len(first) - 2, len(first) - 1]
-
-    if d.boundary == "open":
-        first.append((0, 0))
-        upward.append(True)
+    # the edge the walk takes next (None past the top boundary)
+    first: List[Tuple[int, int]] = [(0, 0)] if is_open else []
+    upward: List[bool] = [True] if is_open else []
+    event: List[Optional[Tuple]] = [None] * len(first)
+    after: List[Optional[int]] = [None] * len(first)
     row = list(range(len(first)))
     rows = {0: list(row)} if 0 in wanted else {}
-    for g, s in enumerate(d.slices):
-        q = s.pos
-        if s.kind.is_cup:
-            a, b = new_edges(g, q, _CUP_DIRS[s.kind])
-            down, up = (b, a) if upward[a] else (a, b)
-            event[down], after[down] = ("ext", EXTREMUM_TYPE[s.kind]), up
-            row[q:q] = [a, b]
-        elif s.kind.is_cap:
-            a, b = row[q], row[q + 1]
-            up, down = (a, b) if upward[a] else (b, a)
-            event[up], after[up] = ("ext", EXTREMUM_TYPE[s.kind]), down
-            del row[q : q + 2]
+    for g, s in enumerate(slices):
+        kind, q = s
+        e = len(first)  # the first edge this slice makes
+        if not checked and q < 0:
+            # negative positions index from the right: let strand_dirs judge
+            strand_dirs(d)
+            checked = True
+        if kind.is_cup:
+            if not checked and q > len(row):
+                raise DiagramValidationError(
+                    f"slice {g} ({s}): position beyond {len(row)} strands"
+                )
+            first += ((g + 1, q), (g + 1, q + 1))
+            upward += _UP[kind]
+            event += (None, None)
+            after += (None, None)
+            # the downward leg ends at the cup and turns up the other leg
+            down, up = (e + 1, e) if upward[e] else (e, e + 1)
+            event[down], after[down] = _EXT_EVENT[kind], up
+            row[q:q] = (e, e + 1)
         else:
+            if not checked and q + 1 > len(row) - 1:
+                raise DiagramValidationError(
+                    f"slice {g} ({s}): needs strands {q},{q + 1}, have {len(row)}"
+                )
             a, b = row[q], row[q + 1]
-            row[q : q + 2] = left, right = new_edges(g, q, ("u", "u"))
-            event[a], after[a] = ("line", g, "L"), right
-            event[b], after[b] = ("line", g, "R"), left
-        if g + 1 in wanted:
+            if kind.is_cap:
+                if not checked and (upward[a], upward[b]) != _UP[kind]:
+                    raise DiagramValidationError(
+                        f"slice {g} ({s}): needs directions {_CAP_DIRS[kind]}, "
+                        f"found {tuple(dirs((a, b)))}"
+                    )
+                up, down = (a, b) if upward[a] else (b, a)
+                event[up], after[up] = _EXT_EVENT[kind], down
+                del row[q : q + 2]
+            else:
+                if not checked and not (upward[a] and upward[b]):
+                    raise DiagramValidationError(
+                        f"slice {g} ({s}): crossings need two upward strands, "
+                        f"found {tuple(dirs((a, b)))}"
+                    )
+                first += ((g + 1, q), (g + 1, q + 1))
+                upward += (True, True)
+                event += (None, None)
+                after += (None, None)
+                event[a], after[a] = ("line", g, "L"), e + 1
+                event[b], after[b] = ("line", g, "R"), e
+                row[q : q + 2] = (e, e + 1)
+        if wanted and g + 1 in wanted:
             rows[g + 1] = list(row)
+    if not checked:
+        final = ["u"] if is_open else []
+        if dirs(row) != final:
+            raise DiagramValidationError(
+                f"diagram ends with strands {dirs(row)}, boundary {d.boundary} "
+                f"needs {final}"
+            )
 
     visited = [False] * len(first)
     components: List[ComponentRecord] = []
 
-    def start_component(e: Optional[int], start: Tuple[int, int], is_open: bool) -> None:
-        if visited[e]:
-            return
+    def walk(e: int, start: Tuple[int, int], is_open: bool) -> None:
         events: List[Tuple] = []
         while e is not None and not visited[e]:
             visited[e] = True
-            if e in event:
+            if event[e] is not None:
                 events.append(event[e])
-            e = after.get(e)
-        extrema = tuple(ev[1] for ev in events if ev[0] == "ext")
-        cw = sum(1 for t in extrema if t in _CLOCKWISE)
-        whitney2 = cw - (len(extrema) - cw)
-        if whitney2 % 2:
-            raise DiagramValidationError("odd extremum imbalance on a component")
+            e = after[e]
         # one pass from the end: u_d / u_u count the extrema after each line
         labels = []
+        extrema = []
         ud = uu = 0
         for ev in reversed(events):
             if ev[0] == "ext":
                 t = ev[1]
+                extrema.append(t)
                 if t == "d+":
                     ud += 1
                 elif t == "d-":
@@ -402,23 +473,33 @@ def traverse(
                     uu -= 1
             else:
                 _, crossing, side = ev
-                labels.append(
-                    LineLabel(crossing, _tensorand(d.slices[crossing].kind, side), ud, uu)
-                )
+                labels.append(_record(LineLabel, {
+                    "crossing": crossing,
+                    "tensorand": _tensorand(slices[crossing].kind, side),
+                    "u_d": ud,
+                    "u_u": uu,
+                }))
+        cw = sum(1 for t in extrema if t in _CLOCKWISE)
+        whitney2 = cw - (len(extrema) - cw)
+        if whitney2 % 2:
+            raise DiagramValidationError("odd extremum imbalance on a component")
         labels.reverse()
-        components.append(
-            ComponentRecord(
-                is_open, start, tuple(labels), extrema, whitney2 // 2, tuple(events)
-            )
-        )
+        extrema.reverse()
+        components.append(_record(ComponentRecord, {
+            "is_open": is_open, "start": start, "labels": tuple(labels),
+            "extrema": tuple(extrema), "whitney": whitney2 // 2,
+            "events": tuple(events),
+        }))
 
-    if d.boundary == "open":
-        start_component(0, (0, 0), True)
+    if is_open:
+        walk(0, (0, 0), True)
     for g, p in preferred_starts:
-        start_component(rows[g][p], (g, p), False)
+        e = rows[g][p]
+        if not visited[e]:
+            walk(e, (g, p), False)
     for e, point in enumerate(first):
-        if upward[e]:
-            start_component(e, point, False)
+        if upward[e] and not visited[e]:
+            walk(e, point, False)
     if not all(visited):
         missing = first[visited.index(False)]
         raise DiagramValidationError(f"edge from {missing} not on any component")
@@ -497,23 +578,28 @@ def cut_open(d: MorseDiagram) -> MorseDiagram:
     return MorseDiagram(tuple(Slice(s.kind, s.pos - 1) for s in inner), "open")
 
 
+# the crossing of the other sign
+_SWITCH = {SliceKind.X_POS: SliceKind.X_NEG, SliceKind.X_NEG: SliceKind.X_POS}
+
+
 def crossing_triple(
     d: MorseDiagram, index: int
 ) -> Tuple[MorseDiagram, MorseDiagram, MorseDiagram]:
     """The skein triple (L+, L-, L0) at the crossing slice ``index`` of ``d``.
 
     L+ and L- carry xp and xn at that slice and agree with ``d`` elsewhere;
-    L0 is ``d`` with the crossing slice removed (its oriented smoothing).
+    the one whose sign ``d`` already has is ``d`` itself.  L0 is ``d`` with
+    the crossing slice removed (its oriented smoothing).
     """
     s = d.slices[index]
     if not s.kind.is_crossing:
         raise DiagramError(f"slice {index} ({s}) is not a crossing")
     before, after = d.slices[:index], d.slices[index + 1 :]
-    return (
-        d.with_slices(before + (Slice(SliceKind.X_POS, s.pos),) + after),
-        d.with_slices(before + (Slice(SliceKind.X_NEG, s.pos),) + after),
-        d.with_slices(before + after),
-    )
+    switched = d.with_slices(before + (Slice(_SWITCH[s.kind], s.pos),) + after)
+    smoothed = d.with_slices(before + after)
+    if s.kind is SliceKind.X_POS:
+        return d, switched, smoothed
+    return switched, d, smoothed
 
 
 _REVERSE_KIND = {
@@ -551,9 +637,8 @@ def orientation_reverse(d: MorseDiagram) -> MorseDiagram:
 
 def mirror(d: MorseDiagram) -> MorseDiagram:
     """Switch every crossing (xp <-> xn)."""
-    flip = {SliceKind.X_POS: SliceKind.X_NEG, SliceKind.X_NEG: SliceKind.X_POS}
     return d.with_slices(
-        Slice(flip.get(s.kind, s.kind), s.pos) for s in d.slices
+        Slice(_SWITCH.get(s.kind, s.kind), s.pos) for s in d.slices
     )
 
 

@@ -5,14 +5,15 @@ This module computes the two-variable regular-isotopy polynomial H_L(alpha, z)
 unknot value 1, distant unions scale by (alpha - alpha^-1)/z) directly on
 Morse diagrams, by switching crossings toward descending diagrams.  Each
 skein node is walked once: the switched words share its traversal, and only
-the smoothings L0 are new nodes.  Every node is reduced before it is looked
-up: inside each run of consecutive crossing slices, crossings on disjoint
-strand pairs are put in position order and opposite crossings that meet
-cancel (M2).  Both are regular isotopies, so H is unchanged, and smoothings
-reached along different paths share one memo entry.  The one-variable
-Alexander polynomial nabla_L(z) (same skein, unknot 1, split links 0) is
-H_L(1, z).  Nothing here touches the state-sum evaluator, so the two provide
-independent routes to the same invariants.
+the smoothings L0 are new nodes, kept on an explicit stack rather than in
+Python recursion, so that no recursion limit bounds the depth.  Every node
+is reduced before it is looked up: inside each run of consecutive crossing
+slices, crossings on disjoint strand pairs are put in position order and
+opposite crossings that meet cancel (M2).  Both are regular isotopies, so H
+is unchanged, and smoothings reached along different paths share one memo
+entry.  The one-variable Alexander polynomial nabla_L(z) (same skein, unknot
+1, split links 0) is H_L(1, z).  Nothing here touches the state-sum
+evaluator, so the two provide independent routes to the same invariants.
 
 For a single-block diagonal structure on M_n with parameters a (= rho_1111)
 and bc = sbc^2, writing q = a/sbc and r = q^2, the closed-link trace formula
@@ -46,10 +47,12 @@ certifies it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .algebra import AlgebraElement
 from .diagram import (
+    _SWITCH,
     DiagramError,
     MorseDiagram,
     Slice,
@@ -176,31 +179,32 @@ class SkeinPolynomial:
         return total
 
 
-_DELTA = SkeinPolynomial({(1, -1): 1, (-1, -1): -1})  # (alpha - alpha^-1)/z
-
-
 def _descending_value(d: MorseDiagram, record: TraversalRecord) -> SkeinPolynomial:
-    """Value of a descending diagram: layered curled unlinks."""
+    """Value of a descending diagram: layered curled unlinks.
+
+    Each component is a curled unknot, alpha to its self-writhe; pulling the
+    r components apart (inter-component crossings change nothing) scales by
+    delta^(r - 1), delta = (alpha - alpha^-1)/z.
+    """
     r = len(record.components)
     if r == 0:
         return SkeinPolynomial.one()
-    # self-writhe per component; inter-component crossings pull apart
     self_writhe = 0
     for comp in record.components:
-        counts: Dict[int, int] = {}
+        met = set()
         for label in comp.labels:
-            counts[label.crossing] = counts.get(label.crossing, 0) + 1
-        for crossing, k in counts.items():
-            if k == 2:
-                sign = 1 if d.slices[crossing].kind is SliceKind.X_POS else -1
-                self_writhe += sign
-    value = SkeinPolynomial.monomial(self_writhe, 0)
-    for _ in range(r - 1):
-        value = value * _DELTA
-    return value
-
-
-_OPPOSITE = {SliceKind.X_POS: SliceKind.X_NEG, SliceKind.X_NEG: SliceKind.X_POS}
+            crossing = label.crossing
+            if crossing in met:
+                self_writhe += 1 if d.slices[crossing].kind is SliceKind.X_POS else -1
+            else:
+                met.add(crossing)
+    # delta^(r-1) = sum_k C(r-1, k) (-1)^k alpha^(r-1-2k) z^(1-r)
+    return SkeinPolynomial(
+        {
+            (self_writhe + r - 1 - 2 * k, 1 - r): (-1) ** k * comb(r - 1, k)
+            for k in range(r)
+        }
+    )
 
 
 def _reduced(d: MorseDiagram) -> MorseDiagram:
@@ -209,19 +213,49 @@ def _reduced(d: MorseDiagram) -> MorseDiagram:
     A crossing sinks below the crossings two or more positions above it
     (disjoint strand pairs: a height exchange), and cancels with an opposite
     crossing at its own position that it meets (M2, M2rev).  Cups and caps
-    end runs and keep their places.
+    end runs and keep their places.  A word already reduced comes back as
+    itself.
     """
     out: List[Slice] = []
+    changed = False
     for s in d.slices:
+        kind, pos = s
         k = len(out)
-        if s.kind.is_crossing:
-            while k and out[k - 1].kind.is_crossing and out[k - 1].pos >= s.pos + 2:
+        if kind.is_crossing:
+            while k and out[k - 1].kind.is_crossing and out[k - 1].pos >= pos + 2:
                 k -= 1
-            if k and out[k - 1] == Slice(_OPPOSITE[s.kind], s.pos):
+            if k and out[k - 1].pos == pos and out[k - 1].kind is _SWITCH[kind]:
                 del out[k - 1]
+                changed = True
                 continue
+            changed = changed or k < len(out)
         out.insert(k, s)
-    return d.with_slices(out)
+    return d.with_slices(out) if changed else d
+
+
+class _Node:
+    """A memo miss of ``_skein``: its word switched so far, the crossings
+    left to switch (last first), and its terms gathered so far."""
+
+    __slots__ = ("key", "record", "word", "todo", "terms", "sign")
+
+    def __init__(self, d: MorseDiagram, key: Tuple) -> None:
+        self.key = key
+        self.record = traverse(d)
+        self.word = d
+        # crossings first met on their under line, in the order met
+        seen: set = set()
+        todo = []
+        for comp in self.record.components:
+            for label in comp.labels:
+                if label.crossing not in seen:
+                    seen.add(label.crossing)
+                    if label.tensorand == 1:
+                        todo.append(label.crossing)
+        todo.reverse()
+        self.todo = todo
+        self.terms: Dict[Tuple[int, int], int] = {}
+        self.sign = 0  # +-1 for the smoothing being evaluated
 
 
 def _skein(d: MorseDiagram, memo: Dict) -> SkeinPolynomial:
@@ -236,35 +270,47 @@ def _skein(d: MorseDiagram, memo: Dict) -> SkeinPolynomial:
     in the order met, and each switch adds +-z H(L0) for the smoothing of the
     word switched so far.  Switching a crossing changes neither the strand
     connectivity nor which line of another crossing is met first, so one
-    traversal of ``d`` serves every switched word and the descending leaf.
+    traversal of ``d`` serves every switched word and the descending leaf:
+    each memo miss is walked once.
+
+    The smoothings are evaluated on an explicit stack of nodes rather than by
+    Python recursion, so the depth (one node per smoothing) meets no
+    recursion limit.  A node gathers its terms in one dict, where the factor
+    z shifts the z exponent, and becomes one SkeinPolynomial at the end.
     """
     d = _reduced(d)
     key = d.key()
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    record = traverse(d)
-    z = SkeinPolynomial.monomial(0, 1)
-    value = SkeinPolynomial.zero()
-    switched = d
-    seen: set = set()
-    for comp in record.components:
-        for label in comp.labels:
-            if label.crossing in seen:
-                continue
-            seen.add(label.crossing)
-            if label.tensorand != 1:
-                continue
-            l_plus, l_minus, l_zero = crossing_triple(switched, label.crossing)
-            if switched.slices[label.crossing].kind is SliceKind.X_POS:
+    value = memo.get(key)
+    if value is not None:
+        return value
+    stack = [_Node(d, key)]
+    while stack:
+        node = stack[-1]
+        if value is not None:
+            # the smoothing node.sign * z H(L0) of the last switch
+            terms = node.terms
+            for (ea, ez), c in value.terms.items():
+                k = (ea, ez + 1)
+                terms[k] = terms.get(k, 0) + node.sign * c
+            value = None
+        if node.todo:
+            l_plus, l_minus, l_zero = crossing_triple(node.word, node.todo.pop())
+            if node.word is l_plus:
                 # H(L+) = H(L-) + z H(L0)
-                value = value + z * _skein(l_zero, memo)
-                switched = l_minus
+                node.word, node.sign = l_minus, 1
             else:
-                value = value - z * _skein(l_zero, memo)
-                switched = l_plus
-    value = value + _descending_value(switched, record)
-    memo[key] = value
+                node.word, node.sign = l_plus, -1
+            l_zero = _reduced(l_zero)
+            zero_key = l_zero.key()
+            value = memo.get(zero_key)
+            if value is None:
+                stack.append(_Node(l_zero, zero_key))
+            continue
+        terms = node.terms
+        for k, c in _descending_value(node.word, node.record).terms.items():
+            terms[k] = terms.get(k, 0) + c
+        value = memo[node.key] = SkeinPolynomial(terms)
+        stack.pop()
     return value
 
 

@@ -243,9 +243,13 @@ def make_scalar(table: SymbolTable, expr) -> "Scalar":
     raise ScalarError(f"cannot build a scalar from {expr!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Scalar:
     """An exact rational function; immutable, canonical, hashable."""
+
+    # _hash stays unset until the first hash() (see __hash__), so that making
+    # a Scalar costs no more for it
+    __slots__ = ("table", "elem", "_hash")
 
     table: SymbolTable
     elem: object  # sympy FracElement
@@ -343,9 +347,22 @@ class Scalar:
 
     def __hash__(self) -> int:
         # not hash(self.elem): sympy caches a polynomial's hash, and
-        # PolyElement.square caches it before it has added every term
-        num, den = self.elem.numer, self.elem.denom
-        return hash((frozenset(num.items()), frozenset(den.items())))
+        # PolyElement.square caches it before it has added every term.  A
+        # Scalar never changes, so its own hash is made on first use and kept.
+        h = getattr(self, "_hash", None)
+        if h is None:
+            num, den = self.elem.numer, self.elem.denom
+            h = hash((frozenset(num.items()), frozenset(den.items())))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    # frozen and slotted: copy and pickle set the fields past __setattr__
+    def __getstate__(self):
+        return self.table, self.elem
+
+    def __setstate__(self, state) -> None:
+        object.__setattr__(self, "table", state[0])
+        object.__setattr__(self, "elem", state[1])
 
     def __bool__(self) -> bool:
         return bool(self.elem)

@@ -19,14 +19,22 @@ It holds the full sparse elimination ``oqa.algebra.solve_sparse`` ran
 before it learned to skip the rows that no nonzero right-hand side reaches:
 here every row takes part, so a block the library leaves out is still solved.
 
+It holds the traversal ``oqa.diagram.traverse`` ran before it checked the
+word in its own linking pass: here ``strand_dirs`` builds the per-gap
+direction table first, edges live in dicts, and a component walk is tried
+from every upward edge.
+
 Last, it holds the skein recursion ``oqa.homfly_bridge._skein`` ran before it
 reduced each word: here every smoothing is memoized as the word it is, with
-no height exchange and no M2 cancellation.  It shares the traversal,
-``crossing_triple`` and the descending leaf with the library, so it checks
-the reduction and nothing else.
+no height exchange and no M2 cancellation, and the recursion is Python's
+own.  It walks with ``oracle_traverse`` and shares ``crossing_triple`` and
+the descending leaf with the library, so it checks the reduction, the
+explicit stack and the library's walker.
 """
 
 import itertools
+
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from oqa import (
     MorseDiagram,
@@ -34,7 +42,18 @@ from oqa import (
     SkeinPolynomial,
     SliceKind,
     crossing_triple,
-    traverse,
+)
+from oqa.diagram import (
+    _CLOCKWISE,
+    _CUP_DIRS,
+    EXTREMUM_TYPE,
+    ComponentRecord,
+    DiagramError,
+    DiagramValidationError,
+    LineLabel,
+    TraversalRecord,
+    _tensorand,
+    strand_dirs,
 )
 from oqa.homfly_bridge import _descending_value
 
@@ -299,6 +318,115 @@ def oracle_solve_sparse(table, rows, rhs, nunknowns):
     return solution
 
 
+# -- the per-gap traversal -----------------------------------------------------
+
+
+def oracle_traverse(
+    d: MorseDiagram, preferred_starts: Sequence[Tuple[int, int]] = ()
+) -> TraversalRecord:
+    """Walk every component, labelling crossing lines and counting extrema."""
+    all_dirs = strand_dirs(d)
+    for g, p in preferred_starts:
+        if not (0 <= g < len(all_dirs) and 0 <= p < len(all_dirs[g])):
+            raise DiagramError(f"basepoint {(g, p)} outside the diagram")
+        if all_dirs[g][p] != "u":
+            raise DiagramError(f"basepoint {(g, p)} is not on an upward strand")
+    wanted = {g for g, _ in preferred_starts}
+
+    # every edge's first point and direction; the event that ends an edge and
+    # the edge the walk takes next (none past the top boundary)
+    first: List[Tuple[int, int]] = []
+    upward: List[bool] = []
+    event: Dict[int, Tuple] = {}
+    after: Dict[int, int] = {}
+
+    def new_edges(g: int, q: int, dirs: Tuple[str, str]) -> List[int]:
+        """The two edges slice g makes at positions q, q + 1."""
+        first.extend(((g + 1, q), (g + 1, q + 1)))
+        upward.extend(x == "u" for x in dirs)
+        return [len(first) - 2, len(first) - 1]
+
+    if d.boundary == "open":
+        first.append((0, 0))
+        upward.append(True)
+    row = list(range(len(first)))
+    rows = {0: list(row)} if 0 in wanted else {}
+    for g, s in enumerate(d.slices):
+        q = s.pos
+        if s.kind.is_cup:
+            a, b = new_edges(g, q, _CUP_DIRS[s.kind])
+            down, up = (b, a) if upward[a] else (a, b)
+            event[down], after[down] = ("ext", EXTREMUM_TYPE[s.kind]), up
+            row[q:q] = [a, b]
+        elif s.kind.is_cap:
+            a, b = row[q], row[q + 1]
+            up, down = (a, b) if upward[a] else (b, a)
+            event[up], after[up] = ("ext", EXTREMUM_TYPE[s.kind]), down
+            del row[q : q + 2]
+        else:
+            a, b = row[q], row[q + 1]
+            row[q : q + 2] = left, right = new_edges(g, q, ("u", "u"))
+            event[a], after[a] = ("line", g, "L"), right
+            event[b], after[b] = ("line", g, "R"), left
+        if g + 1 in wanted:
+            rows[g + 1] = list(row)
+
+    visited = [False] * len(first)
+    components: List[ComponentRecord] = []
+
+    def start_component(e: Optional[int], start: Tuple[int, int], is_open: bool) -> None:
+        if visited[e]:
+            return
+        events: List[Tuple] = []
+        while e is not None and not visited[e]:
+            visited[e] = True
+            if e in event:
+                events.append(event[e])
+            e = after.get(e)
+        extrema = tuple(ev[1] for ev in events if ev[0] == "ext")
+        cw = sum(1 for t in extrema if t in _CLOCKWISE)
+        whitney2 = cw - (len(extrema) - cw)
+        if whitney2 % 2:
+            raise DiagramValidationError("odd extremum imbalance on a component")
+        # one pass from the end: u_d / u_u count the extrema after each line
+        labels = []
+        ud = uu = 0
+        for ev in reversed(events):
+            if ev[0] == "ext":
+                t = ev[1]
+                if t == "d+":
+                    ud += 1
+                elif t == "d-":
+                    ud -= 1
+                elif t == "u+":
+                    uu += 1
+                else:
+                    uu -= 1
+            else:
+                _, crossing, side = ev
+                labels.append(
+                    LineLabel(crossing, _tensorand(d.slices[crossing].kind, side), ud, uu)
+                )
+        labels.reverse()
+        components.append(
+            ComponentRecord(
+                is_open, start, tuple(labels), extrema, whitney2 // 2, tuple(events)
+            )
+        )
+
+    if d.boundary == "open":
+        start_component(0, (0, 0), True)
+    for g, p in preferred_starts:
+        start_component(rows[g][p], (g, p), False)
+    for e, point in enumerate(first):
+        if upward[e]:
+            start_component(e, point, False)
+    if not all(visited):
+        missing = first[visited.index(False)]
+        raise DiagramValidationError(f"edge from {missing} not on any component")
+    return TraversalRecord(tuple(components))
+
+
 # -- the unreduced skein recursion -------------------------------------------
 
 
@@ -308,7 +436,7 @@ def oracle_skein(d: MorseDiagram, memo) -> SkeinPolynomial:
     hit = memo.get(key)
     if hit is not None:
         return hit
-    record = traverse(d)
+    record = oracle_traverse(d)
     z = SkeinPolynomial.monomial(0, 1)
     value = SkeinPolynomial.zero()
     switched = d

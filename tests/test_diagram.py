@@ -226,6 +226,77 @@ def test_counter_whitney_identity_random():
             _check_counters(traverse(d, [point]))
 
 
+def _traverse_inputs(rng):
+    """Every builtin (curl counts 0-3), seeded criterion-13 closed and open
+    diagrams, and mixed-sign braid closures on 2-5 strands."""
+    from test_acceptance import _random_small_diagram
+
+    diagrams = []
+    for name in builtin_names():
+        if name.startswith("c_"):
+            diagrams += [builtin(name, m) for m in range(4)]
+        else:
+            diagrams.append(builtin(name))
+    diagrams += [_random_small_diagram(rng) for _ in range(15)]
+    diagrams += [_random_small_diagram(rng, "open") for _ in range(10)]
+    for strands in (2, 3, 4, 5):
+        for _ in range(4):
+            gens = [
+                (rng.choice(["xp", "xn"]), rng.randint(strands, 2 * strands - 2))
+                for _ in range(rng.randint(3, 9))
+            ]
+            diagrams.append(_braid_closure(strands, *gens))
+    return diagrams
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type and the message must agree
+        return type(exc), str(exc)
+
+
+def test_traverse_matches_oracle():
+    """traverse against the per-gap walker it replaced (tests/oracles.py):
+    equal records at every upward basepoint, and the same error type and
+    message on words broken by a dropped, retyped or moved slice, a swapped
+    boundary, or a basepoint off the upward strands."""
+    from oracles import oracle_traverse
+
+    rng = random.Random(17)
+    diagrams = _traverse_inputs(rng)
+    kinds = list(SliceKind)
+    broken = []
+    for d in diagrams:
+        # record equality compares every field: components, starts, labels,
+        # extrema, whitney degrees and events
+        assert traverse(d) == oracle_traverse(d), d
+        for point in upward_points(d):
+            assert traverse(d, [point]) == oracle_traverse(d, [point]), (d, point)
+        n = len(d.slices)
+        broken.append(MorseDiagram(d.slices, "open" if d.boundary == "closed" else "closed"))
+        for _ in range(6):
+            k = rng.randrange(n)
+            s = d.slices[k]
+            mutated = [
+                d.slices[:k] + d.slices[k + 1 :],
+                d.slices[:k] + (Slice(rng.choice(kinds), s.pos),) + d.slices[k + 1 :],
+                d.slices[:k] + (Slice(s.kind, s.pos + rng.choice((-2, -1, 1, 2, 9))),)
+                + d.slices[k + 1 :],
+            ]
+            broken += [MorseDiagram(m, d.boundary) for m in mutated]
+    checked = 0
+    for d in broken:
+        want = _outcome(oracle_traverse, d)
+        assert _outcome(traverse, d) == want, d
+        checked += isinstance(want, tuple)
+    assert checked > 500
+    for d in diagrams[:12]:
+        gaps = len(d.slices) + 1
+        for point in [(gaps, 0), (0, 5), (-1, 0)] + [(g, 0) for g in range(gaps)]:
+            assert _outcome(traverse, d, [point]) == _outcome(oracle_traverse, d, [point])
+
+
 def _check_counters(rec) -> None:
     from oqa.diagram import _CLOCKWISE
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -213,12 +214,35 @@ def test_skein_node_count_on_braid_closure():
 
     The recursion on unreduced words memoizes 21,670 nodes for this positive
     4-strand, 21-crossing closure (``oracle_skein``: about 5 s); on reduced
-    words it memoizes 389.
+    words it memoizes exactly 389, so a change to the recursion shows here.
     """
     gens = [1, 1, 1, 2, 1, 3, 3, 2, 2, 3, 1, 3, 1, 3, 3, 1, 2, 3, 2, 3, 3]
     memo = {}
     _skein(_braid_closure(4, gens), memo)
-    assert len(memo) <= 21670 // 10
+    assert len(memo) == 389
+
+
+def _depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_skein_depth_meets_no_recursion_limit():
+    """The smoothings of T(2,60), the closure of sigma_1^60, nest 60 deep;
+    homfly and conway evaluate them under a recursion limit a few dozen
+    frames above the caller's, to the values they give at the normal one."""
+    d = _braid_closure(2, [1] * 60)
+    want = homfly(d), conway(d)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 40)
+    try:
+        got = homfly(d), conway(d)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+    assert want[1].terms[(0, 59)] == 1 and want[1].terms[(0, 57)] == 58
 
 
 def test_polynomial_moves_invariance(table2):

@@ -1,3 +1,4 @@
+import copy
 import operator
 from fractions import Fraction
 
@@ -543,3 +544,33 @@ def test_reader_declines_but_parse_expr_reads(t):
     assert _read(keyword_table, "lambda") is None
     with pytest.raises(ScalarError, match="cannot parse scalar text 'lambda'"):
         keyword_table.parse("lambda")
+
+
+def _frozenset_hash(x: Scalar) -> int:
+    num, den = x.elem.numer, x.elem.denom
+    return hash((frozenset(num.items()), frozenset(den.items())))
+
+
+@pytest.mark.parametrize(
+    "symbols, gaussian, text",
+    [
+        (["a", "sbc"], False, "(a**2 - 3*sbc)/(2*a*sbc + 1)"),
+        (["a", "sbc"], True, "(I*a - 1/2)/sbc**2"),
+        ([], True, "(3 + 4*I)/5"),
+        ([], False, "-7/3"),
+        ([], False, "0"),
+    ],
+)
+def test_hash_is_kept_and_unchanged(symbols, gaussian, text):
+    """The hash is made on first use, kept in its slot, and equals the
+    frozenset formula; equal scalars of separately built tables hash equal."""
+    x = SymbolTable(symbols, gaussian).parse(text)
+    assert getattr(x, "_hash", None) is None
+    assert hash(x) == _frozenset_hash(x)
+    assert x._hash == hash(x)
+    assert copy.copy(x) == x and hash(copy.copy(x)) == hash(x)
+    y = SymbolTable(symbols, gaussian).parse(text)
+    assert y == x and y.table is not x.table
+    assert hash(y) == hash(x)
+    assert len({x, y, x * 1}) == 1
+    assert repr(x) == f"Scalar({x.text()})"
