@@ -278,20 +278,30 @@ def validate(d: MorseDiagram) -> None:
 # -- traversal ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineLabel:
+class LineLabel(NamedTuple):
     """One crossing line met during traversal.
 
     ``crossing`` is the slice index of the crossing, ``tensorand`` 0 or 1 (the
     factor of the crossing's tensor-square element riding this line), and
     u_d / u_u the extremum counters from this line to the end of the
     traversal (back to the basepoint for closed components).
+
+    A tuple underneath, so that the labels every skein node's traversal makes
+    are cheap to build; a label still equals only another label.
     """
 
     crossing: int
     tensorand: int
     u_d: int
     u_u: int
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is LineLabel and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -319,19 +329,6 @@ def _tensorand(kind: SliceKind, side: str) -> int:
     return 1 if side == "L" else 0
 
 
-def _record(cls, fields: Dict[str, object]):
-    """The frozen dataclass ``cls`` holding ``fields``, all of them, in order.
-
-    The field dict is set in one step rather than by one ``__setattr__`` call
-    per field, as the dataclass's own ``__init__`` does; the instance is the
-    same, field for field.  ``cls`` must keep its fields in ``__dict__`` (no
-    slots) and have no ``__post_init__``.
-    """
-    record = object.__new__(cls)
-    object.__setattr__(record, "__dict__", fields)
-    return record
-
-
 _EXT_EVENT = {kind: ("ext", t) for kind, t in EXTREMUM_TYPE.items()}
 # (left, right) leg is upward, for the legs a cup makes or a cap needs
 _UP = {
@@ -351,9 +348,10 @@ def traverse(
     boundary).  Upward edges are walked up and downward edges down, so each
     edge ends in at most one event and hands the walk on to one edge: a
     crossing to its other output, a cap down its other leg, and the cup that
-    made a downward edge up its other leg.  Without ``preferred_starts`` the
-    same pass checks the word and raises what ``validate`` raises; with them,
-    ``strand_dirs`` checks it first and places the basepoints.
+    made a downward edge up its other leg.  The same pass checks the word and
+    raises what ``validate`` raises (a negative position, which indexes from
+    the right, hands the check to ``strand_dirs``, and its table then places
+    the basepoints); the basepoints are checked after the word.
 
     The open strand of a tangle is walked first, from the bottom boundary to
     the top.  ``preferred_starts`` then seeds components at explicit upward
@@ -364,17 +362,8 @@ def traverse(
     """
     slices = d.slices
     is_open = d.boundary == "open"
-    checked = False
-    wanted: set = set()
-    if preferred_starts:
-        all_dirs = strand_dirs(d)
-        checked = True
-        for g, p in preferred_starts:
-            if not (0 <= g < len(all_dirs) and 0 <= p < len(all_dirs[g])):
-                raise DiagramError(f"basepoint {(g, p)} outside the diagram")
-            if all_dirs[g][p] != "u":
-                raise DiagramError(f"basepoint {(g, p)} is not on an upward strand")
-        wanted = {g for g, _ in preferred_starts}
+    wanted = {g for g, _ in preferred_starts}
+    handed_off: Optional[List[List[str]]] = None
 
     def dirs(edges) -> List[str]:
         return ["u" if upward[e] else "d" for e in edges]
@@ -390,10 +379,10 @@ def traverse(
     for g, s in enumerate(slices):
         kind, q = s
         e = len(first)  # the first edge this slice makes
-        if not checked and q < 0:
+        if handed_off is None and q < 0:
             # negative positions index from the right: let strand_dirs judge
-            strand_dirs(d)
-            checked = True
+            handed_off = strand_dirs(d)
+        checked = handed_off is not None
         if kind.is_cup:
             if not checked and q > len(row):
                 raise DiagramValidationError(
@@ -437,13 +426,21 @@ def traverse(
                 row[q : q + 2] = (e, e + 1)
         if wanted and g + 1 in wanted:
             rows[g + 1] = list(row)
-    if not checked:
+    if handed_off is None:
         final = ["u"] if is_open else []
         if dirs(row) != final:
             raise DiagramValidationError(
                 f"diagram ends with strands {dirs(row)}, boundary {d.boundary} "
                 f"needs {final}"
             )
+    for g, p in preferred_starts:
+        if not 0 <= g <= len(slices):
+            raise DiagramError(f"basepoint {(g, p)} outside the diagram")
+        gap = handed_off[g] if handed_off is not None else dirs(rows[g])
+        if not 0 <= p < len(gap):
+            raise DiagramError(f"basepoint {(g, p)} outside the diagram")
+        if gap[p] != "u":
+            raise DiagramError(f"basepoint {(g, p)} is not on an upward strand")
 
     visited = [False] * len(first)
     components: List[ComponentRecord] = []
@@ -473,23 +470,21 @@ def traverse(
                     uu -= 1
             else:
                 _, crossing, side = ev
-                labels.append(_record(LineLabel, {
-                    "crossing": crossing,
-                    "tensorand": _tensorand(slices[crossing].kind, side),
-                    "u_d": ud,
-                    "u_u": uu,
-                }))
+                labels.append(
+                    LineLabel(crossing, _tensorand(slices[crossing].kind, side), ud, uu)
+                )
         cw = sum(1 for t in extrema if t in _CLOCKWISE)
         whitney2 = cw - (len(extrema) - cw)
         if whitney2 % 2:
             raise DiagramValidationError("odd extremum imbalance on a component")
         labels.reverse()
         extrema.reverse()
-        components.append(_record(ComponentRecord, {
-            "is_open": is_open, "start": start, "labels": tuple(labels),
-            "extrema": tuple(extrema), "whitney": whitney2 // 2,
-            "events": tuple(events),
-        }))
+        components.append(
+            ComponentRecord(
+                is_open, start, tuple(labels), tuple(extrema), whitney2 // 2,
+                tuple(events),
+            )
+        )
 
     if is_open:
         walk(0, (0, 0), True)

@@ -256,11 +256,27 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def test_slices_and_labels_equal_only_their_own_kind():
+    """Slice and LineLabel are tuples underneath, but equal only another of
+    their own class; their hash is the hash of their fields' tuple."""
+    from oqa.diagram import LineLabel
+
+    for value, fields in (
+        (Slice(SliceKind.X_POS, 1), (SliceKind.X_POS, 1)),
+        (LineLabel(3, 1, 0, -1), (3, 1, 0, -1)),
+    ):
+        assert value == type(value)(*fields) and not value != type(value)(*fields)
+        assert value != fields and fields != value and not value == fields
+        assert hash(value) == hash(fields)
+    assert Slice(SliceKind.X_POS, 1) != LineLabel(3, 1, 0, -1)
+
+
 def test_traverse_matches_oracle():
     """traverse against the per-gap walker it replaced (tests/oracles.py):
     equal records at every upward basepoint, and the same error type and
     message on words broken by a dropped, retyped or moved slice, a swapped
-    boundary, or a basepoint off the upward strands."""
+    boundary, or a basepoint off the upward strands, with or without a
+    basepoint on the broken word."""
     from oracles import oracle_traverse
 
     rng = random.Random(17)
@@ -290,11 +306,19 @@ def test_traverse_matches_oracle():
         want = _outcome(oracle_traverse, d)
         assert _outcome(traverse, d) == want, d
         checked += isinstance(want, tuple)
+        # a broken word raises before its basepoint is judged
+        point = [(1, 0)]
+        assert _outcome(traverse, d, point) == _outcome(oracle_traverse, d, point), d
     assert checked > 500
     for d in diagrams[:12]:
         gaps = len(d.slices) + 1
         for point in [(gaps, 0), (0, 5), (-1, 0)] + [(g, 0) for g in range(gaps)]:
             assert _outcome(traverse, d, [point]) == _outcome(oracle_traverse, d, [point])
+    # strand_dirs accepts a crossing at position -1 (last and first strands),
+    # whose row the linking pass grows instead: basepoints follow strand_dirs
+    d = word(("cup_cw", 0), ("xn", -1), ("cap_cw", 0), boundary="open")
+    for point in [(g, p) for g in range(4) for p in range(6)]:
+        assert _outcome(traverse, d, [point]) == _outcome(oracle_traverse, d, [point])
 
 
 def _check_counters(rec) -> None:
