@@ -97,6 +97,9 @@ def _load_json(path: str) -> dict:
 def _load_diagram(spec: str) -> MorseDiagram:
     if spec.startswith("builtin:"):
         parts = spec.split(":")
+        if len(parts) > 3:
+            rest = spec.partition(":")[2]
+            raise CliInputError(f"builtin spec {rest!r} is not <name>[:m]")
         name = parts[1]
         m = None
         if len(parts) > 2:

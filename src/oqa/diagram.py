@@ -27,7 +27,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 __all__ = [
     "DiagramError",
@@ -220,59 +222,114 @@ def serialize(d: MorseDiagram, sep: str = "\n") -> str:
     return head + (sep + body if body else "")
 
 
-# -- validation ---------------------------------------------------------------
+# -- validation and linking ---------------------------------------------------
 
 
-def _initial_dirs(d: MorseDiagram) -> List[str]:
-    return ["u"] if d.boundary == "open" else []
+_EXT_EVENT = {kind: ("ext", t) for kind, t in EXTREMUM_TYPE.items()}
+# (left, right) leg is upward, for the legs a cup makes or a cap needs
+_UP = {
+    kind: (left == "u", right == "u")
+    for kind, (left, right) in {**_CUP_DIRS, **_CAP_DIRS}.items()
+}
 
 
-def strand_dirs(d: MorseDiagram) -> List[List[str]]:
-    """Strand directions at every gap 0..len(slices); raises on inconsistency."""
-    dirs = _initial_dirs(d)
-    out = [list(dirs)]
-    for idx, s in enumerate(d.slices):
-        p = s.pos
-        if s.kind.is_cup:
-            if p > len(dirs):
+def _dirs(upward: List[bool], edges: Iterable[int]) -> List[str]:
+    return ["u" if upward[e] else "d" for e in edges]
+
+
+def _link(d: MorseDiagram, keep: Collection[int] = ()) -> Tuple:
+    """Check the word of ``d`` and link its strand edges, in one pass.
+
+    An edge runs from the slice that makes it (a cup, a crossing, or the
+    bottom boundary of a tangle) to the slice that consumes it (a cap, a
+    crossing, or the top boundary).  Edges are numbered as they are made:
+    the open strand of a tangle is edge 0, and each cup or crossing makes the
+    next two, left to right.  Upward edges are walked up and downward edges
+    down, so each edge ends in at most one event and hands the walk on to one
+    edge: a crossing to its other output, a cap down its other leg, and the
+    cup that made a downward edge up its other leg.
+
+    Returns ``(upward, event, after, rows)``: whether each edge points up,
+    the event that ends it and the edge the walk takes next (None past the
+    top boundary), and for each gap in ``keep`` the edges there, left to
+    right.  Raises DiagramValidationError at the first slice, bottom to top,
+    that has a negative position, reaches past the strands, or meets legs
+    pointing the wrong way; then if the strands left at the top are not the
+    boundary's.
+    """
+    is_open = d.boundary == "open"
+    e = int(is_open)  # the next edge a slice makes
+    size = e + 2 * len(d.slices)  # edges at most; trimmed to e at the end
+    upward: List[bool] = [True] * size  # the open strand, crossing outputs
+    event: List[Optional[Tuple]] = [None] * size
+    after: List[Optional[int]] = [None] * size
+    row = list(range(e))
+    rows = {0: list(row)} if 0 in keep else {}
+    for g, s in enumerate(d.slices):
+        kind, q = s
+        if q < 0:
+            raise DiagramValidationError(f"slice {g} ({s}): negative position")
+        if kind.is_cup:
+            if q > len(row):
                 raise DiagramValidationError(
-                    f"slice {idx} ({s}): position beyond {len(dirs)} strands"
+                    f"slice {g} ({s}): position beyond {len(row)} strands"
                 )
-            dirs[p:p] = list(_CUP_DIRS[s.kind])
-        elif s.kind.is_cap:
-            if p + 1 > len(dirs) - 1:
-                raise DiagramValidationError(
-                    f"slice {idx} ({s}): needs strands {p},{p + 1}, have {len(dirs)}"
-                )
-            want = _CAP_DIRS[s.kind]
-            got = tuple(dirs[p : p + 2])
-            if got != want:
-                raise DiagramValidationError(
-                    f"slice {idx} ({s}): needs directions {want}, found {got}"
-                )
-            del dirs[p : p + 2]
+            upward[e : e + 2] = _UP[kind]
+            # the downward leg ends at the cup and turns up the other leg
+            down, up = (e + 1, e) if upward[e] else (e, e + 1)
+            event[down], after[down] = _EXT_EVENT[kind], up
+            row[q:q] = (e, e + 1)
+            e += 2
         else:
-            if p + 1 > len(dirs) - 1:
+            if q + 1 > len(row) - 1:
                 raise DiagramValidationError(
-                    f"slice {idx} ({s}): needs strands {p},{p + 1}, have {len(dirs)}"
+                    f"slice {g} ({s}): needs strands {q},{q + 1}, have {len(row)}"
                 )
-            if dirs[p] != "u" or dirs[p + 1] != "u":
-                raise DiagramValidationError(
-                    f"slice {idx} ({s}): crossings need two upward strands, "
-                    f"found {(dirs[p], dirs[p + 1])}"
-                )
-        out.append(list(dirs))
-    final = ["u"] if d.boundary == "open" else []
-    if dirs != final:
+            a, b = row[q], row[q + 1]
+            if kind.is_cap:
+                if (upward[a], upward[b]) != _UP[kind]:
+                    raise DiagramValidationError(
+                        f"slice {g} ({s}): needs directions {_CAP_DIRS[kind]}, "
+                        f"found {tuple(_dirs(upward, (a, b)))}"
+                    )
+                up, down = (a, b) if upward[a] else (b, a)
+                event[up], after[up] = _EXT_EVENT[kind], down
+                del row[q : q + 2]
+            else:
+                if not (upward[a] and upward[b]):
+                    raise DiagramValidationError(
+                        f"slice {g} ({s}): crossings need two upward strands, "
+                        f"found {tuple(_dirs(upward, (a, b)))}"
+                    )
+                event[a], after[a] = ("line", g, "L"), e + 1
+                event[b], after[b] = ("line", g, "R"), e
+                row[q : q + 2] = (e, e + 1)
+                e += 2
+        if keep and g + 1 in keep:
+            rows[g + 1] = list(row)
+    final = ["u"] if is_open else []
+    if _dirs(upward, row) != final:
         raise DiagramValidationError(
-            f"diagram ends with strands {dirs}, boundary {d.boundary} needs {final}"
+            f"diagram ends with strands {_dirs(upward, row)}, "
+            f"boundary {d.boundary} needs {final}"
         )
-    return out
+    del upward[e:], event[e:], after[e:]
+    return upward, event, after, rows
 
 
 def validate(d: MorseDiagram) -> None:
-    """Raise DiagramValidationError unless direction bookkeeping is consistent."""
-    strand_dirs(d)
+    """Raise DiagramValidationError unless the word passes ``_link``'s check."""
+    _link(d)
+
+
+def strand_dirs(d: MorseDiagram) -> List[List[str]]:
+    """Strand directions at every gap 0..len(slices); raises as ``validate``.
+
+    Read off the edges ``_link`` keeps at each gap.
+    """
+    gaps = range(len(d.slices) + 1)
+    upward, _, _, rows = _link(d, gaps)
+    return [_dirs(upward, rows[g]) for g in gaps]
 
 
 # -- traversal ----------------------------------------------------------------
@@ -329,29 +386,15 @@ def _tensorand(kind: SliceKind, side: str) -> int:
     return 1 if side == "L" else 0
 
 
-_EXT_EVENT = {kind: ("ext", t) for kind, t in EXTREMUM_TYPE.items()}
-# (left, right) leg is upward, for the legs a cup makes or a cap needs
-_UP = {
-    kind: (left == "u", right == "u")
-    for kind, (left, right) in {**_CUP_DIRS, **_CAP_DIRS}.items()
-}
-
-
 def traverse(
     d: MorseDiagram, preferred_starts: Sequence[Tuple[int, int]] = ()
 ) -> TraversalRecord:
     """Walk every component, labelling crossing lines and counting extrema.
 
-    One pass over the slices links the strand edges.  An edge runs from the
-    slice that makes it (a cup, a crossing, or the bottom boundary of a
-    tangle) to the slice that consumes it (a cap, a crossing, or the top
-    boundary).  Upward edges are walked up and downward edges down, so each
-    edge ends in at most one event and hands the walk on to one edge: a
-    crossing to its other output, a cap down its other leg, and the cup that
-    made a downward edge up its other leg.  The same pass checks the word and
-    raises what ``validate`` raises (a negative position, which indexes from
-    the right, hands the check to ``strand_dirs``, and its table then places
-    the basepoints); the basepoints are checked after the word.
+    ``_link`` checks the word (raising what ``validate`` raises) and links
+    the strand edges, keeping the edges at the gaps of the basepoints; the
+    basepoints are checked against those after the word.  The walk then
+    follows each component edge to edge.
 
     The open strand of a tangle is walked first, from the bottom boundary to
     the top.  ``preferred_starts`` then seeds components at explicit upward
@@ -361,88 +404,14 @@ def traverse(
     cycle back to their basepoint.
     """
     slices = d.slices
-    is_open = d.boundary == "open"
-    wanted = {g for g, _ in preferred_starts}
-    handed_off: Optional[List[List[str]]] = None
-
-    def dirs(edges) -> List[str]:
-        return ["u" if upward[e] else "d" for e in edges]
-
-    # every edge's first point and direction; the event that ends an edge and
-    # the edge the walk takes next (None past the top boundary)
-    first: List[Tuple[int, int]] = [(0, 0)] if is_open else []
-    upward: List[bool] = [True] if is_open else []
-    event: List[Optional[Tuple]] = [None] * len(first)
-    after: List[Optional[int]] = [None] * len(first)
-    row = list(range(len(first)))
-    rows = {0: list(row)} if 0 in wanted else {}
-    for g, s in enumerate(slices):
-        kind, q = s
-        e = len(first)  # the first edge this slice makes
-        if handed_off is None and q < 0:
-            # negative positions index from the right: let strand_dirs judge
-            handed_off = strand_dirs(d)
-        checked = handed_off is not None
-        if kind.is_cup:
-            if not checked and q > len(row):
-                raise DiagramValidationError(
-                    f"slice {g} ({s}): position beyond {len(row)} strands"
-                )
-            first += ((g + 1, q), (g + 1, q + 1))
-            upward += _UP[kind]
-            event += (None, None)
-            after += (None, None)
-            # the downward leg ends at the cup and turns up the other leg
-            down, up = (e + 1, e) if upward[e] else (e, e + 1)
-            event[down], after[down] = _EXT_EVENT[kind], up
-            row[q:q] = (e, e + 1)
-        else:
-            if not checked and q + 1 > len(row) - 1:
-                raise DiagramValidationError(
-                    f"slice {g} ({s}): needs strands {q},{q + 1}, have {len(row)}"
-                )
-            a, b = row[q], row[q + 1]
-            if kind.is_cap:
-                if not checked and (upward[a], upward[b]) != _UP[kind]:
-                    raise DiagramValidationError(
-                        f"slice {g} ({s}): needs directions {_CAP_DIRS[kind]}, "
-                        f"found {tuple(dirs((a, b)))}"
-                    )
-                up, down = (a, b) if upward[a] else (b, a)
-                event[up], after[up] = _EXT_EVENT[kind], down
-                del row[q : q + 2]
-            else:
-                if not checked and not (upward[a] and upward[b]):
-                    raise DiagramValidationError(
-                        f"slice {g} ({s}): crossings need two upward strands, "
-                        f"found {tuple(dirs((a, b)))}"
-                    )
-                first += ((g + 1, q), (g + 1, q + 1))
-                upward += (True, True)
-                event += (None, None)
-                after += (None, None)
-                event[a], after[a] = ("line", g, "L"), e + 1
-                event[b], after[b] = ("line", g, "R"), e
-                row[q : q + 2] = (e, e + 1)
-        if wanted and g + 1 in wanted:
-            rows[g + 1] = list(row)
-    if handed_off is None:
-        final = ["u"] if is_open else []
-        if dirs(row) != final:
-            raise DiagramValidationError(
-                f"diagram ends with strands {dirs(row)}, boundary {d.boundary} "
-                f"needs {final}"
-            )
+    upward, event, after, rows = _link(d, {g for g, _ in preferred_starts})
     for g, p in preferred_starts:
-        if not 0 <= g <= len(slices):
+        if not (0 <= g <= len(slices) and 0 <= p < len(rows[g])):
             raise DiagramError(f"basepoint {(g, p)} outside the diagram")
-        gap = handed_off[g] if handed_off is not None else dirs(rows[g])
-        if not 0 <= p < len(gap):
-            raise DiagramError(f"basepoint {(g, p)} outside the diagram")
-        if gap[p] != "u":
+        if not upward[rows[g][p]]:
             raise DiagramError(f"basepoint {(g, p)} is not on an upward strand")
 
-    visited = [False] * len(first)
+    visited = [False] * len(upward)
     components: List[ComponentRecord] = []
 
     def walk(e: int, start: Tuple[int, int], is_open: bool) -> None:
@@ -486,18 +455,24 @@ def traverse(
             )
         )
 
-    if is_open:
+    if d.boundary == "open":
         walk(0, (0, 0), True)
     for g, p in preferred_starts:
         e = rows[g][p]
         if not visited[e]:
             walk(e, (g, p), False)
-    for e, point in enumerate(first):
-        if upward[e] and not visited[e]:
-            walk(e, point, False)
+    # each cup or crossing g makes the next two edges (see _link), whose first
+    # points (g + 1, q) and (g + 1, q + 1) come in scan order
+    e = int(d.boundary == "open")
+    for g, (kind, q) in enumerate(slices):
+        if not kind.is_cap:
+            for k in (0, 1):
+                if upward[e + k] and not visited[e + k]:
+                    walk(e + k, (g + 1, q + k), False)
+            e += 2
     if not all(visited):
-        missing = first[visited.index(False)]
-        raise DiagramValidationError(f"edge from {missing} not on any component")
+        missing = visited.index(False)
+        raise DiagramValidationError(f"edge {missing} not on any component")
     return TraversalRecord(tuple(components))
 
 
@@ -812,11 +787,14 @@ def apply_move(
 
     Whichever side of the move matches the window is replaced by the other
     side; for cancellation moves an empty side means insertion at the site.
-    The rewritten diagram is validated before being returned.
+    The slice index must lie in 0..len(slices).  The rewritten diagram is
+    validated before being returned.
     """
     if move not in MOVES:
         raise MoveError(f"unknown move {move!r}")
     index, p = site
+    if not 0 <= index <= len(d.slices):
+        raise MoveError(f"slice index {index} outside 0..{len(d.slices)}")
     candidates: List[Tuple[Tuple[Slice, ...], Tuple[Slice, ...]]] = []
     for lhs, rhs in MOVES[move]:
         lhs_w = _instantiate(lhs, p)

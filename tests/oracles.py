@@ -19,9 +19,13 @@ It holds the full sparse elimination ``oqa.algebra.solve_sparse`` ran
 before it learned to skip the rows that no nonzero right-hand side reaches:
 here every row takes part, so a block the library leaves out is still solved.
 
-It holds the traversal ``oqa.diagram.traverse`` ran before it checked the
-word in its own linking pass: here ``strand_dirs`` builds the per-gap
-direction table first, edges live in dicts, and a component walk is tried
+It holds the word checker ``oqa.diagram.strand_dirs`` ran before the
+library's word check became one linking pass, ``oqa.diagram._link``:
+``oracle_strand_dirs`` builds the per-gap direction table slice by slice, as
+that checker did, and also refuses a negative position (it read one from the
+right).  ``oracle_traverse`` is the traversal ``traverse`` ran before it
+checked the word in its linking pass: it checks the word with
+``oracle_strand_dirs``, edges live in dicts, and a component walk is tried
 from every upward edge.
 
 Last, it holds the skein recursion ``oqa.homfly_bridge._skein`` ran before it
@@ -44,6 +48,7 @@ from oqa import (
     crossing_triple,
 )
 from oqa.diagram import (
+    _CAP_DIRS,
     _CLOCKWISE,
     _CUP_DIRS,
     EXTREMUM_TYPE,
@@ -53,7 +58,6 @@ from oqa.diagram import (
     LineLabel,
     TraversalRecord,
     _tensorand,
-    strand_dirs,
 )
 from oqa.homfly_bridge import _descending_value
 
@@ -321,11 +325,56 @@ def oracle_solve_sparse(table, rows, rhs, nunknowns):
 # -- the per-gap traversal -----------------------------------------------------
 
 
+def oracle_strand_dirs(d: MorseDiagram) -> List[List[str]]:
+    """Strand directions at every gap 0..len(slices); raises on inconsistency."""
+    dirs = ["u"] if d.boundary == "open" else []
+    out = [list(dirs)]
+    for idx, s in enumerate(d.slices):
+        p = s.pos
+        if p < 0:
+            raise DiagramValidationError(f"slice {idx} ({s}): negative position")
+        if s.kind.is_cup:
+            if p > len(dirs):
+                raise DiagramValidationError(
+                    f"slice {idx} ({s}): position beyond {len(dirs)} strands"
+                )
+            dirs[p:p] = list(_CUP_DIRS[s.kind])
+        elif s.kind.is_cap:
+            if p + 1 > len(dirs) - 1:
+                raise DiagramValidationError(
+                    f"slice {idx} ({s}): needs strands {p},{p + 1}, have {len(dirs)}"
+                )
+            want = _CAP_DIRS[s.kind]
+            got = tuple(dirs[p : p + 2])
+            if got != want:
+                raise DiagramValidationError(
+                    f"slice {idx} ({s}): needs directions {want}, found {got}"
+                )
+            del dirs[p : p + 2]
+        else:
+            if p + 1 > len(dirs) - 1:
+                raise DiagramValidationError(
+                    f"slice {idx} ({s}): needs strands {p},{p + 1}, have {len(dirs)}"
+                )
+            if dirs[p] != "u" or dirs[p + 1] != "u":
+                raise DiagramValidationError(
+                    f"slice {idx} ({s}): crossings need two upward strands, "
+                    f"found {(dirs[p], dirs[p + 1])}"
+                )
+        out.append(list(dirs))
+    final = ["u"] if d.boundary == "open" else []
+    if dirs != final:
+        raise DiagramValidationError(
+            f"diagram ends with strands {dirs}, boundary {d.boundary} needs {final}"
+        )
+    return out
+
+
 def oracle_traverse(
     d: MorseDiagram, preferred_starts: Sequence[Tuple[int, int]] = ()
 ) -> TraversalRecord:
     """Walk every component, labelling crossing lines and counting extrema."""
-    all_dirs = strand_dirs(d)
+    all_dirs = oracle_strand_dirs(d)
     for g, p in preferred_starts:
         if not (0 <= g < len(all_dirs) and 0 <= p < len(all_dirs[g])):
             raise DiagramError(f"basepoint {(g, p)} outside the diagram")

@@ -170,6 +170,11 @@ def test_homfly_conway_commands(capsys):
         assert code == 2 and out == "", spec
         assert err.startswith("error: ") and err.count("\n") == 1, spec
         assert "takes no count" in err, spec
+    # nothing may follow the count
+    for spec in ("c_r_plus:2:3", "hopf::"):
+        code, out, err = run_cli(capsys, "conway", "--diagram", f"builtin:{spec}")
+        assert code == 2 and out == "", spec
+        assert err == f"error: builtin spec {spec!r} is not <name>[:m]\n"
     for command in ("homfly", "conway"):
         code, out, err = run_cli(capsys, command, "--diagram", "builtin:trefoil_tangle")
         assert code == 2 and out == ""

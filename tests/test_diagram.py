@@ -24,7 +24,7 @@ from oqa import (
     stats,
     traverse,
 )
-from oqa.diagram import MOVES, upward_points, word
+from oqa.diagram import MOVES, strand_dirs, upward_points, validate, word
 
 
 HOPF_TEXT = "cup_ccw 0 / cup_cw 2 / xp 1 / xp 1 / cap_cw 2 / cap_ccw 0"
@@ -272,12 +272,13 @@ def test_slices_and_labels_equal_only_their_own_kind():
 
 
 def test_traverse_matches_oracle():
-    """traverse against the per-gap walker it replaced (tests/oracles.py):
-    equal records at every upward basepoint, and the same error type and
-    message on words broken by a dropped, retyped or moved slice, a swapped
-    boundary, or a basepoint off the upward strands, with or without a
-    basepoint on the broken word."""
-    from oracles import oracle_traverse
+    """traverse and the word checker against the per-gap checker and walker
+    they replaced (tests/oracles.py): equal records at every upward basepoint
+    and equal strand_dirs tables, and the same error type and message from
+    validate, strand_dirs and traverse on words broken by a dropped, retyped
+    or moved slice or a swapped boundary, and from traverse on a basepoint off
+    the upward strands, with or without a basepoint on the broken word."""
+    from oracles import oracle_strand_dirs, oracle_traverse
 
     rng = random.Random(17)
     diagrams = _traverse_inputs(rng)
@@ -287,6 +288,7 @@ def test_traverse_matches_oracle():
         # record equality compares every field: components, starts, labels,
         # extrema, whitney degrees and events
         assert traverse(d) == oracle_traverse(d), d
+        assert strand_dirs(d) == oracle_strand_dirs(d), d
         for point in upward_points(d):
             assert traverse(d, [point]) == oracle_traverse(d, [point]), (d, point)
         n = len(d.slices)
@@ -301,24 +303,49 @@ def test_traverse_matches_oracle():
                 + d.slices[k + 1 :],
             ]
             broken += [MorseDiagram(m, d.boundary) for m in mutated]
-    checked = 0
+    checked = negative = 0
     for d in broken:
         want = _outcome(oracle_traverse, d)
         assert _outcome(traverse, d) == want, d
-        checked += isinstance(want, tuple)
+        dirs = _outcome(oracle_strand_dirs, d)
+        assert _outcome(strand_dirs, d) == dirs, d
+        assert _outcome(validate, d) == (dirs if isinstance(dirs, tuple) else None), d
+        checked += isinstance(dirs, tuple)
+        negative += isinstance(dirs, tuple) and dirs[1].endswith("negative position")
         # a broken word raises before its basepoint is judged
         point = [(1, 0)]
         assert _outcome(traverse, d, point) == _outcome(oracle_traverse, d, point), d
-    assert checked > 500
+    assert checked > 500 and negative > 10
     for d in diagrams[:12]:
         gaps = len(d.slices) + 1
-        for point in [(gaps, 0), (0, 5), (-1, 0)] + [(g, 0) for g in range(gaps)]:
+        points = [(gaps, 0), (0, 5), (-1, 0), (0, -1)] + [(g, 0) for g in range(gaps)]
+        for point in points:
             assert _outcome(traverse, d, [point]) == _outcome(oracle_traverse, d, [point])
-    # strand_dirs accepts a crossing at position -1 (last and first strands),
-    # whose row the linking pass grows instead: basepoints follow strand_dirs
+
+
+def test_negative_position_is_refused():
+    """A crossing at -1 is not one between the last and first strands: every
+    entry point that checks the word refuses it with one message, before any
+    basepoint is judged, and the parser keeps its own syntax error."""
+    from oqa import evaluate_tangle
+    from test_acceptance import _example2
+
     d = word(("cup_cw", 0), ("xn", -1), ("cap_cw", 0), boundary="open")
-    for point in [(g, p) for g in range(4) for p in range(6)]:
-        assert _outcome(traverse, d, [point]) == _outcome(oracle_traverse, d, [point])
+    S = _example2(2)
+    message = "slice 1 (xn -1): negative position"
+    for call in (
+        lambda: validate(d),
+        lambda: strand_dirs(d),
+        lambda: traverse(d),
+        lambda: traverse(d, [(1, 0)]),
+        lambda: upward_points(d),
+        lambda: evaluate_tangle(S, d),
+    ):
+        with pytest.raises(DiagramValidationError) as info:
+            call()
+        assert str(info.value) == message
+    with pytest.raises(DiagramSyntaxError, match="line 3: negative position -1"):
+        parse_diagram("boundary: open\ncup_cw 0\nxn -1\ncap_cw 0")
 
 
 def _check_counters(rec) -> None:
@@ -397,6 +424,16 @@ def test_move_m2():
     assert out.key() == builtin("unknot_ccw").key()
     with pytest.raises(MoveError):
         apply_move(builtin("unknot_ccw"), "M3", (0, 0))
+    # a slice index is not read from the right, nor past the top
+    trefoil = builtin("trefoil_knot")
+    n = len(trefoil.slices)
+    assert len(apply_move(trefoil, "M2", (n - 2, 1)).slices) == n + 2
+    for index in (-2, -1, n + 1):
+        with pytest.raises(MoveError, match=f"slice index {index} outside 0..{n}"):
+            apply_move(trefoil, "M2", (index, 1))
+    assert apply_move(builtin("curl"), "M1a", (3, 0)).slices[3:] == (
+        Slice(SliceKind.CUP_CCW, 1), Slice(SliceKind.CAP_CW, 0)
+    )
 
 
 def _braid_closure(strands: int, *gens: Tuple[str, int]) -> MorseDiagram:
