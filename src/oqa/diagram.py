@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import (
     Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -101,6 +101,10 @@ class SliceKind(enum.Enum):
     def is_crossing(self) -> bool:
         return self in (SliceKind.X_POS, SliceKind.X_NEG)
 
+
+# the crossing kinds, read in per-slice code: a module global is a dict read,
+# an enum member read through its class several times slower
+_X_POS, _X_NEG = SliceKind.X_POS, SliceKind.X_NEG
 
 # extremum types keyed by slice kind: u+/u- twist t_u, d+/d- twist t_d;
 # cw extrema are {u-, d-}
@@ -237,30 +241,40 @@ def _dirs(upward: List[bool], edges: Iterable[int]) -> List[str]:
     return ["u" if upward[e] else "d" for e in edges]
 
 
-def _link(d: MorseDiagram, keep: Collection[int] = ()) -> Tuple:
+def _link(
+    d: MorseDiagram,
+    keep: Collection[int] = (),
+    below: Optional[Sequence[str]] = None,
+    above: Optional[Sequence[str]] = None,
+) -> Tuple:
     """Check the word of ``d`` and link its strand edges, in one pass.
 
     An edge runs from the slice that makes it (a cup, a crossing, or the
-    bottom boundary of a tangle) to the slice that consumes it (a cap, a
-    crossing, or the top boundary).  Edges are numbered as they are made:
-    the open strand of a tangle is edge 0, and each cup or crossing makes the
-    next two, left to right.  Upward edges are walked up and downward edges
-    down, so each edge ends in at most one event and hands the walk on to one
-    edge: a crossing to its other output, a cap down its other leg, and the
-    cup that made a downward edge up its other leg.
+    bottom boundary) to the slice that consumes it (a cap, a crossing, or the
+    top boundary).  Edges are numbered as they are made: the strands at the
+    bottom (the open strand of a tangle) come first, and each cup or crossing
+    makes the next two, left to right.  Upward edges are walked up and
+    downward edges down, so each edge ends in at most one event and hands the
+    walk on to one edge: a crossing to its other output, a cap down its other
+    leg, and the cup that made a downward edge up its other leg.
+
+    ``below`` and ``above`` are the strand directions ("u" or "d") at the
+    bottom and the top, the boundary's by default: one upward strand for an
+    open diagram, none for a closed one.
 
     Returns ``(upward, event, after, rows)``: whether each edge points up,
     the event that ends it and the edge the walk takes next (None past the
-    top boundary), and for each gap in ``keep`` the edges there, left to
-    right.  Raises DiagramValidationError at the first slice, bottom to top,
-    that has a negative position, reaches past the strands, or meets legs
-    pointing the wrong way; then if the strands left at the top are not the
-    boundary's.
+    boundary), and for each gap in ``keep`` the edges there, left to right.
+    Raises DiagramValidationError at the first slice, bottom to top, that has
+    a negative position, reaches past the strands, or meets legs pointing the
+    wrong way; then if the strands left at the top are not ``above``.
     """
-    is_open = d.boundary == "open"
-    e = int(is_open)  # the next edge a slice makes
+    boundary_row = ("u",) if d.boundary == "open" else ()
+    below = boundary_row if below is None else below
+    e = len(below)  # the next edge a slice makes
     size = e + 2 * len(d.slices)  # edges at most; trimmed to e at the end
-    upward: List[bool] = [True] * size  # the open strand, crossing outputs
+    # the bottom strands as given; a made edge points up unless its cup says not
+    upward: List[bool] = [x == "u" for x in below] + [True] * (size - e)
     event: List[Optional[Tuple]] = [None] * size
     after: List[Optional[int]] = [None] * size
     row = list(range(e))
@@ -307,7 +321,7 @@ def _link(d: MorseDiagram, keep: Collection[int] = ()) -> Tuple:
                 e += 2
         if keep and g + 1 in keep:
             rows[g + 1] = list(row)
-    final = ["u"] if is_open else []
+    final = list(boundary_row if above is None else above)
     if _dirs(upward, row) != final:
         raise DiagramValidationError(
             f"diagram ends with strands {_dirs(upward, row)}, "
@@ -381,7 +395,7 @@ class TraversalRecord:
 
 
 def _tensorand(kind: SliceKind, side: str) -> int:
-    if kind is SliceKind.X_POS:
+    if kind is _X_POS:
         return 0 if side == "L" else 1
     return 1 if side == "L" else 0
 
@@ -504,9 +518,9 @@ def stats(d: MorseDiagram) -> DiagramStats:
     """Writhe (sum of crossing signs) and per-component Whitney degrees."""
     writhe = 0
     for s in d.slices:
-        if s.kind is SliceKind.X_POS:
+        if s.kind is _X_POS:
             writhe += 1
-        elif s.kind is SliceKind.X_NEG:
+        elif s.kind is _X_NEG:
             writhe -= 1
     record = traverse(d)
     return DiagramStats(writhe, record.whitney_degrees)
@@ -549,7 +563,7 @@ def cut_open(d: MorseDiagram) -> MorseDiagram:
 
 
 # the crossing of the other sign
-_SWITCH = {SliceKind.X_POS: SliceKind.X_NEG, SliceKind.X_NEG: SliceKind.X_POS}
+_SWITCH = {_X_POS: _X_NEG, _X_NEG: _X_POS}
 
 
 def crossing_triple(
@@ -567,7 +581,7 @@ def crossing_triple(
     before, after = d.slices[:index], d.slices[index + 1 :]
     switched = d.with_slices(before + (Slice(_SWITCH[s.kind], s.pos),) + after)
     smoothed = d.with_slices(before + after)
-    if s.kind is SliceKind.X_POS:
+    if s.kind is _X_POS:
         return d, switched, smoothed
     return switched, d, smoothed
 
@@ -776,8 +790,42 @@ def _instantiate(pattern: Tuple, p: int) -> Tuple[Slice, ...]:
     return tuple(Slice(kind, p + off) for kind, off in pattern)
 
 
-def _matches(d: MorseDiagram, index: int, window: Tuple[Slice, ...]) -> bool:
-    return d.slices[index : index + len(window)] == window
+def _matches(d: MorseDiagram, index: int, pattern: Tuple, p: int) -> bool:
+    """Whether ``pattern``, based at ``p``, is the window of ``d`` that
+    starts at slice ``index``; an empty pattern matches nothing."""
+    window = d.slices[index : index + len(pattern)]
+    if not pattern or len(window) != len(pattern):
+        return False
+    for (kind, pos), (want, off) in zip(window, pattern):
+        if kind is not want or pos != p + off:
+            return False
+    return True
+
+
+def _patterns(move: str) -> List[Tuple[Tuple, Tuple]]:
+    try:
+        return MOVES[move]
+    except KeyError:
+        raise MoveError(f"unknown move {move!r}") from None
+
+
+def _rewrites(
+    d: MorseDiagram, patterns: List[Tuple[Tuple, Tuple]], index: int, p: int
+) -> List[Tuple[Tuple, Tuple]]:
+    """The (old, new) pattern pairs ``apply_move`` tries at site (index, p).
+
+    Whichever side of a pattern pair matches the window at the site is old;
+    when neither does, an empty side makes an insertion, with old empty.
+    """
+    out = []
+    for lhs, rhs in patterns:
+        if _matches(d, index, lhs, p):
+            out.append((lhs, rhs))
+        elif _matches(d, index, rhs, p):
+            out.append((rhs, lhs))
+        elif not rhs:
+            out.append(((), lhs))
+    return out
 
 
 def apply_move(
@@ -790,24 +838,13 @@ def apply_move(
     The slice index must lie in 0..len(slices).  The rewritten diagram is
     validated before being returned.
     """
-    if move not in MOVES:
-        raise MoveError(f"unknown move {move!r}")
+    patterns = _patterns(move)
     index, p = site
     if not 0 <= index <= len(d.slices):
         raise MoveError(f"slice index {index} outside 0..{len(d.slices)}")
-    candidates: List[Tuple[Tuple[Slice, ...], Tuple[Slice, ...]]] = []
-    for lhs, rhs in MOVES[move]:
-        lhs_w = _instantiate(lhs, p)
-        rhs_w = _instantiate(rhs, p)
-        if lhs_w and _matches(d, index, lhs_w):
-            candidates.append((lhs_w, rhs_w))
-        elif rhs_w and _matches(d, index, rhs_w):
-            candidates.append((rhs_w, lhs_w))
-        elif not rhs_w:
-            candidates.append(((), lhs_w))  # insertion
     last_error: Optional[Exception] = None
-    for old, new in candidates:
-        slices = d.slices[:index] + new + d.slices[index + len(old) :]
+    for old, new in _rewrites(d, patterns, index, p):
+        slices = d.slices[:index] + _instantiate(new, p) + d.slices[index + len(old) :]
         candidate = d.with_slices(slices)
         try:
             validate(candidate)
@@ -822,33 +859,83 @@ def apply_move(
 
 def move_sites(d: MorseDiagram, move: str) -> List[Tuple[int, int]]:
     """All (index, position) sites where a non-empty side of ``move`` matches."""
+    patterns = _patterns(move)
+    max_p = max((s.pos for s in d.slices), default=0) + 3
     out = []
     for index in range(len(d.slices) + 1):
-        max_p = max((s.pos for s in d.slices), default=0) + 3
         for p in range(max_p):
-            for lhs, rhs in MOVES[move]:
-                for side in (lhs, rhs):
-                    if not side:
-                        continue
-                    w = _instantiate(side, p)
-                    if index + len(w) <= len(d.slices) and _matches(d, index, w):
-                        out.append((index, p))
-                        break
-                else:
-                    continue
-                break
-    return sorted(set(out))
+            if any(
+                _matches(d, index, side, p)
+                for lhs, rhs in patterns
+                for side in (lhs, rhs)
+            ):
+                out.append((index, p))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reach(pattern: Tuple) -> int:
+    """How many strands of the starting row, from its base position,
+    ``pattern`` can read.
+
+    A slice at offset o reads the strands at o and o + 1 of the row as it
+    stands then, and each cap before it may have removed two strands to
+    their left.  A starting row at least this wide passes every width check
+    of the pattern.
+    """
+    reach = caps = 0
+    for kind, off in pattern:
+        reach = max(reach, off + 2 + 2 * caps)
+        caps += kind.is_cap
+    return reach
+
+
+@lru_cache(maxsize=4096)
+def _fits(pattern: Tuple, below: Tuple[str, ...], above: Tuple[str, ...]) -> bool:
+    """Whether ``pattern``, based at 0, passes ``_link`` from the strand
+    directions ``below`` and leaves ``above``."""
+    try:
+        _link(MorseDiagram(_instantiate(pattern, 0)), below=below, above=above)
+    except DiagramValidationError:
+        return False
+    return True
 
 
 def insertion_sites(d: MorseDiagram, move: str) -> List[Tuple[int, int]]:
-    """Sites where the empty side of a cancellation move can be expanded."""
-    dirs = strand_dirs(d)
+    """Sites (index, position) where ``apply_move(d, move, site)`` succeeds.
+
+    For a cancellation move these are the places where its empty side can be
+    expanded (or, where its other side already stands, removed); for a move
+    with no empty side, the matched windows whose rewrite validates.  Sites
+    come gap by gap, bottom to top, positions left to right, each position
+    from 0 to the number of strands at its gap.
+
+    ``d`` is checked once, and every site is judged from the strand rows
+    that check reads at its gaps.  Rewriting the window ``old`` at slice i
+    into ``new`` leaves a valid word exactly when ``new`` passes the slice
+    rules from the row at gap i and ends on the row at gap i + len(old): the
+    slices below the window see what they saw in ``d``, and the slices above
+    it, as ``d`` passed them, map distinct rows to distinct rows.  A window
+    based at position p touches no strand left of p, and ``_reach`` bounds
+    what it reads to the right, so ``_fits`` judges it on that stretch of
+    the two rows and runs ``_link`` once per distinct stretch.
+
+    So the search is one check of ``d`` and one pass over (gap, position),
+    each site a window match and a cached lookup.  Validating every
+    rewritten word, as ``apply_move`` does, costs slices x strands per site.
+    """
+    patterns = _patterns(move)
+    dirs = [tuple(row) for row in strand_dirs(d)]
     out = []
-    for index in range(len(d.slices) + 1):
-        for p in range(len(dirs[index]) + 1):
-            try:
-                apply_move(d, move, (index, p))
-            except MoveError:
-                continue
-            out.append((index, p))
+    for index, row in enumerate(dirs):
+        for p in range(len(row) + 1):
+            for old, new in _rewrites(d, patterns, index, p):
+                below = row[p:]
+                above = dirs[index + len(old)][p:]
+                # both windows carry the strands past their reach up unchanged
+                # (old does so in d): drop them from both rows
+                tail = max(len(below) - max(_reach(old), _reach(new)), 0)
+                if _fits(new, below[: len(below) - tail], above[: len(above) - tail]):
+                    out.append((index, p))
+                    break
     return out

@@ -53,10 +53,10 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 from .algebra import AlgebraElement
 from .diagram import (
     _SWITCH,
+    _X_POS,
     DiagramError,
     MorseDiagram,
     Slice,
-    SliceKind,
     TraversalRecord,
     crossing_triple,
     cut_open,
@@ -195,7 +195,7 @@ def _descending_value(d: MorseDiagram, record: TraversalRecord) -> SkeinPolynomi
         for label in comp.labels:
             crossing = label.crossing
             if crossing in met:
-                self_writhe += 1 if d.slices[crossing].kind is SliceKind.X_POS else -1
+                self_writhe += 1 if d.slices[crossing].kind is _X_POS else -1
             else:
                 met.add(crossing)
     # delta^(r-1) = sum_k C(r-1, k) (-1)^k alpha^(r-1-2k) z^(1-r)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from .algebra import AlgebraElement, AlgebraMap
-from .diagram import MorseDiagram, SliceKind, TraversalRecord, traverse
+from .diagram import _X_POS, MorseDiagram, TraversalRecord, traverse
 from .scalar import Scalar
 from .structures import OrientedQuantumAlgebraStructure, is_tracelike
 
@@ -107,7 +107,7 @@ def _state_sum(
     """
     algebra = S.algebra
     entries = {
-        i: sorted((S.rho if s.kind is SliceKind.X_POS else S.rho_inv).coeffs.items())
+        i: sorted((S.rho if s.kind is _X_POS else S.rho_inv).coeffs.items())
         for i, s in enumerate(d.slices)
         if s.kind.is_crossing
     }

@@ -28,6 +28,11 @@ checked the word in its linking pass: it checks the word with
 ``oracle_strand_dirs``, edges live in dicts, and a component walk is tried
 from every upward edge.
 
+It holds the site search ``oqa.diagram.insertion_sites`` ran before it
+judged each site from the strand row at its gap: ``oracle_insertion_sites``
+tries a full ``apply_move``, which validates the whole rewritten word, at
+every (gap, position).
+
 Last, it holds the skein recursion ``oqa.homfly_bridge._skein`` ran before it
 reduced each word: here every smoothing is memoized as the word it is, with
 no height exchange and no M2 cancellation, and the recursion is Python's
@@ -56,8 +61,11 @@ from oqa.diagram import (
     DiagramError,
     DiagramValidationError,
     LineLabel,
+    MoveError,
     TraversalRecord,
     _tensorand,
+    apply_move,
+    strand_dirs,
 )
 from oqa.homfly_bridge import _descending_value
 
@@ -520,3 +528,20 @@ def oracle_conway(d: MorseDiagram) -> SkeinPolynomial:
     for (_, ez), c in oracle_skein(d, {}).terms.items():
         terms[(0, ez)] = terms.get((0, ez), 0) + c
     return SkeinPolynomial(terms)
+
+
+# -- move sites ------------------------------------------------------------------
+
+
+def oracle_insertion_sites(d: MorseDiagram, move: str) -> List[Tuple[int, int]]:
+    """Sites where ``apply_move(d, move, site)`` succeeds, one rewrite at a time."""
+    dirs = strand_dirs(d)
+    out = []
+    for index in range(len(d.slices) + 1):
+        for p in range(len(dirs[index]) + 1):
+            try:
+                apply_move(d, move, (index, p))
+            except MoveError:
+                continue
+            out.append((index, p))
+    return out

@@ -15,6 +15,7 @@ from oqa import (
     builtin,
     builtin_names,
     compose_tangles,
+    cut_open,
     insertion_sites,
     mirror,
     move_sites,
@@ -462,6 +463,98 @@ def test_move_sites_and_insertions():
     bigger = apply_move(hopf, "M2", ins[0])
     assert bigger.crossing_count == 4
     assert move_sites(bigger, "M2") != []
+
+
+def test_unknown_move_is_refused_everywhere():
+    hopf = builtin("hopf")
+    for fn in (insertion_sites, move_sites):
+        with pytest.raises(MoveError, match="^unknown move 'bogus'$"):
+            fn(hopf, "bogus")
+    with pytest.raises(MoveError, match="^unknown move 'bogus'$"):
+        apply_move(hopf, "bogus", (0, 0))
+
+
+def _site_inputs(rng):
+    """Builtins (curl families at m = 1 and 2), seeded braid closures
+    (positive, negative and mixed) with a seeded cancelling pair inserted in
+    each, the tangles cut open from the closed ones, and random small words."""
+    from oracles import oracle_insertion_sites
+    from test_acceptance import _random_small_diagram
+
+    words = [
+        builtin(name, m)
+        for name in builtin_names()
+        for m in ((1, 2) if name.startswith("c_") else (None,))
+    ]
+    for strands in (2, 3, 4):
+        for signs in (("xp",), ("xn",), ("xp", "xn")):
+            for _ in range(2):
+                gens = [
+                    (rng.choice(signs), strands + rng.randrange(strands - 1))
+                    for _ in range(5)
+                ]
+                d = _braid_closure(strands, *gens)
+                move = rng.choice(("M1a", "M1b", "M2"))
+                words += [d, apply_move(d, move, rng.choice(oracle_insertion_sites(d, move)))]
+    for d in list(words):
+        if d.boundary == "closed":
+            try:
+                words.append(cut_open(d))
+            except DiagramError:
+                pass
+    words += [_random_small_diagram(rng) for _ in range(15)]
+    words += [_random_small_diagram(rng, "open") for _ in range(10)]
+    return words
+
+
+def test_insertion_sites_match_oracle():
+    """The one-pass site search against a full apply_move at every (gap,
+    position) (tests/oracles.py): the same sites in the same order, for every
+    move, on every input of ``_site_inputs``."""
+    from oracles import oracle_insertion_sites
+
+    diagrams = _site_inputs(random.Random(20))
+    assert len(diagrams) > 80 and any(d.boundary == "open" for d in diagrams)
+    found = 0
+    for d in diagrams:
+        for move in MOVES:
+            sites = insertion_sites(d, move)
+            assert sites == oracle_insertion_sites(d, move), (d, move)
+            found += len(sites)
+    assert found > 5000
+
+
+def test_insertion_sites_check_the_word_once(monkeypatch):
+    """insertion_sites validates the word once and rewrites none: no
+    apply_move or validate per site, and the word checker runs a number of
+    times that does not grow with the word (the local judgements are shared)."""
+    import oqa.diagram as dg
+
+    calls = {"apply_move": 0, "validate": 0, "_link": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(dg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(dg, name, counted)
+
+    short = _braid_closure(3, *[("xp", 3), ("xp", 4)] * 3)
+    long = _braid_closure(3, *[("xp", 3), ("xp", 4)] * 24)
+    assert len(dg.insertion_sites(long, "M1a")) > 100
+    assert calls["apply_move"] == calls["validate"] == 0
+
+    def link_calls(d, move):
+        dg._fits.cache_clear()
+        calls["_link"] = 0
+        sites = dg.insertion_sites(d, move)
+        return calls["_link"], len(sites)
+
+    for move in ("M1a", "M1b", "M2", "TwistR"):
+        (short_links, short_sites), (long_links, long_sites) = (
+            link_calls(short, move), link_calls(long, move)
+        )
+        assert long_sites > 3 * short_sites
+        assert long_links == short_links < 30, move
 
 
 def test_m4_rewrites_validate():

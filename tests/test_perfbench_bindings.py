@@ -40,3 +40,43 @@ def test_bound_example2_load_is_traced_as_a_build(tmp_path):
                          "builtin:hopf", "--bind", "a=2", "--bind", "sbc=1"])
     assert code == 0
     assert tracer.calls["structures.build"] >= 1
+
+
+def test_cli_mixed_inputs_are_pinned(tmp_path, monkeypatch):
+    """The files of the cli_mixed seed-1 rounds 0 and 1 (braid closures and
+    example2 structures) and the isotopy variants drawn for their skein ops
+    hash to a fixed digest.  A library change that alters a seeded draw (a
+    different site list for ``insertion_sites``, say) would change the
+    benchmark's inputs; this catches it."""
+    import hashlib
+
+    from oqa.diagram import serialize
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+    import workloads
+
+    variants = []
+    draw = gen.isotopy_variant
+
+    def recorded(rng, d):
+        variants.append(draw(rng, d))
+        return variants[-1]
+
+    monkeypatch.setattr(gen, "isotopy_variant", recorded)
+
+    class FirstRounds(workloads.CliMixed):
+        setup_rounds = 0
+
+    bench = FirstRounds(1, str(tmp_path))
+    bench.round(0)
+    bench.round(1)
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    for v in variants:
+        digest.update(serialize(v).encode() + b"\0")
+    assert len(variants) == 32
+    assert digest.hexdigest() == (
+        "bc8ad6ea43cad32a7af619f8ad28493778e89f8902d78a2ba90996d258a06132"
+    )
