@@ -15,7 +15,9 @@ invariants.  One state sum computes both: it runs over the assignments of
 one nonzero entry of its copy to every crossing, the two factor indices of
 an entry feeding the two lines of its crossing, and hands each assignment's
 coefficient and per-component bead products to a leaf supplied by the entry
-point.  The leaf of evaluate_link closes every component with
+point.  A branch dies as soon as a bead product vanishes, and an entry's
+coefficient is multiplied in only after the bead products at its depth
+survive.  The leaf of evaluate_link closes every component with
 tr(G^{d_c} .); the leaf of evaluate_tangle keeps the open strand's product
 as it is and closes the other components the same way.
 """
@@ -62,11 +64,19 @@ class FormalWord:
     is_open: Tuple[bool, ...]
 
     def component_text(self, c: int) -> str:
-        names = "efghklmnpqrs"
+        """Component c's factors, crossings named e, f, ..., s in id order;
+        past the 12th crossing the letters repeat with a round suffix (e2, f2,
+        ..., e3, ...), so every crossing has its own name."""
+        letters = "efghklmnpqrs"
         ids = sorted({f[0] for comp in self.components for f in comp})
+        per_round = len(letters)
+        names = {}
+        for k, crossing in enumerate(ids):
+            suffix = str(k // per_round + 1) if k >= per_round else ""
+            names[crossing] = letters[k % per_round] + suffix
         parts = []
         for crossing, tensorand, ud, uu in self.components[c]:
-            sym = names[ids.index(crossing) % len(names)] + ("'" if tensorand else "")
+            sym = names[crossing] + ("'" if tensorand else "")
             if ud == 0 and uu == 0:
                 parts.append(sym)
             else:
@@ -102,7 +112,9 @@ def _state_sum(
     component c's twisted beads.  Crossings are assigned in order of first
     traversal encounter; each component's product is extended as soon as its
     next label's crossing is assigned, so a vanishing product prunes the whole
-    subtree.  Without crossings the leaf is reached once, with coefficient 1
+    subtree.  An entry's coefficient is multiplied into coeff only after the
+    bead products at its depth survive, so pruned branches cost no Scalar
+    product.  Without crossings the leaf is reached once, with coefficient 1
     and unit products.
     """
     algebra = S.algebra
@@ -161,9 +173,6 @@ def _state_sum(
             return
         for idx, c in enumerate(entry_coeffs[depth]):
             choices[depth] = idx
-            coeff2 = coeff * c
-            if coeff2.is_zero:
-                continue
             prods2 = list(prods)
             ptrs2 = list(ptrs)
             for ci, plan in enumerate(plans):
@@ -180,7 +189,8 @@ def _state_sum(
                 prods2[ci] = w
                 ptrs2[ci] = ptr
             else:
-                rec(depth + 1, coeff2, prods2, ptrs2)
+                # entries are nonzero, so a product of them never vanishes
+                rec(depth + 1, coeff * c, prods2, ptrs2)
 
     rec(0, algebra.table.one, [algebra.one()] * len(comps), [0] * len(comps))
     return total

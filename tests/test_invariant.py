@@ -1,11 +1,15 @@
 import random
+import re
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from oqa import (
     InvariantError,
+    MnStructureParams,
     SymbolTable,
+    build_thm5,
     builtin,
     compose_tangles,
     evaluate_knot,
@@ -248,12 +252,31 @@ def test_sweedler_tangle_invariants():
     assert not w.is_zero
 
 
-def test_state_sum_vs_oracle_random(ex2_n2, alexander_n2):
+def _two_block_m3():
+    """A numeric Thm-5 structure on M_3 with blocks (1, 2) and (3,)."""
+    t = SymbolTable([])
+    params = MnStructureParams(
+        table=t,
+        n=3,
+        blocks=((1, 2), (3,)),
+        bc={0: 4, 1: 1},
+        diag={1: 3, 2: 3, 3: 5},
+        off_diag={(1, 2): 2, (2, 1): 2, (1, 3): 7, (3, 1): 1, (2, 3): 7, (3, 2): 1},
+        omega_sq={1: 1, 2: Fraction(9, 4), 3: 1},
+        omega_base_root={1: 1, 3: 1},
+    )
+    return build_thm5(params, name="two_blocks")
+
+
+def test_state_sum_vs_oracle_random(ex2_n2, ex2_n3, alexander_n2):
     """Both entry points equal the full-expansion oracle on random diagrams.
 
     Open tangles with and without extra closed components on a numeric M_2
-    structure and on the Tr G = 0 structure, open tangles on Sweedler's H4,
-    and closed diagrams at every upward basepoint.
+    structure, on the Tr G = 0 structure and on a two-block Thm-5 structure
+    on M_3, open tangles on Sweedler's H4, and closed diagrams at every upward
+    basepoint, also on the symbolic M_3 structure.  Bead products die at
+    different depths there, and the coefficient, multiplied in only on the
+    surviving branches, must still match the oracle exactly.
     """
     from oqa.scalar import substitute
     from oqa.structures import _map_scalars
@@ -268,7 +291,10 @@ def test_state_sum_vs_oracle_random(ex2_n2, alexander_n2):
     rng = random.Random(4)
 
     # H4 has no twist or trace, so its tangles have no extra components
-    cases = ((m2, (False, True)), (alexander_n2, (False, True)), (h4, (False,)))
+    cases = (
+        (m2, (False, True)), (alexander_n2, (False, True)), (h4, (False,)),
+        (_two_block_m3(), (False, True)),
+    )
     for S, extras in cases:
         for extra in extras:
             for crossings in (0, 1, 2, 2):
@@ -279,9 +305,60 @@ def test_state_sum_vs_oracle_random(ex2_n2, alexander_n2):
                         break
                 assert evaluate_tangle(S, d) == oracle_evaluate(S, d), d
 
-    for S in (m2, alexander_n2):
-        for _ in range(6):
+    closed = [(S, None) for S in (m2, alexander_n2) for _ in range(6)]
+    closed += [(ex2_n3, crossings) for crossings in (1, 2, 3)]
+    for S, crossings in closed:
+        while True:
             d = _random_small_diagram(rng)
-            want = oracle_evaluate(S, d)
-            for pt in upward_points(d):
-                assert evaluate_link(S, d, preferred_starts=[pt]) == want, (d, pt)
+            if crossings in (None, d.crossing_count):
+                break
+        want = oracle_evaluate(S, d)
+        for pt in upward_points(d):
+            assert evaluate_link(S, d, preferred_starts=[pt]) == want, (d, pt)
+
+
+def test_state_sum_scalar_product_count(ex2_n3, alexander_n2, monkeypatch):
+    """Scalar products per evaluation: entry coefficients are multiplied in
+    only on branches whose bead products survive."""
+    from oqa.scalar import Scalar
+
+    calls = 0
+    mul = Scalar.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+
+    def count(S, name):
+        nonlocal calls
+        calls = 0
+        evaluate_link(S, builtin(name))
+        return calls
+
+    # with the product taken before the bead products were checked, the
+    # counts were 1702, 3871 and 619
+    assert count(ex2_n3, "trefoil_knot") == 1023
+    assert count(ex2_n3, "figure8_knot") == 2305
+    assert count(alexander_n2, "figure8_knot") == 479
+
+
+def test_component_text_names_past_twelve_crossings():
+    """Every crossing of T(2,13) gets its own name: the letters e..s for the
+    first 12 crossings, then the letters again with a round suffix."""
+    d = word(
+        ("cup_ccw", 0), ("cup_cw", 2), *[("xp", 1)] * 13,
+        ("cap_cw", 2), ("cap_ccw", 0),
+    )
+    fw = formal_word(d)
+    (factors,) = fw.components
+    syms = re.findall(r"[efghklmnpqrs]\d*'?", fw.component_text(0))
+    assert len(syms) == len(factors) == 26
+    names = {}
+    for (crossing, tensorand, _, _), sym in zip(factors, syms):
+        assert sym.endswith("'") == bool(tensorand)
+        assert names.setdefault(crossing, sym.rstrip("'")) == sym.rstrip("'")
+    assert len(set(names.values())) == 13
+    assert names[min(names)] == "e" and names[max(names)] == "e2"
