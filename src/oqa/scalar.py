@@ -29,16 +29,16 @@ ordinary route to the same canonical value.  Equal tables share one
 separately from the same symbols and domain.
 
 Substitution of constants for every symbol evaluates numerator and
-denominator in the ground domain (Q or Q(i)) and divides once.  Parsing lets
-Python's ``ast`` parser read the text and evaluates the tree of the grammar
-``text()`` writes (decimal integers, declared symbols, ``I``, ``+ - * /``,
-integer powers) with Scalar arithmetic; any other text goes to sympy's
-``parse_expr``.
+denominator in the ground domain (Q or Q(i)) and divides once.  Parsing walks
+the ``ast`` tree of the one grammar ``text()`` writes (decimal integers,
+declared symbols, ``I``, ``+ - * /``, signed integer powers, parentheses) with
+Scalar arithmetic: no text is run as Python, and other text raises ScalarError.
 """
 
 from __future__ import annotations
 
 import ast
+import keyword
 import math
 from dataclasses import dataclass
 from operator import add, mul, sub, truediv
@@ -99,13 +99,16 @@ class SymbolTable:
 
     def __init__(self, symbols: Sequence[str] = (), gaussian: bool = False):
         symbols = tuple(symbols)
-        if len(set(symbols)) != len(symbols):
-            raise ScalarError(f"duplicate symbols in {symbols!r}")
         for name in symbols:
-            if not name.isidentifier():
-                raise ScalarError(f"symbol name {name!r} is not an identifier")
+            # parse reads every name back: Python folds non-ASCII (NFKC) names
+            if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
+                raise ScalarError(f"symbol name {name!r} is not an ASCII identifier")
+            if keyword.iskeyword(name):
+                raise ScalarError(f"symbol name {name!r} is a Python keyword")
             if name == "I":
                 raise ScalarError("'I' is reserved for the imaginary unit")
+        if len(set(symbols)) != len(symbols):
+            raise ScalarError(f"duplicate symbols in {symbols!r}")
         self.symbols = symbols
         self.gaussian = bool(gaussian)
         self._domain = QQ_I if gaussian else QQ
@@ -153,7 +156,7 @@ class SymbolTable:
     def i(self) -> "Scalar":
         """The imaginary unit (Gaussian tables only)."""
         if not self.gaussian:
-            raise ScalarError("table was not built over the Gaussian rationals")
+            raise ScalarError("imaginary unit requires a Gaussian symbol table")
         return self._ground(QQ_I(0, 1))
 
     def scalar(self, value: ScalarLike) -> "Scalar":
@@ -188,25 +191,10 @@ class SymbolTable:
         return self.scalar(p) / self.scalar(q)
 
     def parse(self, text: str) -> "Scalar":
-        """Parse canonical scalar text (the serialization format) back to a Scalar."""
+        """Read text in the grammar ``text()`` writes (see ``_read``) or raise."""
         if not isinstance(text, str):
             raise ScalarError(f"cannot parse scalar text {text!r}: it is not a string")
-        value = _read(self, text)
-        if value is not None:
-            return value
-        local = dict(self._sympy_syms)
-        try:
-            expr = sympy.parse_expr(text, local_dict=local, evaluate=True)
-        except Exception as exc:
-            raise ScalarError(f"cannot parse scalar text {text!r}: {exc}") from exc
-        # True, None and [1] read as Python values; sympy objects that are
-        # not expressions (a < 1) are rejected by from_expr
-        if not isinstance(expr, sympy.Basic):
-            raise ScalarError(
-                f"cannot parse scalar text {text!r}: "
-                f"it reads as a {type(expr).__name__}, not an expression"
-            )
-        return self.from_expr(expr)
+        return _read(self, text)
 
     def from_expr(self, expr: sympy.Expr) -> "Scalar":
         """Convert a sympy expression built from +,-,*,/,** over ints and symbols."""
@@ -455,52 +443,64 @@ def _laurent_quotient(table: SymbolTable, x, y) -> Optional[Scalar]:
 _BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv}
 
 
-def _read(table: SymbolTable, text: str) -> Optional[Scalar]:
-    """Read the grammar ``text()`` writes with Scalar arithmetic, or None.
+def _read(table: SymbolTable, text: str) -> Scalar:
+    """Read the grammar ``text()`` writes with Scalar arithmetic.
 
     Python's own parser builds the tree, so precedence is Python's (``-a**2``
     is ``-(a**2)``).  The walk evaluates ``+ - * /``, unary signs, decimal
     integer literals, declared symbols and ``I`` on Gaussian tables; an
-    exponent must be a signed integer literal.  Any other node, non-ASCII
-    text (Python normalizes non-ASCII names, ``parse_expr`` does not), and
-    any error (a zero divisor included) give None, leaving the text to
-    ``parse_expr``.
+    exponent must be a signed integer literal.  Chains of operators and signs
+    are walked in a loop, so any sum Python parses is read.  Other text, an
+    undeclared symbol and a zero divisor raise a one-line ScalarError.
     """
+    source = text.lstrip(" ")  # Python rejects an indented expression
+    segment = lambda node: source[node.col_offset : node.end_col_offset]  # text is one line
+    refuse = lambda why: ScalarError(f"cannot parse scalar text {text!r}: {why}")
+
+    def unsigned(node) -> tuple:  # the operand under a run of signs, and its sign
+        negate = False
+        while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            negate ^= isinstance(node.op, ast.USub)
+            node = node.operand
+        return node, negate
 
     def integer(node) -> int:
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            n = integer(node.operand)
-            return n if isinstance(node.op, ast.UAdd) else -n
-        # a decimal literal without leading zeros or underscores reads back
-        # as its own value; 0x10, 1_0, 00 and True do not
-        value = getattr(node, "value", None)
-        if type(value) is not int or node.lineno != 1 or (
-            source[node.col_offset : node.end_col_offset] != str(value)
-        ):
-            raise ValueError(text)
-        return value
+        literal, negate = unsigned(node)
+        # only a decimal literal reads back as its value; 0x10, 1_0, 00, True do not
+        value = getattr(literal, "value", None)
+        if type(value) is not int or segment(literal) != str(value):
+            raise refuse(f"{segment(node)!r} is not a decimal integer")
+        return -value if negate else value
 
     def scalar(node) -> Scalar:
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Pow):
-                return scalar(node.left) ** integer(node.right)
-            return _BINARY[type(node.op)](scalar(node.left), scalar(node.right))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            value = scalar(node.operand)
-            return value if isinstance(node.op, ast.UAdd) else -value
-        if isinstance(node, ast.Name):
-            if node.id == "I" and table.gaussian:
-                return table.i
-            return table.sym(node.id)
-        return table.scalar(integer(node))
+        node, negate = unsigned(node)
+        rights = []  # a + b - c and a * b / c nest to the left
+        while isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            rights.append((_BINARY[type(node.op)], node.right))
+            node = node.left
+        if rights:
+            value = scalar(node)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            value = scalar(node.left) ** integer(node.right)
+        elif isinstance(node, ast.Name):
+            value = table.i if node.id == "I" else table.sym(node.id)
+        elif isinstance(node, ast.Constant):
+            value = table.scalar(integer(node))
+        else:
+            raise refuse(f"{segment(node)!r} is outside the grammar")
+        for op, right in reversed(rights):
+            value = op(value, scalar(right))
+        return -value if negate else value
 
-    source = text.lstrip(" ")  # Python rejects an indented expression
-    if not source.isascii():
-        return None
+    if not (source.isascii() and source.isprintable()):  # no NFKC folding, one line
+        raise refuse("it is not printable ASCII")
     try:
-        return scalar(ast.parse(source, mode="eval").body)
-    except Exception:
-        return None
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as exc:
+        raise refuse(exc.msg) from None
+    except (RecursionError, MemoryError):
+        raise refuse("it nests too deeply for Python's parser") from None
+    return scalar(tree.body)
 
 
 # -- substitution ----------------------------------------------------------

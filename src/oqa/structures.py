@@ -914,9 +914,15 @@ def structure_to_json(S: OrientedQuantumAlgebraStructure) -> dict:
 
 
 def table_from_json(data: Mapping) -> SymbolTable:
-    """The symbol table of a structure or parameter file: symbols (default
-    none) and gaussian (default false)."""
-    return SymbolTable(tuple(data.get("symbols", ())), bool(data.get("gaussian")))
+    """The symbol table of a structure or parameter file: symbols, a list of
+    names (default none), and gaussian, a bool (default false)."""
+    symbols, gaussian = data.get("symbols", []), data.get("gaussian", False)
+    # a string is iterable and every string is truthy
+    if not isinstance(symbols, list):
+        raise StructureError(f"symbols must be a JSON list of strings, got {symbols!r}")
+    if type(gaussian) is not bool:
+        raise StructureError(f"gaussian must be a JSON bool, got {gaussian!r}")
+    return SymbolTable(symbols, gaussian)
 
 
 def params_from_json(data: Mapping) -> MnStructureParams:
@@ -929,6 +935,8 @@ def params_from_json(data: Mapping) -> MnStructureParams:
     bc = table.parse(data["bc"])
     a_values = [a] * n
     if "a_values" in data:
+        if not isinstance(data["a_values"], list):
+            raise StructureError(f"a_values must be a JSON list, got {data['a_values']!r}")
         a_values = [table.parse(v) for v in data["a_values"]]
         if len(a_values) != n:
             raise StructureError(f"a_values has {len(a_values)} entries, not n = {n}")

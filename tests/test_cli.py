@@ -651,3 +651,61 @@ def test_bad_binding_is_reported_before_a_bad_table(capsys, tmp_path):
     )
     assert (code, out) == (2, "")
     assert err == "error: --bind names undeclared symbol 'zz' (declared: a, sbc)\n"
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        # a string is iterable: "ab" declared a and b
+        ("symbols", "ab", "symbols must be a JSON list of strings, got 'ab'"),
+        ("symbols", ["a", "b", 1], "symbol name 1 is not an ASCII identifier"),
+        # every nonempty string is truthy
+        ("gaussian", "false", "gaussian must be a JSON bool, got 'false'"),
+        ("a_values", "aa", "a_values must be a JSON list, got 'aa'"),
+    ],
+)
+def test_json_fields_have_their_json_types(capsys, tmp_path, field, value, message):
+    """The readers take symbols and a_values only as lists and gaussian only
+    as a bool; any other value exits 2 with one line."""
+    blob = {"builder": "example2", "symbols": ["a", "b"], "n": 2, "a": "a", "bc": "b**2"}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(dict(blob, **{field: value})))
+    code, out, err = run_cli(capsys, "check-axioms", "--structure", str(path))
+    assert (code, out, err) == (2, "", f"error: bad structure file {path}: {message}\n")
+
+
+@pytest.mark.parametrize("route", ["structure field", "--bind", "verify-section6 field"])
+def test_outside_text_runs_no_code(capsys, tmp_path, ex2_file, single_block_file, route):
+    """Scalar text is read, never evaluated: a call in any text the CLI takes
+    in exits 2 and does not run."""
+    marker = tmp_path / "marker"
+    payload = f"__import__('pathlib').Path({str(marker)!r}).touch() or 2"
+    if route == "--bind":
+        argv = ["check-axioms", "--structure", ex2_file, "--bind", f"a={payload}"]
+    else:
+        command, source = (
+            ("check-axioms", ex2_file)
+            if route == "structure field"
+            else ("verify-section6", single_block_file)
+        )
+        path = tmp_path / "payload.json"
+        with open(source) as fh:
+            path.write_text(json.dumps(dict(json.load(fh), a=payload)))
+        argv = [command, "--structure", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert "is outside the grammar" in err
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("value", ["3.14159", "1e-20"])
+def test_decimal_text_is_an_input_error(capsys, ex2_file, value):
+    """Scalars are exact: a decimal is not read as a binary fraction."""
+    code, out, err = run_cli(
+        capsys, "check-axioms", "--structure", ex2_file, "--bind", f"a={value}", "--bind", "sbc=1"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: bad binding 'a={value}': cannot parse scalar text {value!r}: "
+        f"{value!r} is not a decimal integer\n"
+    )

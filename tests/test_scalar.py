@@ -1,5 +1,7 @@
+import ast
 import copy
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -444,7 +446,7 @@ def test_substitute_matches_eval_poly(data):
 
 
 def _parse_expr_route(table, text):
-    """What ``parse`` did before it had a reader: sympy's parse_expr."""
+    """sympy's parse_expr, the reference that ``parse`` is checked against."""
     import sympy
 
     try:
@@ -492,58 +494,97 @@ def _expression_texts(draw, table):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_reader_agrees_with_parse_expr(data):
-    """Whatever the reader accepts, parse_expr reads to the same Scalar; what
-    parse_expr rejects, the reader declines."""
-    from oqa.scalar import _read
-
+    """Whatever parse reads, sympy's parse_expr reads to the same Scalar; any
+    other text raises a one-line ScalarError."""
     table = data.draw(st.sampled_from(_laurent_tables))
     text = data.draw(_expression_texts(table))
-    got = _read(table, text)
     try:
-        want = _parse_expr_route(table, text)
-    except ScalarError:
-        assert got is None
+        got = table.parse(text)
+    except ScalarError as exc:
+        assert "\n" not in str(exc)
     else:
-        assert got is None or got == want
+        assert got == _parse_expr_route(table, text)
+
+
+_REFUSED = "cannot parse scalar text"
 
 
 @pytest.mark.parametrize(
     "text,error,message",
     [
-        ("a^2", ScalarError,
-         "cannot parse scalar text 'a^2': unsupported operand type(s) for ^: "
-         "'Symbol' and 'Integer'"),
-        ("a + zz", UndeclaredSymbolError, "undeclared symbols ['zz'] in expression a + zz"),
-        ("1/0", ScalarError, "expression zoo is not a rational function: "),
-        ("(a - a)**-1", ScalarError, "expression zoo is not a rational function: "),
-        ("007", ScalarError, "cannot parse scalar text '007': "),
+        ("a^2", ScalarError, f"{_REFUSED} 'a^2': 'a^2' is outside the grammar"),
+        ("a + zz", UndeclaredSymbolError,
+         "symbol 'zz' not declared in SymbolTable(['a', 'sbc', 'w'], domain=QQ)"),
+        ("1/0", ZeroDenominatorError, "division by the zero scalar"),
+        ("(a - a)**-1", ZeroDenominatorError, "negative power of the zero scalar"),
+        ("007", ScalarError,
+         f"{_REFUSED} '007': leading zeros in decimal integer literals are not permitted; "
+         "use an 0o prefix for octal integers"),
         ("I*a", ScalarError, "imaginary unit requires a Gaussian symbol table"),
-        # parse_expr reads these as Python values, not sympy expressions
-        ("True", ScalarError, "cannot parse scalar text 'True': it reads as a bool"),
-        ("None", ScalarError, "cannot parse scalar text 'None': it reads as a NoneType"),
-        ("[1]", ScalarError, "cannot parse scalar text '[1]': it reads as a list"),
-        ("(1, a)", ScalarError, "cannot parse scalar text '(1, a)': it reads as a tuple"),
+        ("True", ScalarError, f"{_REFUSED} 'True': 'True' is not a decimal integer"),
+        ("None", ScalarError, f"{_REFUSED} 'None': 'None' is not a decimal integer"),
+        ("[1]", ScalarError, f"{_REFUSED} '[1]': '[1]' is outside the grammar"),
+        ("(1, a)", ScalarError, f"{_REFUSED} '(1, a)': '(1, a)' is outside the grammar"),
+        # sympy's parse_expr read these, decimals inexactly
+        ("0.5", ScalarError, f"{_REFUSED} '0.5': '0.5' is not a decimal integer"),
+        ("3.14159", ScalarError, f"{_REFUSED} '3.14159': '3.14159' is not a decimal integer"),
+        ("1e-20", ScalarError, f"{_REFUSED} '1e-20': '1e-20' is not a decimal integer"),
+        ("a**2**2", ScalarError, f"{_REFUSED} 'a**2**2': '2**2' is not a decimal integer"),
+        ("__import__('os').getcwd() or a", ScalarError,
+         f"{_REFUSED} \"__import__('os').getcwd() or a\": "
+         "\"__import__('os').getcwd() or a\" is outside the grammar"),
+        # Python would fold the fullwidth letter into a declared name
+        ("\uff41", ScalarError, f"{_REFUSED} '\uff41': it is not printable ASCII"),
+        ("a\n+ 1", ScalarError, f"{_REFUSED} 'a\\n+ 1': it is not printable ASCII"),
     ],
 )
 def test_reader_declines_to_parse_expr(t, text, error, message):
-    from oqa.scalar import _read
-
-    assert _read(t, text) is None
+    """The reader refuses text outside its grammar with one line of its own;
+    no other reader takes the text."""
     with pytest.raises(error) as info:
         t.parse(text)
-    assert type(info.value) is error and str(info.value).startswith(message)
+    assert type(info.value) is error and str(info.value) == message
 
 
-def test_reader_declines_but_parse_expr_reads(t):
-    from oqa.scalar import _read
+def test_parse_reads_long_sums():
+    """Sums walk in a loop: a 2,000-term numerator reads back at any length,
+    alone and over a binomial, with no recursion per term."""
+    table = SymbolTable(["a", "b"])
+    a, b = table.syms("a", "b")
+    x = table.zero
+    for i in range(45):
+        for j in range(45):
+            x = x + (45 * i + j + 1) * a**i * b**j
+    assert len(x.elem.numer) == 2025
+    for value in (x, x / (a - b)):
+        text = value.text()
+        start = time.perf_counter()
+        assert table.parse(text) == value
+        assert time.perf_counter() - start < 1.0
 
-    for text, value in (("0.5", t.rational(1, 2)), ("a**2**2", t.sym("a") ** 4)):
-        assert _read(t, text) is None
-        assert t.parse(text) == value
-    keyword_table = SymbolTable(["lambda"])
-    assert _read(keyword_table, "lambda") is None
-    with pytest.raises(ScalarError, match="cannot parse scalar text 'lambda'"):
-        keyword_table.parse("lambda")
+
+def test_parse_refuses_a_sum_too_deep_for_pythons_parser():
+    """Where Python's parser gives up on a long sum, parse raises one line."""
+    table = SymbolTable(["a"])
+    text = " + ".join(f"a**{i}" for i in range(5000))
+    try:
+        ast.parse(text, mode="eval")
+    except (RecursionError, MemoryError):
+        with pytest.raises(ScalarError) as info:
+            table.parse(text)
+        assert str(info.value) == f"cannot parse scalar text {text!r}: " + (
+            "it nests too deeply for Python's parser"
+        )
+    else:  # a parser that builds the tree (3.10, 3.13) leaves it to the loop
+        assert table.parse(text) == sum((table.sym("a") ** i for i in range(5000)), table.zero)
+
+
+@pytest.mark.parametrize("name", ["lambda", "None", "\u03b1", "\uff41", 1, "2a", "I"])
+def test_table_refuses_names_parse_cannot_read(name):
+    """Every declared name reads back: no keyword, no non-ASCII name (Python
+    folds it by NFKC), nothing that is not a string."""
+    with pytest.raises(ScalarError):
+        SymbolTable([name])
 
 
 def _frozenset_hash(x: Scalar) -> int:
