@@ -30,9 +30,8 @@ separately from the same symbols and domain.
 
 Substitution of constants for every symbol evaluates numerator and
 denominator in the ground domain (Q or Q(i)) and divides once.  Parsing walks
-the ``ast`` tree of the one grammar ``text()`` writes (decimal integers,
-declared symbols, ``I``, ``+ - * /``, signed integer powers, parentheses) with
-Scalar arithmetic: no text is run as Python, and other text raises ScalarError.
+the ``ast`` tree of the one grammar ``text()`` writes with Scalar arithmetic
+(see ``_read``): no text is run as Python, and other text raises ScalarError.
 """
 
 from __future__ import annotations
@@ -321,7 +320,8 @@ class Scalar:
             if not self.elem:
                 raise ZeroDenominatorError("negative power of the zero scalar")
             return self._inverse() ** -exponent
-        return Scalar(self.table, self.elem ** exponent)
+        # sympy refuses 0**0; here, as in Python and sympy's Pow, it is 1
+        return Scalar(self.table, self.elem ** exponent) if exponent else self.table.one
 
     def __neg__(self) -> "Scalar":
         return Scalar(self.table, -self.elem)

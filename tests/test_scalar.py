@@ -63,6 +63,7 @@ def test_substitute_errors(t):
 def test_make_scalar_and_parse(t):
     assert make_scalar(t, "(a**2 - sbc**2)/(a - sbc)") == t.sym("a") + t.sym("sbc")
     assert make_scalar(t, 7) == t.scalar(7)
+    assert t.parse("0**0") == t.zero**0 == t.one
     with pytest.raises(UndeclaredSymbolError):
         t.parse("a + undeclared")
     with pytest.raises(ScalarError):
