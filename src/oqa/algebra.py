@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .scalar import Scalar, SymbolTable
+from .scalar import Scalar, ScalarError, SymbolTable
 
 __all__ = [
     "AlgebraError",
@@ -116,6 +116,14 @@ def _json_object(data, what: str) -> Mapping:
     if not isinstance(data, Mapping):
         raise AlgebraError(f"{what} must be a JSON object, not {type(data).__name__}")
     return data
+
+
+def _json_scalar(table: SymbolTable, text, field: str) -> Scalar:
+    """``table.parse(text)``; a ScalarError gets the JSON field appended."""
+    try:
+        return table.parse(text)
+    except ScalarError as exc:
+        raise type(exc)(f"{exc} (in {field})") from None
 
 
 def _clean(coeffs: Mapping) -> dict:
@@ -262,13 +270,17 @@ class TensorSquareElement:
         ]
 
     @staticmethod
-    def from_json(algebra: AlgebraSpec, data: Iterable[Mapping]) -> "TensorSquareElement":
+    def from_json(
+        algebra: AlgebraSpec, data: Iterable[Mapping], field: str
+    ) -> "TensorSquareElement":
+        """The element of ``to_json``'s rows; a scalar error names the row
+        of the JSON field ``field`` that it came from."""
         coeffs = {}
-        for row in data:
+        for k, row in enumerate(data):
             key = (algebra.label_index(row["i"]), algebra.label_index(row["j"]))
             if key in coeffs:
                 raise AlgebraError(f"duplicate tensor slot {row['i']},{row['j']}")
-            coeffs[key] = algebra.table.parse(row["c"])
+            coeffs[key] = _json_scalar(algebra.table, row["c"], f'{field}[{k}]["c"]')
         return TensorSquareElement(algebra, coeffs)
 
 
@@ -615,12 +627,16 @@ class AlgebraMap:
         }
 
     @staticmethod
-    def from_json(algebra: AlgebraSpec, data: Mapping) -> "AlgebraMap":
+    def from_json(algebra: AlgebraSpec, data: Mapping, field: str) -> "AlgebraMap":
+        """The map of ``to_json``'s columns; a scalar error names the entry
+        of the JSON field ``field`` that it came from."""
         cols = {}
         for jlabel, col in _json_object(data, "a map").items():
             j = algebra.label_index(jlabel)
             cols[j] = {
-                algebra.label_index(ilabel): algebra.table.parse(text)
+                algebra.label_index(ilabel): _json_scalar(
+                    algebra.table, text, f'{field}["{jlabel}"]["{ilabel}"]'
+                )
                 for ilabel, text in _json_object(col, f"column {jlabel}").items()
             }
         return AlgebraMap(algebra, cols)

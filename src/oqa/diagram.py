@@ -357,6 +357,10 @@ class LineLabel(NamedTuple):
     u_d / u_u the extremum counters from this line to the end of the
     traversal (back to the basepoint for closed components).
 
+    u_d = u_u on every label: along a component, each cap-cup pair moves
+    both counters by the same amount, and
+    ``test_counter_whitney_identity_random`` asserts it.
+
     A tuple underneath, so that the labels every skein node's traversal makes
     are cheap to build; a label still equals only another label.
     """

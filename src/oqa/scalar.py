@@ -442,6 +442,12 @@ def _laurent_quotient(table: SymbolTable, x, y) -> Optional[Scalar]:
 
 _BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv}
 
+# the largest |exponent| scalar text may put on a base other than a lone
+# symbol: multiplying such a power out costs steeply more with the exponent
+# ((a+b+1)**400 takes about half a second), and text() writes exponents on
+# symbols only
+_MAX_EXPONENT = 1000
+
 
 def _read(table: SymbolTable, text: str) -> Scalar:
     """Read the grammar ``text()`` writes with Scalar arithmetic.
@@ -449,9 +455,11 @@ def _read(table: SymbolTable, text: str) -> Scalar:
     Python's own parser builds the tree, so precedence is Python's (``-a**2``
     is ``-(a**2)``).  The walk evaluates ``+ - * /``, unary signs, decimal
     integer literals, declared symbols and ``I`` on Gaussian tables; an
-    exponent must be a signed integer literal.  Chains of operators and signs
-    are walked in a loop, so any sum Python parses is read.  Other text, an
-    undeclared symbol and a zero divisor raise a one-line ScalarError.
+    exponent must be a signed integer literal, within ``_MAX_EXPONENT`` of 0
+    unless its base is a lone symbol, checked before the base is read.
+    Chains of operators and signs are walked in a loop, so any sum Python
+    parses is read.  Other text, an undeclared symbol and a zero divisor
+    raise a one-line ScalarError.
     """
     source = text.lstrip(" ")  # Python rejects an indented expression
     segment = lambda node: source[node.col_offset : node.end_col_offset]  # text is one line
@@ -481,7 +489,14 @@ def _read(table: SymbolTable, text: str) -> Scalar:
         if rights:
             value = scalar(node)
         elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-            value = scalar(node.left) ** integer(node.right)
+            exponent = integer(node.right)
+            # a symbol's power is one monomial; any other base is multiplied out
+            if abs(exponent) > _MAX_EXPONENT and not isinstance(node.left, ast.Name):
+                raise refuse(
+                    f"exponent {exponent} of a base other than a symbol "
+                    f"is outside -{_MAX_EXPONENT}..{_MAX_EXPONENT}"
+                )
+            value = scalar(node.left) ** exponent
         elif isinstance(node, ast.Name):
             value = table.i if node.id == "I" else table.sym(node.id)
         elif isinstance(node, ast.Constant):

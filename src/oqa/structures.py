@@ -32,6 +32,7 @@ from .algebra import (
     SingularError,
     TensorSquareElement,
     _json_object,
+    _json_scalar,
     apply_map_tensor,
     echelon_basis,
     matrix_algebra,
@@ -862,7 +863,7 @@ def _json_n(value) -> int:
 def _scalars_from_json(algebra: AlgebraSpec, data, what: str) -> Dict[int, Scalar]:
     """{basis label: scalar text} as {basis index: Scalar}."""
     return {
-        algebra.label_index(k): algebra.table.parse(v)
+        algebra.label_index(k): _json_scalar(algebra.table, v, f'{what}["{k}"]')
         for k, v in _json_object(data, what).items()
     }
 
@@ -931,13 +932,15 @@ def params_from_json(data: Mapping) -> MnStructureParams:
     b ({"i,j": b_ij} for 1 <= i < j <= n, default 1), omega1_sq (default 1)."""
     table = table_from_json(data)
     n = _json_n(data["n"])
-    a = table.parse(data["a"])
-    bc = table.parse(data["bc"])
+    a = _json_scalar(table, data["a"], "a")
+    bc = _json_scalar(table, data["bc"], "bc")
     a_values = [a] * n
     if "a_values" in data:
         if not isinstance(data["a_values"], list):
             raise StructureError(f"a_values must be a JSON list, got {data['a_values']!r}")
-        a_values = [table.parse(v) for v in data["a_values"]]
+        a_values = [
+            _json_scalar(table, v, f"a_values[{k}]") for k, v in enumerate(data["a_values"])
+        ]
         if len(a_values) != n:
             raise StructureError(f"a_values has {len(a_values)} entries, not n = {n}")
     B = {(i, j): table.one for i in range(1, n + 1) for j in range(i + 1, n + 1)}
@@ -948,8 +951,8 @@ def params_from_json(data: Mapping) -> MnStructureParams:
             pair = None
         if pair not in B:
             raise StructureError(f"b key {key!r} is not i,j with 1 <= i < j <= {n}")
-        B[pair] = table.parse(text)
-    omega1_sq = table.parse(data.get("omega1_sq", "1"))
+        B[pair] = _json_scalar(table, text, f'b["{key}"]')
+    omega1_sq = _json_scalar(table, data.get("omega1_sq", "1"), "omega1_sq")
     return single_block_params(table, n, a_values, bc, B, omega1_sq)
 
 
@@ -971,19 +974,19 @@ def structure_from_json(
         return build_thm5(params, name=f"example2(n={params.n})", f=f)
     table = table_from_json(data)
     if builder == "sweedler":
-        S = sweedler_oqa(table, table.parse(data.get("alpha", "1")))
+        S = sweedler_oqa(table, _json_scalar(table, data.get("alpha", "1"), "alpha"))
     elif builder is not None:
         raise StructureError(f"unknown builder {builder!r}")
     else:
         algebra = _algebra_from_json(table, data["algebra"])
-        rho = TensorSquareElement.from_json(algebra, data["rho"])
+        rho = TensorSquareElement.from_json(algebra, data["rho"], "rho")
         rho_inv = (
-            TensorSquareElement.from_json(algebra, data["rho_inv"])
+            TensorSquareElement.from_json(algebra, data["rho_inv"], "rho_inv")
             if "rho_inv" in data
             else None
         )
-        t_d = AlgebraMap.from_json(algebra, data["t_d"])
-        t_u = AlgebraMap.from_json(algebra, data["t_u"])
+        t_d = AlgebraMap.from_json(algebra, data["t_d"], "t_d")
+        t_u = AlgebraMap.from_json(algebra, data["t_u"], "t_u")
         trace = None
         if "trace" in data:
             trace = _scalars_from_json(algebra, data["trace"], "trace")

@@ -1,169 +1,219 @@
-"""Independent full-expansion oracle for the bead-sliding invariants.
+"""Independent references for the library's fast paths.
 
-This evaluator deliberately avoids the package's traversal record, counter
-formula and pruned state sum.  It re-derives strand directions, walks each
-component with its own stepper, pushes every bead through the local extremum
-rules one extremum at a time (t_u^-1 at a clockwise cap, t_d^-1 at a
-clockwise cup, t_d at a counterclockwise cap, t_u at a counterclockwise cup),
-and sums plain full products over every assignment of matrix units to
-crossings via itertools.product.  Shared with the package: only the algebra
-arithmetic, the structure's tensor tables and the decoration convention
-(first tensor factor on the over strand).
+Each reference re-derives its answer from the definitions, by the plainest
+route, and the differential tests compare it with the library.  None of them
+reads a private table or helper of ``oqa``: every name this file imports is in
+its module's ``__all__``, and ``tests/test_oracles.py`` checks that.  What a
+reference still shares with the library is named with it.
 
-It also holds the embedded route to the quantum Yang-Baxter defect: each of
-rho_12, rho_13, rho_23 is written out as a triple tensor with the algebra's
-unit in its free slot, and the two triple products are multiplied out slot by
-slot.  The library sums the same products directly over rho's terms.
+``_directions`` is the word checker.  It builds the strand directions at
+every gap, bottom to top, and raises the type and message that
+``oqa.diagram._link`` raises, at the first bad slice and then on the strands
+left at the top.  It checks ``validate``, ``strand_dirs`` and the basepoint
+judging of ``traverse``, and it gives ``oracle_insertion_sites`` its rows.
+Shared: the public ``MorseDiagram``, ``SliceKind`` and error types.
 
-It holds the full sparse elimination ``oqa.algebra.solve_sparse`` ran
-before it learned to skip the rows that no nonzero right-hand side reaches:
-here every row takes part, so a block the library leaves out is still solved.
+``_walk_all`` is the walker.  It steps each component point by point through
+the slices, reads the tensorand off its own over/under rule and counts u_d /
+u_u as suffix sums of its own extremum events.  It checks ``traverse``:
+components, start points, line labels, extrema, Whitney degrees and events.
+Shared: the public record types ``TraversalRecord``, ``ComponentRecord`` and
+``LineLabel``.
 
-It holds the word checker ``oqa.diagram.strand_dirs`` ran before the
-library's word check became one linking pass, ``oqa.diagram._link``:
-``oracle_strand_dirs`` builds the per-gap direction table slice by slice, as
-that checker did, and also refuses a negative position (it read one from the
-right).  ``oracle_traverse`` is the traversal ``traverse`` ran before it
-checked the word in its linking pass: it checks the word with
-``oracle_strand_dirs``, edges live in dicts, and a component walk is tried
-from every upward edge.
+``oracle_evaluate`` checks the pruned state sum of ``evaluate_link`` and
+``evaluate_tangle``.  It walks with ``_walk_all``, pushes every bead through
+the local extremum rules one extremum at a time (t_u^-1 at a clockwise cap,
+t_d^-1 at a clockwise cup, t_d at a counterclockwise cap, t_u at a
+counterclockwise cup) and sums plain full products over every choice of one
+term of rho or rho^-1 per crossing, via itertools.product.  Shared: the algebra
+arithmetic and the structure's tables.
 
-It holds the site search ``oqa.diagram.insertion_sites`` ran before it
-judged each site from the strand row at its gap: ``oracle_insertion_sites``
-tries a full ``apply_move``, which validates the whole rewritten word, at
-every (gap, position).
+``oracle_qybe_defect`` checks ``oqa.algebra.qybe_defect``: each of rho_12,
+rho_13, rho_23 is written out as a triple tensor with the algebra's unit in
+its free slot, and the two triple products are multiplied out slot by slot,
+where the library sums the same products directly over rho's terms.  Shared:
+the structure constants and scalar arithmetic.
 
-Last, it holds the skein recursion ``oqa.homfly_bridge._skein`` ran before it
-reduced each word: here every smoothing is memoized as the word it is, with
-no height exchange and no M2 cancellation, and the recursion is Python's
-own.  It walks with ``oracle_traverse`` and shares ``crossing_triple`` and
-the descending leaf with the library, so it checks the reduction, the
-explicit stack and the library's walker.
+``oracle_solve_sparse`` checks ``oqa.algebra.solve_sparse``: it eliminates
+over every row, where the library skips the rows no nonzero right-hand side
+reaches, so a block the library leaves out is still solved.  Shared: scalar
+arithmetic.
+
+``oracle_skein`` (and ``oracle_homfly``, ``oracle_conway``) checks the skein
+recursion of ``homfly`` and ``conway``: every smoothing is memoized as the
+word it is, with no height exchange and no M2 cancellation, the recursion is
+Python's own, the walk is ``_walk_all``'s and the descending leaf is worked
+out here.  Shared: ``crossing_triple`` and ``SkeinPolynomial`` arithmetic.
+
+``oracle_insertion_sites`` checks ``insertion_sites``: it tries a full
+``apply_move``, which validates the whole rewritten word, at every (gap,
+position).  Shared: ``apply_move``.
 """
 
 import itertools
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from oqa import (
-    MorseDiagram,
-    OrientedQuantumAlgebraStructure,
-    SkeinPolynomial,
-    SliceKind,
-    crossing_triple,
-)
 from oqa.diagram import (
-    _CAP_DIRS,
-    _CLOCKWISE,
-    _CUP_DIRS,
-    EXTREMUM_TYPE,
     ComponentRecord,
     DiagramError,
     DiagramValidationError,
     LineLabel,
+    MorseDiagram,
     MoveError,
+    SliceKind,
     TraversalRecord,
-    _tensorand,
     apply_move,
-    strand_dirs,
+    crossing_triple,
 )
-from oqa.homfly_bridge import _descending_value
+from oqa.homfly_bridge import SkeinPolynomial
+
+# read off the module docstring of oqa.diagram: the (left, right) directions
+# a cup makes or a cap consumes, and each extremum's type; t_u slides beads
+# past u+/u- extrema, t_d past d+/d-, and the clockwise ones are u- and d-
+_LEGS = {
+    SliceKind.CUP_CCW: ("d", "u"),
+    SliceKind.CUP_CW: ("u", "d"),
+    SliceKind.CAP_CCW: ("d", "u"),
+    SliceKind.CAP_CW: ("u", "d"),
+}
+_TYPE = {
+    SliceKind.CUP_CCW: "u+",
+    SliceKind.CUP_CW: "d-",
+    SliceKind.CAP_CCW: "d+",
+    SliceKind.CAP_CW: "u-",
+}
+_CW = ("u-", "d-")
 
 
-def _directions(d: MorseDiagram):
+def _directions(d: MorseDiagram) -> List[List[str]]:
+    """Strand directions at every gap 0..len(slices); raises on a bad word."""
+
+    def bad(why):
+        return DiagramValidationError(f"slice {g} ({s}): {why}")
+
     dirs = ["u"] if d.boundary == "open" else []
+    final = list(dirs)
     per_gap = [list(dirs)]
-    for s in d.slices:
+    for g, s in enumerate(d.slices):
         p = s.pos
-        if s.kind is SliceKind.CUP_CCW:
-            dirs[p:p] = ["d", "u"]
-        elif s.kind is SliceKind.CUP_CW:
-            dirs[p:p] = ["u", "d"]
-        elif s.kind in (SliceKind.CAP_CCW, SliceKind.CAP_CW):
-            del dirs[p : p + 2]
+        if p < 0:
+            raise bad("negative position")
+        if s.kind.is_cup:
+            if p > len(dirs):
+                raise bad(f"position beyond {len(dirs)} strands")
+            dirs[p:p] = _LEGS[s.kind]
+        else:
+            if p + 2 > len(dirs):
+                raise bad(f"needs strands {p},{p + 1}, have {len(dirs)}")
+            found = tuple(dirs[p : p + 2])
+            if s.kind.is_cap:
+                if found != _LEGS[s.kind]:
+                    raise bad(f"needs directions {_LEGS[s.kind]}, found {found}")
+                del dirs[p : p + 2]
+            elif found != ("u", "u"):
+                raise bad(f"crossings need two upward strands, found {found}")
         per_gap.append(list(dirs))
+    if dirs != final:
+        raise DiagramValidationError(
+            f"diagram ends with strands {dirs}, boundary {d.boundary} needs {final}"
+        )
     return per_gap
 
 
-def _walk_all(d: MorseDiagram):
-    """Components as event lists: ('x', slice_idx, side) / ('e', kind)."""
-    per_gap = _directions(d)
-    seen = set()
-    components = []
+def _tensorand(d: MorseDiagram, crossing: int, side: str) -> int:
+    """0 when the line entering ``crossing`` on ``side`` passes over: the
+    left line of a positive crossing, the right line of a negative one."""
+    over = "L" if d.slices[crossing].kind is SliceKind.X_POS else "R"
+    return 0 if side == over else 1
 
-    def step(g, p, going_up):
-        if going_up:
+
+def _walk_all(
+    d: MorseDiagram, preferred_starts: Sequence[Tuple[int, int]] = ()
+) -> TraversalRecord:
+    """Every component, walked point by point: the open strand first, then
+    one from each basepoint, then one from each upward point in scan order
+    (gaps bottom to top, positions left to right) that no walk has passed."""
+    per_gap = _directions(d)
+    for g, p in preferred_starts:
+        if not (0 <= g < len(per_gap) and 0 <= p < len(per_gap[g])):
+            raise DiagramError(f"basepoint {(g, p)} outside the diagram")
+        if per_gap[g][p] != "u":
+            raise DiagramError(f"basepoint {(g, p)} is not on an upward strand")
+    top = len(d.slices)
+    seen = set()
+
+    def step(g, p, up):
+        """(event or None, next gap, next position, next heading)."""
+        if up:
             s = d.slices[g]
             q = s.pos
             if s.kind.is_cup:
                 return None, g + 1, (p + 2 if p >= q else p), True
             if s.kind.is_cap:
-                if p == q:
-                    return ("e", s.kind), g, q + 1, False
-                if p == q + 1:
-                    return ("e", s.kind), g, q, False
+                if p in (q, q + 1):
+                    return ("ext", _TYPE[s.kind]), g, 2 * q + 1 - p, False
                 return None, g + 1, (p - 2 if p > q + 1 else p), True
-            if p == q:
-                return ("x", g, "L"), g + 1, q + 1, True
-            if p == q + 1:
-                return ("x", g, "R"), g + 1, q, True
+            if p in (q, q + 1):
+                return ("line", g, "L" if p == q else "R"), g + 1, 2 * q + 1 - p, True
             return None, g + 1, p, True
         s = d.slices[g - 1]
         q = s.pos
         if s.kind.is_cup:
-            if p == q:
-                return ("e", s.kind), g, q + 1, True
-            if p == q + 1:
-                return ("e", s.kind), g, q, True
+            if p in (q, q + 1):
+                return ("ext", _TYPE[s.kind]), g, 2 * q + 1 - p, True
             return None, g - 1, (p - 2 if p > q + 1 else p), False
         if s.kind.is_cap:
             return None, g - 1, (p + 2 if p >= q else p), False
         return None, g - 1, p, False
 
-    def walk(g0, p0, is_open):
+    def walk(start, is_open):
         events = []
-        g, p, up = g0, p0, True
+        g, p, up = *start, True
         while True:
             seen.add((g, p))
-            if up and g == len(d.slices):
+            if up and g == top:
                 break
             ev, g, p, up = step(g, p, up)
             if ev:
                 events.append(ev)
-            if not is_open and (g, p, up) == (g0, p0, True):
+            if up and (g, p) == start and not is_open:
                 break
-        return events
+        labels = []
+        for k, ev in enumerate(events):
+            if ev[0] == "line":
+                after = [e[1] for e in events[k + 1 :] if e[0] == "ext"]
+                u_d = after.count("d+") - after.count("d-")
+                u_u = after.count("u+") - after.count("u-")
+                labels.append(LineLabel(ev[1], _tensorand(d, ev[1], ev[2]), u_d, u_u))
+        extrema = tuple(e[1] for e in events if e[0] == "ext")
+        cw = sum(t in _CW for t in extrema)
+        whitney = (cw - (len(extrema) - cw)) // 2
+        return ComponentRecord(
+            is_open, start, tuple(labels), extrema, whitney, tuple(events)
+        )
 
-    order = []
-    if d.boundary == "open" and per_gap[0]:
-        order.append((0, 0, True))
-    for g in range(len(per_gap)):
-        for p in range(len(per_gap[g])):
-            if per_gap[g][p] == "u" and (g, p) not in seen:
-                is_open = d.boundary == "open" and (g, p) == (0, 0)
-                components.append(walk(g, p, is_open) + [("open", is_open)])
-    return components
-
-
-# local sliding rule at each extremum kind
-def _rules(S: OrientedQuantumAlgebraStructure):
-    return {
-        SliceKind.CAP_CW: S.t_u.inverse(),
-        SliceKind.CUP_CW: S.t_d.inverse(),
-        SliceKind.CAP_CCW: S.t_d,
-        SliceKind.CUP_CCW: S.t_u,
-    }
-
-
-_CW = (SliceKind.CAP_CW, SliceKind.CUP_CW)
+    components = [walk((0, 0), True)] if d.boundary == "open" else []
+    upward = [
+        (g, p) for g, row in enumerate(per_gap) for p, x in enumerate(row) if x == "u"
+    ]
+    for point in [*preferred_starts, *upward]:
+        if point not in seen:
+            components.append(walk(point, False))
+    return TraversalRecord(tuple(components))
 
 
-def oracle_evaluate(S: OrientedQuantumAlgebraStructure, d: MorseDiagram):
+# local sliding rule at each extremum type
+def _rules(S):
+    return {"u-": S.t_u.inverse(), "d-": S.t_d.inverse(), "d+": S.t_d, "u+": S.t_u}
+
+
+def oracle_evaluate(S, d: MorseDiagram):
     """Invariant by exhaustive expansion; Scalar for closed, element for open."""
     algebra = S.algebra
     table = algebra.table
     rules = _rules(S)
-    comps = _walk_all(d)
+    comps = _walk_all(d).components
     crossings = [i for i, s in enumerate(d.slices) if s.kind.is_crossing]
     tables = {
         i: list(
@@ -171,11 +221,6 @@ def oracle_evaluate(S: OrientedQuantumAlgebraStructure, d: MorseDiagram):
         )
         for i in crossings
     }
-
-    def bead(slice_idx, side, pair):
-        over_first = d.slices[slice_idx].kind is SliceKind.X_POS
-        first = side == ("L" if over_first else "R")
-        return algebra.basis_element(pair[0] if first else pair[1])
 
     open_total = algebra.zero()
     scalar_total = table.zero
@@ -189,26 +234,23 @@ def oracle_evaluate(S: OrientedQuantumAlgebraStructure, d: MorseDiagram):
         open_part = None
         closed_part = table.one
         for comp in comps:
-            is_open = comp[-1][1]
-            events = comp[:-1]
+            events = comp.events
             word = algebra.one()
             for k, ev in enumerate(events):
-                if ev[0] != "x":
+                if ev[0] != "line":
                     continue
-                x = bead(ev[1], ev[2], pick[ev[1]][0])
+                _, crossing, side = ev
+                x = algebra.basis_element(pick[crossing][0][_tensorand(d, crossing, side)])
                 for later in events[k + 1 :]:
-                    if later[0] == "e":
+                    if later[0] == "ext":
                         x = rules[later[1]].apply(x)
                 word = word * x
-            if is_open:
+            if comp.is_open:
                 open_part = word
             else:
-                cw = sum(1 for ev in events if ev[0] == "e" and ev[1] in _CW)
-                ccw = sum(1 for ev in events if ev[0] == "e") - cw
-                dgr = (cw - ccw) // 2
                 gpow = algebra.one()
-                base = S.twist.g if dgr >= 0 else S.twist.g_inv
-                for _ in range(abs(dgr)):
+                base = S.twist.g if comp.whitney >= 0 else S.twist.g_inv
+                for _ in range(abs(comp.whitney)):
                     gpow = gpow * base
                 closed_part = closed_part * (gpow * word).pairing(S.trace)
         if is_open_diagram:
@@ -330,161 +372,25 @@ def oracle_solve_sparse(table, rows, rhs, nunknowns):
     return solution
 
 
-# -- the per-gap traversal -----------------------------------------------------
-
-
-def oracle_strand_dirs(d: MorseDiagram) -> List[List[str]]:
-    """Strand directions at every gap 0..len(slices); raises on inconsistency."""
-    dirs = ["u"] if d.boundary == "open" else []
-    out = [list(dirs)]
-    for idx, s in enumerate(d.slices):
-        p = s.pos
-        if p < 0:
-            raise DiagramValidationError(f"slice {idx} ({s}): negative position")
-        if s.kind.is_cup:
-            if p > len(dirs):
-                raise DiagramValidationError(
-                    f"slice {idx} ({s}): position beyond {len(dirs)} strands"
-                )
-            dirs[p:p] = list(_CUP_DIRS[s.kind])
-        elif s.kind.is_cap:
-            if p + 1 > len(dirs) - 1:
-                raise DiagramValidationError(
-                    f"slice {idx} ({s}): needs strands {p},{p + 1}, have {len(dirs)}"
-                )
-            want = _CAP_DIRS[s.kind]
-            got = tuple(dirs[p : p + 2])
-            if got != want:
-                raise DiagramValidationError(
-                    f"slice {idx} ({s}): needs directions {want}, found {got}"
-                )
-            del dirs[p : p + 2]
-        else:
-            if p + 1 > len(dirs) - 1:
-                raise DiagramValidationError(
-                    f"slice {idx} ({s}): needs strands {p},{p + 1}, have {len(dirs)}"
-                )
-            if dirs[p] != "u" or dirs[p + 1] != "u":
-                raise DiagramValidationError(
-                    f"slice {idx} ({s}): crossings need two upward strands, "
-                    f"found {(dirs[p], dirs[p + 1])}"
-                )
-        out.append(list(dirs))
-    final = ["u"] if d.boundary == "open" else []
-    if dirs != final:
-        raise DiagramValidationError(
-            f"diagram ends with strands {dirs}, boundary {d.boundary} needs {final}"
-        )
-    return out
-
-
-def oracle_traverse(
-    d: MorseDiagram, preferred_starts: Sequence[Tuple[int, int]] = ()
-) -> TraversalRecord:
-    """Walk every component, labelling crossing lines and counting extrema."""
-    all_dirs = oracle_strand_dirs(d)
-    for g, p in preferred_starts:
-        if not (0 <= g < len(all_dirs) and 0 <= p < len(all_dirs[g])):
-            raise DiagramError(f"basepoint {(g, p)} outside the diagram")
-        if all_dirs[g][p] != "u":
-            raise DiagramError(f"basepoint {(g, p)} is not on an upward strand")
-    wanted = {g for g, _ in preferred_starts}
-
-    # every edge's first point and direction; the event that ends an edge and
-    # the edge the walk takes next (none past the top boundary)
-    first: List[Tuple[int, int]] = []
-    upward: List[bool] = []
-    event: Dict[int, Tuple] = {}
-    after: Dict[int, int] = {}
-
-    def new_edges(g: int, q: int, dirs: Tuple[str, str]) -> List[int]:
-        """The two edges slice g makes at positions q, q + 1."""
-        first.extend(((g + 1, q), (g + 1, q + 1)))
-        upward.extend(x == "u" for x in dirs)
-        return [len(first) - 2, len(first) - 1]
-
-    if d.boundary == "open":
-        first.append((0, 0))
-        upward.append(True)
-    row = list(range(len(first)))
-    rows = {0: list(row)} if 0 in wanted else {}
-    for g, s in enumerate(d.slices):
-        q = s.pos
-        if s.kind.is_cup:
-            a, b = new_edges(g, q, _CUP_DIRS[s.kind])
-            down, up = (b, a) if upward[a] else (a, b)
-            event[down], after[down] = ("ext", EXTREMUM_TYPE[s.kind]), up
-            row[q:q] = [a, b]
-        elif s.kind.is_cap:
-            a, b = row[q], row[q + 1]
-            up, down = (a, b) if upward[a] else (b, a)
-            event[up], after[up] = ("ext", EXTREMUM_TYPE[s.kind]), down
-            del row[q : q + 2]
-        else:
-            a, b = row[q], row[q + 1]
-            row[q : q + 2] = left, right = new_edges(g, q, ("u", "u"))
-            event[a], after[a] = ("line", g, "L"), right
-            event[b], after[b] = ("line", g, "R"), left
-        if g + 1 in wanted:
-            rows[g + 1] = list(row)
-
-    visited = [False] * len(first)
-    components: List[ComponentRecord] = []
-
-    def start_component(e: Optional[int], start: Tuple[int, int], is_open: bool) -> None:
-        if visited[e]:
-            return
-        events: List[Tuple] = []
-        while e is not None and not visited[e]:
-            visited[e] = True
-            if e in event:
-                events.append(event[e])
-            e = after.get(e)
-        extrema = tuple(ev[1] for ev in events if ev[0] == "ext")
-        cw = sum(1 for t in extrema if t in _CLOCKWISE)
-        whitney2 = cw - (len(extrema) - cw)
-        if whitney2 % 2:
-            raise DiagramValidationError("odd extremum imbalance on a component")
-        # one pass from the end: u_d / u_u count the extrema after each line
-        labels = []
-        ud = uu = 0
-        for ev in reversed(events):
-            if ev[0] == "ext":
-                t = ev[1]
-                if t == "d+":
-                    ud += 1
-                elif t == "d-":
-                    ud -= 1
-                elif t == "u+":
-                    uu += 1
-                else:
-                    uu -= 1
-            else:
-                _, crossing, side = ev
-                labels.append(
-                    LineLabel(crossing, _tensorand(d.slices[crossing].kind, side), ud, uu)
-                )
-        labels.reverse()
-        components.append(
-            ComponentRecord(
-                is_open, start, tuple(labels), extrema, whitney2 // 2, tuple(events)
-            )
-        )
-
-    if d.boundary == "open":
-        start_component(0, (0, 0), True)
-    for g, p in preferred_starts:
-        start_component(rows[g][p], (g, p), False)
-    for e, point in enumerate(first):
-        if upward[e]:
-            start_component(e, point, False)
-    if not all(visited):
-        missing = first[visited.index(False)]
-        raise DiagramValidationError(f"edge from {missing} not on any component")
-    return TraversalRecord(tuple(components))
-
-
 # -- the unreduced skein recursion -------------------------------------------
+
+
+def _descending_leaf(d: MorseDiagram, record: TraversalRecord) -> SkeinPolynomial:
+    """H of a descending diagram, a stack of curled unknots: each component
+    is worth alpha to its self-writhe, and pulling the r components apart
+    scales by delta^(r - 1), delta = (alpha - alpha^-1)/z."""
+    sign = {SliceKind.X_POS: 1, SliceKind.X_NEG: -1}
+    self_writhe = 0
+    for comp in record.components:
+        crossings = [label.crossing for label in comp.labels]
+        self_writhe += sum(
+            sign[d.slices[c].kind] for c in set(crossings) if crossings.count(c) == 2
+        )
+    delta = SkeinPolynomial.monomial(1, -1) - SkeinPolynomial.monomial(-1, -1)
+    leaf = SkeinPolynomial.monomial(self_writhe, 0)
+    for _ in range(len(record.components) - 1):
+        leaf = leaf * delta
+    return leaf
 
 
 def oracle_skein(d: MorseDiagram, memo) -> SkeinPolynomial:
@@ -493,7 +399,7 @@ def oracle_skein(d: MorseDiagram, memo) -> SkeinPolynomial:
     hit = memo.get(key)
     if hit is not None:
         return hit
-    record = oracle_traverse(d)
+    record = _walk_all(d)
     z = SkeinPolynomial.monomial(0, 1)
     value = SkeinPolynomial.zero()
     switched = d
@@ -513,7 +419,8 @@ def oracle_skein(d: MorseDiagram, memo) -> SkeinPolynomial:
             else:
                 value = value - z * oracle_skein(l_zero, memo)
                 switched = l_plus
-    value = value + _descending_value(switched, record)
+    # switching a crossing changes no strand's connectivity: d's walk holds
+    value = value + _descending_leaf(switched, record)
     memo[key] = value
     return value
 
@@ -535,10 +442,9 @@ def oracle_conway(d: MorseDiagram) -> SkeinPolynomial:
 
 def oracle_insertion_sites(d: MorseDiagram, move: str) -> List[Tuple[int, int]]:
     """Sites where ``apply_move(d, move, site)`` succeeds, one rewrite at a time."""
-    dirs = strand_dirs(d)
     out = []
-    for index in range(len(d.slices) + 1):
-        for p in range(len(dirs[index]) + 1):
+    for index, row in enumerate(_directions(d)):
+        for p in range(len(row) + 1):
             try:
                 apply_move(d, move, (index, p))
             except MoveError:

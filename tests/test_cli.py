@@ -674,6 +674,34 @@ def test_json_fields_have_their_json_types(capsys, tmp_path, field, value, messa
     assert (code, out, err) == (2, "", f"error: bad structure file {path}: {message}\n")
 
 
+def test_scalar_errors_name_their_json_field(capsys, tmp_path, ex2_file):
+    """A scalar text a structure file cannot be read from exits 2 with one
+    line that ends with the JSON field it sits in: an example2 parameter, a
+    row of an explicit rho and an entry of an explicit t_u."""
+    from oqa import SymbolTable, structure_to_json, sweedler_oqa
+
+    example2 = json.loads(open(ex2_file).read())
+    t = SymbolTable(["c"])
+    explicit = structure_to_json(sweedler_oqa(t, t.sym("c")))
+    zero = "division by the zero scalar"
+    undeclared = "symbol 'zz' not declared in SymbolTable(['c'], domain=QQ)"
+    path = tmp_path / "fields.json"
+    for blob, field, text, message in (
+        (example2, ("b", "1,2"), "1/0", f'{zero} (in b["1,2"])'),
+        (explicit, ("rho", 4, "c"), "zz", f'{undeclared} (in rho[4]["c"])'),
+        (explicit, ("t_u", "x", "x"), "1/(c - c)", f'{zero} (in t_u["x"]["x"])'),
+    ):
+        blob = json.loads(json.dumps(blob))
+        *outer, last = field
+        entry = blob
+        for key in outer:
+            entry = entry[key]
+        entry[last] = text
+        path.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "check-axioms", "--structure", str(path))
+        assert (code, out, err) == (2, "", f"error: bad structure file {path}: {message}\n")
+
+
 @pytest.mark.parametrize("route", ["structure field", "--bind", "verify-section6 field"])
 def test_outside_text_runs_no_code(capsys, tmp_path, ex2_file, single_block_file, route):
     """Scalar text is read, never evaluated: a call in any text the CLI takes

@@ -273,13 +273,13 @@ def test_slices_and_labels_equal_only_their_own_kind():
 
 
 def test_traverse_matches_oracle():
-    """traverse and the word checker against the per-gap checker and walker
-    they replaced (tests/oracles.py): equal records at every upward basepoint
-    and equal strand_dirs tables, and the same error type and message from
+    """traverse and the word checker against the reference checker and
+    walker (tests/oracles.py): equal records at every upward basepoint and
+    equal strand_dirs tables, and the same error type and message from
     validate, strand_dirs and traverse on words broken by a dropped, retyped
     or moved slice or a swapped boundary, and from traverse on a basepoint off
     the upward strands, with or without a basepoint on the broken word."""
-    from oracles import oracle_strand_dirs, oracle_traverse
+    from oracles import _directions, _walk_all
 
     rng = random.Random(17)
     diagrams = _traverse_inputs(rng)
@@ -288,10 +288,10 @@ def test_traverse_matches_oracle():
     for d in diagrams:
         # record equality compares every field: components, starts, labels,
         # extrema, whitney degrees and events
-        assert traverse(d) == oracle_traverse(d), d
-        assert strand_dirs(d) == oracle_strand_dirs(d), d
+        assert traverse(d) == _walk_all(d), d
+        assert strand_dirs(d) == _directions(d), d
         for point in upward_points(d):
-            assert traverse(d, [point]) == oracle_traverse(d, [point]), (d, point)
+            assert traverse(d, [point]) == _walk_all(d, [point]), (d, point)
         n = len(d.slices)
         broken.append(MorseDiagram(d.slices, "open" if d.boundary == "closed" else "closed"))
         for _ in range(6):
@@ -306,22 +306,22 @@ def test_traverse_matches_oracle():
             broken += [MorseDiagram(m, d.boundary) for m in mutated]
     checked = negative = 0
     for d in broken:
-        want = _outcome(oracle_traverse, d)
+        want = _outcome(_walk_all, d)
         assert _outcome(traverse, d) == want, d
-        dirs = _outcome(oracle_strand_dirs, d)
+        dirs = _outcome(_directions, d)
         assert _outcome(strand_dirs, d) == dirs, d
         assert _outcome(validate, d) == (dirs if isinstance(dirs, tuple) else None), d
         checked += isinstance(dirs, tuple)
         negative += isinstance(dirs, tuple) and dirs[1].endswith("negative position")
         # a broken word raises before its basepoint is judged
         point = [(1, 0)]
-        assert _outcome(traverse, d, point) == _outcome(oracle_traverse, d, point), d
+        assert _outcome(traverse, d, point) == _outcome(_walk_all, d, point), d
     assert checked > 500 and negative > 10
     for d in diagrams[:12]:
         gaps = len(d.slices) + 1
         points = [(gaps, 0), (0, 5), (-1, 0), (0, -1)] + [(g, 0) for g in range(gaps)]
         for point in points:
-            assert _outcome(traverse, d, [point]) == _outcome(oracle_traverse, d, [point])
+            assert _outcome(traverse, d, [point]) == _outcome(_walk_all, d, [point])
 
 
 def test_negative_position_is_refused():

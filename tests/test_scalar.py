@@ -531,6 +531,13 @@ _REFUSED = "cannot parse scalar text"
         ("3.14159", ScalarError, f"{_REFUSED} '3.14159': '3.14159' is not a decimal integer"),
         ("1e-20", ScalarError, f"{_REFUSED} '1e-20': '1e-20' is not a decimal integer"),
         ("a**2**2", ScalarError, f"{_REFUSED} 'a**2**2': '2**2' is not a decimal integer"),
+        # refused before anything is multiplied out
+        ("(a + w + 1)**40000", ScalarError,
+         f"{_REFUSED} '(a + w + 1)**40000': exponent 40000 of a base other than a symbol "
+         "is outside -1000..1000"),
+        ("(2*a)**-1001", ScalarError,
+         f"{_REFUSED} '(2*a)**-1001': exponent -1001 of a base other than a symbol "
+         "is outside -1000..1000"),
         ("__import__('os').getcwd() or a", ScalarError,
          f"{_REFUSED} \"__import__('os').getcwd() or a\": "
          "\"__import__('os').getcwd() or a\" is outside the grammar"),
@@ -545,6 +552,16 @@ def test_reader_declines_to_parse_expr(t, text, error, message):
     with pytest.raises(error) as info:
         t.parse(text)
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_exponent_bound_spares_lone_symbols(t):
+    """A power of a lone symbol is one monomial and reads at any exponent, as
+    text() writes it; any other base takes exponents up to 1000 in size."""
+    a = t.sym("a")
+    for k in (5000, -5000):
+        assert t.parse(f"a**{k}") == a**k and t.parse((a**k).text()) == a**k
+    assert t.parse("(2*a)**1000") == t.scalar(2) ** 1000 * a**1000
+    assert t.parse("(2*a)**-1000") == (2 * a) ** -1000
 
 
 def test_parse_reads_long_sums():
