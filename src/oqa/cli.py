@@ -40,6 +40,7 @@ from .diagram import (
     builtin_names,
     crossing_triple,
     parse_diagram,
+    read_int,
     serialize,
     stats,
 )
@@ -104,7 +105,7 @@ def _load_diagram(spec: str) -> MorseDiagram:
         m = None
         if len(parts) > 2:
             try:
-                m = int(parts[2])
+                m = read_int(parts[2])
             except ValueError:
                 raise CliInputError(
                     f"builtin count {parts[2]!r} in {spec!r} is not an integer"
@@ -216,13 +217,6 @@ def cmd_invariant(args) -> int:
     d = _load_diagram(args.diagram)
     st = stats(d)
     if d.boundary == "closed":
-        if S.twist is None:
-            print(
-                "error: closed diagrams need a twist element "
-                "(an invertible G implementing t_d o t_u by conjugation)",
-                file=sys.stderr,
-            )
-            return EXIT_FAIL
         value = evaluate_link(S, d).text()
         lines = [f"value: {value}", f"writhe: {st.writhe}", f"whitney: {list(st.whitney)}"]
     else:

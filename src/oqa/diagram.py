@@ -25,6 +25,7 @@ which line) follow the same rule: the first factor rides the over strand.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import (
@@ -40,6 +41,7 @@ __all__ = [
     "Slice",
     "MorseDiagram",
     "parse_diagram",
+    "read_int",
     "validate",
     "serialize",
     "traverse",
@@ -178,11 +180,26 @@ def word(*tokens: Tuple[str, int] | Slice, boundary: str = "closed") -> MorseDia
 # -- parsing / serialization --------------------------------------------------
 
 
-def parse_diagram(text: str, boundary: Optional[str] = None) -> MorseDiagram:
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def read_int(token: str) -> int:
+    """The integer that ASCII decimal text names: digits after an optional
+    leading ``-``, nothing else (no ``+``, ``_``, space or other digits).
+
+    Raises ValueError for any other text.
+    """
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"{token!r} is not a decimal integer")
+    return int(token)
+
+
+def parse_diagram(text: str) -> MorseDiagram:
     """Parse the slice-token grammar; `/` and newlines both separate slices.
 
-    An optional header line ``boundary: closed|open`` overrides the argument;
-    the default is closed.  The result is validated.
+    An optional header line ``boundary: closed|open`` sets the boundary; the
+    default is closed.  Positions are read by ``read_int``.  The result is
+    validated.
     """
     tokens: List[Slice] = []
     declared = None
@@ -207,7 +224,7 @@ def parse_diagram(text: str, boundary: Optional[str] = None) -> MorseDiagram:
                     f"line {lineno}: unknown slice kind {kind_token!r}"
                 ) from None
             try:
-                pos = int(pos_token)
+                pos = read_int(pos_token)
             except ValueError:
                 raise DiagramSyntaxError(
                     f"line {lineno}: bad position {pos_token!r}"
@@ -215,7 +232,7 @@ def parse_diagram(text: str, boundary: Optional[str] = None) -> MorseDiagram:
             if pos < 0:
                 raise DiagramSyntaxError(f"line {lineno}: negative position {pos}")
             tokens.append(Slice(kind, pos))
-    d = MorseDiagram(tuple(tokens), declared or boundary or "closed")
+    d = MorseDiagram(tuple(tokens), declared or "closed")
     validate(d)
     return d
 

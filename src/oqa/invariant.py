@@ -4,28 +4,25 @@ Every crossing of a diagram carries a copy of rho (positive) or rho^-1
 (negative); traversal assigns each crossing line a tensor factor and the
 extremum counters u_d, u_u.  Substituting the sparse entries of the copies
 and multiplying the (t_d^{u_d} o t_u^{u_u})-twisted factors componentwise
-yields
+gives each component c a bead product w_c.  One rule closes every diagram:
+an open strand keeps w_c, and a closed component becomes tr(G^{d_c} w_c),
+with G the twist, tr a tracelike, automorphism-invariant functional and d_c
+the Whitney degree of c.  An open tangle thus gives an element w(T) of the
+algebra, a closed diagram the scalar prod_c tr(G^{d_c} w(L_c)); both are
+regular-isotopy invariants.
 
-  * for an open tangle: the element w(T) of the algebra,
-  * for a closed diagram with a twist G and a tracelike, automorphism-
-    invariant functional tr: the scalar  prod_c tr(G^{d_c} w(L_c)),
-
-with d_c the Whitney degree of component c.  Both are regular-isotopy
-invariants.  One state sum computes both: it runs over the assignments of
-one nonzero entry of its copy to every crossing, the two factor indices of
-an entry feeding the two lines of its crossing, and hands each assignment's
-coefficient and per-component bead products to a leaf supplied by the entry
-point.  A branch dies as soon as a bead product vanishes, and an entry's
-coefficient is multiplied in only after the bead products at its depth
-survive.  The leaf of evaluate_link closes every component with
-tr(G^{d_c} .); the leaf of evaluate_tangle keeps the open strand's product
-as it is and closes the other components the same way.
+One state sum applies the rule: it runs over the assignments of one nonzero
+entry of its copy to every crossing, the two factor indices of an entry
+feeding the two lines of its crossing, closes each assignment's components
+and adds the result.  A branch dies as soon as a bead product vanishes, and
+an entry's coefficient is multiplied in only after the bead products at its
+depth survive.  The entry points only check their inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, AlgebraMap
 from .diagram import _X_POS, MorseDiagram, TraversalRecord, traverse
@@ -44,9 +41,6 @@ __all__ = [
 
 class InvariantError(ValueError):
     pass
-
-
-T = TypeVar("T", Scalar, AlgebraElement)
 
 
 @dataclass(frozen=True)
@@ -103,19 +97,24 @@ def _state_sum(
     S: OrientedQuantumAlgebraStructure,
     d: MorseDiagram,
     record: TraversalRecord,
-    leaf: Callable[[Scalar, List[AlgebraElement]], T],
-    zero: T,
-) -> T:
-    """zero + the sum of leaf(coeff, products) over crossing-entry assignments.
+    functional: Optional[Mapping[int, Scalar]],
+) -> Scalar | AlgebraElement:
+    """The sum over crossing-entry assignments of each assignment's closed value.
 
-    coeff is the product of the chosen entries and products[c] the product of
-    component c's twisted beads.  Crossings are assigned in order of first
-    traversal encounter; each component's product is extended as soon as its
-    next label's crossing is assigned, so a vanishing product prunes the whole
-    subtree.  An entry's coefficient is multiplied into coeff only after the
-    bead products at its depth survive, so pruned branches cost no Scalar
-    product.  Without crossings the leaf is reached once, with coefficient 1
-    and unit products.
+    An assignment's value is its coefficient (the product of the chosen
+    entries) times tr(G^{d_c} w_c) for each closed component c, in component
+    order, with w_c the product of c's twisted beads and tr the functional;
+    G^{d_c} is built once per distinct Whitney degree.  A tangle's value is
+    the open strand's product scaled by that, a link's the scalar itself, and
+    the sum starts from the matching zero; a value that vanishes is not added.
+
+    Crossings are assigned in order of first traversal encounter; each
+    component's product is extended as soon as its next label's crossing is
+    assigned, so a vanishing product prunes the whole subtree.  An entry's
+    coefficient is multiplied into the coefficient only after the bead
+    products at its depth survive, so pruned branches cost no Scalar product.
+    Without crossings the one assignment is empty, with coefficient 1 and
+    unit products.
     """
     algebra = S.algebra
     entries = {
@@ -126,6 +125,8 @@ def _state_sum(
     comps = record.components
     order = list(dict.fromkeys(l.crossing for c in comps for l in c.labels))
     depth_of = {crossing: k for k, crossing in enumerate(order)}
+    degrees = {c.whitney for c in comps if not c.is_open}
+    g_powers = {n: S.twist.power(n) for n in degrees}
 
     def powers(m: AlgebraMap) -> Callable[[int], AlgebraMap]:
         """n -> m^n, each power one compose away from a memoized neighbour;
@@ -164,12 +165,20 @@ def _state_sum(
     entry_coeffs = [tuple(c for _, c in entries[crossing]) for crossing in order]
     K = len(order)
     choices = [0] * K
-    total = zero
+    total = algebra.zero() if d.boundary == "open" else algebra.table.zero
 
     def rec(depth: int, coeff: Scalar, prods: List[AlgebraElement], ptrs: List[int]):
         nonlocal total
         if depth == K:
-            total = total + leaf(coeff, prods)
+            open_part = None
+            for w, comp in zip(prods, comps):
+                if comp.is_open:
+                    open_part = w
+                else:
+                    coeff = coeff * (g_powers[comp.whitney] * w).pairing(functional)
+                    if coeff.is_zero:
+                        return
+            total = total + (coeff if open_part is None else open_part.scale(coeff))
             return
         for idx, c in enumerate(entry_coeffs[depth]):
             choices[depth] = idx
@@ -207,12 +216,6 @@ def _check_functional(S: OrientedQuantumAlgebraStructure, functional: Mapping) -
                 raise InvariantError(f"functional is not {tag}-invariant")
 
 
-def _twist_powers(S: OrientedQuantumAlgebraStructure, record: TraversalRecord):
-    """G^{d_c} per distinct Whitney degree d_c of a closed component."""
-    degrees = {c.whitney for c in record.components if not c.is_open}
-    return {n: S.twist.power(n) for n in degrees}
-
-
 def evaluate_tangle(
     S: OrientedQuantumAlgebraStructure,
     d: MorseDiagram,
@@ -227,26 +230,33 @@ def evaluate_tangle(
     if d.boundary != "open":
         raise InvariantError("evaluate_tangle needs an open tangle")
     record = traverse(d, preferred_starts)
-    comps = record.components
-    if not all(c.is_open for c in comps):
+    if not all(c.is_open for c in record.components):
         if S.trace is None:
             raise InvariantError("closed components need a trace functional")
         if S.twist is None:
             raise InvariantError("closed components need a twist on the structure")
         _check_functional(S, S.trace)
-    g_powers = _twist_powers(S, record)
+    return _state_sum(S, d, record, S.trace)
 
-    def leaf(coeff: Scalar, prods: List[AlgebraElement]) -> AlgebraElement:
-        for w, comp in zip(prods, comps):
-            if comp.is_open:
-                open_part = w
-            else:
-                coeff = coeff * (g_powers[comp.whitney] * w).pairing(S.trace)
-                if coeff.is_zero:
-                    return S.algebra.zero()
-        return open_part.scale(coeff)
 
-    return _state_sum(S, d, record, leaf, S.algebra.zero())
+def _link_functional(
+    S: OrientedQuantumAlgebraStructure,
+    d: MorseDiagram,
+    trace: Optional[Mapping[int, Scalar]],
+) -> Mapping[int, Scalar]:
+    """evaluate_link's checks; the functional that closes the components."""
+    if d.boundary != "closed":
+        raise InvariantError("evaluate_link needs a closed diagram")
+    if S.twist is None:
+        raise InvariantError(
+            "closed diagrams need a twist element "
+            "(an invertible G implementing t_d o t_u by conjugation)"
+        )
+    functional = trace if trace is not None else S.trace
+    if functional is None:
+        raise InvariantError("no trace functional supplied")
+    _check_functional(S, functional)
+    return functional
 
 
 def evaluate_link(
@@ -260,29 +270,8 @@ def evaluate_link(
     Requires the structure's twist and a tracelike functional invariant under
     both automorphisms (the structure's own trace by default).
     """
-    if d.boundary != "closed":
-        raise InvariantError("evaluate_link needs a closed diagram")
-    if S.twist is None:
-        raise InvariantError(
-            "closed diagrams need a twist element on the structure"
-        )
-    functional = trace if trace is not None else S.trace
-    if functional is None:
-        raise InvariantError("no trace functional supplied")
-    _check_functional(S, functional)
-
-    record = traverse(d, preferred_starts)
-    comps = record.components
-    g_powers = _twist_powers(S, record)
-
-    def leaf(coeff: Scalar, prods: List[AlgebraElement]) -> Scalar:
-        for w, comp in zip(prods, comps):
-            coeff = coeff * (g_powers[comp.whitney] * w).pairing(functional)
-            if coeff.is_zero:
-                break
-        return coeff
-
-    return _state_sum(S, d, record, leaf, S.algebra.table.zero)
+    functional = _link_functional(S, d, trace)
+    return _state_sum(S, d, traverse(d, preferred_starts), functional)
 
 
 def evaluate_knot(
@@ -292,9 +281,9 @@ def evaluate_knot(
     preferred_starts: Sequence[Tuple[int, int]] = (),
 ) -> Scalar:
     """Single-component specialization of evaluate_link."""
-    record = traverse(d)
+    record = traverse(d, preferred_starts)
     if len(record.components) != 1:
         raise InvariantError(
             f"knot evaluation expects one component, found {len(record.components)}"
         )
-    return evaluate_link(S, d, trace, preferred_starts)
+    return _state_sum(S, d, record, _link_functional(S, d, trace))

@@ -448,6 +448,41 @@ _BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: truediv}
 # symbols only
 _MAX_EXPONENT = 1000
 
+# the most terms, and the highest total degree, that one step of reading
+# scalar text may make: a product of about 10**6 term pairs, such as
+# (a+b+1)**43 * (a+b+1)**43, takes sympy on the order of a second, and
+# substituting a number into a symbol's power builds that number's power
+# exactly
+_MAX_TERMS = 1_000_000
+_MAX_DEGREE = 10_000
+
+
+def _degree(x: Scalar) -> int:
+    """The highest total degree in x's numerator and denominator."""
+    return max(sum(m) for p in (x.elem.numer, x.elem.denom) for m in p)
+
+
+def _bounds(op, x: Scalar, y) -> tuple:
+    """Upper bounds on the terms of op(x, y)'s numerator and denominator and
+    on its total degree; op is pow (y an int exponent) or one of + - * /.
+
+    Multiplying a t-term by a u-term polynomial makes at most t*u terms, and
+    p**j has at most C(j + t - 1, t - 1); a power counts as the product of
+    its two halves.  A sum is bounded in terms only: it adds degrees just in
+    the denominators.
+    """
+    nx, dx = len(x.elem.numer), len(x.elem.denom)
+    if op is pow:
+        t, e = max(nx, dx), abs(y)
+        power = lambda j: math.comb(j + t - 1, t - 1)
+        return power((e + 1) // 2) * power(e // 2), e * _degree(x)
+    ny, dy = len(y.elem.numer), len(y.elem.denom)
+    if op is mul:
+        return max(nx * ny, dx * dy), _degree(x) + _degree(y)
+    if op is truediv:
+        return max(nx * dy, dx * ny), _degree(x) + _degree(y)
+    return max(nx * dy + ny * dx, dx * dy), 0
+
 
 def _read(table: SymbolTable, text: str) -> Scalar:
     """Read the grammar ``text()`` writes with Scalar arithmetic.
@@ -456,7 +491,10 @@ def _read(table: SymbolTable, text: str) -> Scalar:
     is ``-(a**2)``).  The walk evaluates ``+ - * /``, unary signs, decimal
     integer literals, declared symbols and ``I`` on Gaussian tables; an
     exponent must be a signed integer literal, within ``_MAX_EXPONENT`` of 0
-    unless its base is a lone symbol, checked before the base is read.
+    unless its base is a lone symbol, checked before the base is read.  Each
+    step that combines two values or takes a power is refused before it runs
+    if ``_bounds`` lets its result pass ``_MAX_TERMS`` terms or degree
+    ``_MAX_DEGREE``.
     Chains of operators and signs are walked in a loop, so any sum Python
     parses is read.  Other text, an undeclared symbol and a zero divisor
     raise a one-line ScalarError.
@@ -480,11 +518,23 @@ def _read(table: SymbolTable, text: str) -> Scalar:
             raise refuse(f"{segment(node)!r} is not a decimal integer")
         return -value if negate else value
 
+    def step(node, op, x: Scalar, y) -> Scalar:  # op(x, y) within the size bounds
+        terms, degree = _bounds(op, x, y)
+        if terms > _MAX_TERMS:
+            raise refuse(
+                f"{segment(node)!r} may have up to {terms} terms, more than {_MAX_TERMS}"
+            )
+        if degree > _MAX_DEGREE:
+            raise refuse(
+                f"{segment(node)!r} may have degree up to {degree}, more than {_MAX_DEGREE}"
+            )
+        return op(x, y)
+
     def scalar(node) -> Scalar:
         node, negate = unsigned(node)
         rights = []  # a + b - c and a * b / c nest to the left
         while isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-            rights.append((_BINARY[type(node.op)], node.right))
+            rights.append((_BINARY[type(node.op)], node))
             node = node.left
         if rights:
             value = scalar(node)
@@ -496,15 +546,15 @@ def _read(table: SymbolTable, text: str) -> Scalar:
                     f"exponent {exponent} of a base other than a symbol "
                     f"is outside -{_MAX_EXPONENT}..{_MAX_EXPONENT}"
                 )
-            value = scalar(node.left) ** exponent
+            value = step(node, pow, scalar(node.left), exponent)
         elif isinstance(node, ast.Name):
             value = table.i if node.id == "I" else table.sym(node.id)
         elif isinstance(node, ast.Constant):
             value = table.scalar(integer(node))
         else:
             raise refuse(f"{segment(node)!r} is outside the grammar")
-        for op, right in reversed(rights):
-            value = op(value, scalar(right))
+        for op, binop in reversed(rights):
+            value = step(binop, op, value, scalar(binop.right))
         return -value if negate else value
 
     if not (source.isascii() and source.isprintable()):  # no NFKC folding, one line

@@ -142,11 +142,14 @@ def test_invariant_bindings_json(capsys, ex2_file):
 def test_invariant_missing_twist(capsys, tmp_path):
     path = tmp_path / "sweedler.json"
     path.write_text(json.dumps({"builder": "sweedler", "symbols": ["alpha"], "alpha": "alpha"}))
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "invariant", "--structure", str(path), "--diagram", "builtin:hopf"
     )
-    assert code == 1
-    assert "twist" in err
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: closed diagrams need a twist element "
+        "(an invertible G implementing t_d o t_u by conjugation)\n"
+    )
 
 
 def test_homfly_conway_commands(capsys):
@@ -170,6 +173,12 @@ def test_homfly_conway_commands(capsys):
         assert code == 2 and out == "", spec
         assert err.startswith("error: ") and err.count("\n") == 1, spec
         assert "takes no count" in err, spec
+    # the count is ASCII decimal digits, with an optional leading -
+    for count in ("0_2", " 2", "+2", "\u0662"):
+        spec = f"builtin:c_r_plus:{count}"
+        code, out, err = run_cli(capsys, "conway", "--diagram", spec)
+        assert (code, out) == (2, ""), spec
+        assert err == f"error: builtin count {count!r} in {spec!r} is not an integer\n"
     # nothing may follow the count
     for spec in ("c_r_plus:2:3", "hopf::"):
         code, out, err = run_cli(capsys, "conway", "--diagram", f"builtin:{spec}")

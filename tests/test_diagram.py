@@ -54,6 +54,14 @@ def test_parse_errors():
         parse_diagram("xp")
     with pytest.raises(DiagramSyntaxError):
         parse_diagram("xp one")
+    # a position is ASCII digits after an optional leading -; int() would
+    # read each of these tokens as 1
+    hopf = "cup_ccw 0 / cup_cw 2 / xp {} / xp 1 / cap_cw 2 / cap_ccw 0"
+    assert parse_diagram(hopf.format(1)).key() == builtin("hopf").key()
+    for token in ("0_1", "+1", "\u0661", "\uff11"):
+        with pytest.raises(DiagramSyntaxError) as info:
+            parse_diagram(hopf.format(token))
+        assert str(info.value) == f"line 1: bad position {token!r}"
 
 
 def test_validate_direction_rules():

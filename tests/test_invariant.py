@@ -118,9 +118,24 @@ def test_unknot_values(ex2_n2):
     assert evaluate_link(S, builtin("unknot_cw")) == S.twist.g.pairing(S.trace)
 
 
-def test_knot_wrapper(ex2_n2):
+def test_knot_wrapper(ex2_n2, monkeypatch):
+    """evaluate_knot is evaluate_link on one component, and it counts the
+    components on the one traversal it sums over."""
+    import oqa.invariant
+
     d = builtin("trefoil_knot")
-    assert evaluate_knot(ex2_n2, d) == evaluate_link(ex2_n2, d)
+    want = evaluate_link(ex2_n2, d)
+    walks = 0
+    walk = oqa.invariant.traverse
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return walk(*args)
+
+    monkeypatch.setattr(oqa.invariant, "traverse", counted)
+    assert evaluate_knot(ex2_n2, d, preferred_starts=[upward_points(d)[-1]]) == want
+    assert walks == 1
     with pytest.raises(InvariantError, match="one component"):
         evaluate_knot(ex2_n2, builtin("hopf"))
 
@@ -332,17 +347,25 @@ def test_state_sum_scalar_product_count(ex2_n3, alexander_n2, monkeypatch):
 
     monkeypatch.setattr(Scalar, "__mul__", counted)
 
-    def count(S, name):
+    def count(evaluate, S, d):
         nonlocal calls
         calls = 0
-        evaluate_link(S, builtin(name))
+        evaluate(S, d)
         return calls
 
     # with the product taken before the bead products were checked, the
     # counts were 1702, 3871 and 619
-    assert count(ex2_n3, "trefoil_knot") == 1023
-    assert count(ex2_n3, "figure8_knot") == 2305
-    assert count(alexander_n2, "figure8_knot") == 479
+    assert count(evaluate_link, ex2_n3, builtin("trefoil_knot")) == 1023
+    assert count(evaluate_link, ex2_n3, builtin("figure8_knot")) == 2305
+    assert count(evaluate_link, alexander_n2, builtin("figure8_knot")) == 479
+    # two components of Whitney degree -1 share one G^-1, and an open
+    # tangle's extra closed component is traced like a link's
+    link = parse_diagram("cup_ccw 0 / cup_ccw 1 / xp 2 / xp 2 / cap_ccw 1 / cap_ccw 0")
+    assert [c.whitney for c in traverse(link).components] == [-1, -1]
+    assert count(evaluate_link, ex2_n3, link) == 421
+    tangle = parse_diagram("boundary: open / cup_cw 1 / xp 0 / xp 0 / cap_cw 1")
+    assert [c.is_open for c in traverse(tangle).components] == [True, False]
+    assert count(evaluate_tangle, ex2_n3, tangle) == 412
 
 
 def test_component_text_names_past_twelve_crossings():

@@ -538,6 +538,23 @@ _REFUSED = "cannot parse scalar text"
         ("(2*a)**-1001", ScalarError,
          f"{_REFUSED} '(2*a)**-1001': exponent -1001 of a base other than a symbol "
          "is outside -1000..1000"),
+        # a step that may pass 10**6 terms or degree 10**4 is refused before it runs
+        ("(a+w+1)**60*(a+w+1)**60", ScalarError,
+         f"{_REFUSED} '(a+w+1)**60*(a+w+1)**60': '(a+w+1)**60*(a+w+1)**60' "
+         "may have up to 3575881 terms, more than 1000000"),
+        ("(a+w+1)**150*(a+w+1)**150", ScalarError,
+         f"{_REFUSED} '(a+w+1)**150*(a+w+1)**150': '(a+w+1)**150' "
+         "may have up to 8561476 terms, more than 1000000"),
+        ("(a+1)**1000 + 1/(w+1)**1000", ScalarError,
+         f"{_REFUSED} '(a+1)**1000 + 1/(w+1)**1000': '(a+1)**1000 + 1/(w+1)**1000' "
+         "may have up to 1002002 terms, more than 1000000"),
+        ("a**3000000", ScalarError,
+         f"{_REFUSED} 'a**3000000': 'a**3000000' may have degree up to 3000000, more than 10000"),
+        ("a**1000000000", ScalarError,
+         f"{_REFUSED} 'a**1000000000': 'a**1000000000' "
+         "may have degree up to 1000000000, more than 10000"),
+        ("a**10000 * w", ScalarError,
+         f"{_REFUSED} 'a**10000 * w': 'a**10000 * w' may have degree up to 10001, more than 10000"),
         ("__import__('os').getcwd() or a", ScalarError,
          f"{_REFUSED} \"__import__('os').getcwd() or a\": "
          "\"__import__('os').getcwd() or a\" is outside the grammar"),
@@ -555,10 +572,11 @@ def test_reader_declines_to_parse_expr(t, text, error, message):
 
 
 def test_exponent_bound_spares_lone_symbols(t):
-    """A power of a lone symbol is one monomial and reads at any exponent, as
-    text() writes it; any other base takes exponents up to 1000 in size."""
+    """A power of a lone symbol is one monomial and reads, as text() writes
+    it, up to the degree bound 10**4; any other base takes exponents up to
+    1000 in size."""
     a = t.sym("a")
-    for k in (5000, -5000):
+    for k in (5000, -5000, 10000, -10000):
         assert t.parse(f"a**{k}") == a**k and t.parse((a**k).text()) == a**k
     assert t.parse("(2*a)**1000") == t.scalar(2) ** 1000 * a**1000
     assert t.parse("(2*a)**-1000") == (2 * a) ** -1000
