@@ -25,7 +25,7 @@ print("word:", serialize(curl, sep=" / "))
 record = traverse(curl)
 for label in record.components[0].labels:
     print(f"  line of crossing {label.crossing}: factor {label.tensorand},"
-          f" u_d = {label.u_d}, u_u = {label.u_u}")
+          f" u_d = {label.u}, u_u = {label.u}")
 print("formal word:", formal_word(curl).component_text(0))
 
 table = SymbolTable(["a", "sbc", "b"])

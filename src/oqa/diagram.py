@@ -12,9 +12,9 @@ strands:
 
 Only upward-pointing crossings are representable; every other crossing
 orientation is reachable by composing with cups and caps (the twist
-equivalences), which pushes all automorphism bookkeeping into the extremum
-counters u_d / u_u.  Clockwise extrema are cap_cw and cup_cw; the Whitney
-degree of a closed component is (clockwise - counterclockwise) / 2.
+equivalences), which pushes all automorphism bookkeeping into one extremum
+counter u per crossing line.  Clockwise extrema are cap_cw and cup_cw; the
+Whitney degree of a closed component is (clockwise - counterclockwise) / 2.
 
 For a positive crossing the strand entering on the left passes over; for a
 negative crossing the strand entering on the right passes over.  Decoration
@@ -197,9 +197,10 @@ def read_int(token: str) -> int:
 def parse_diagram(text: str) -> MorseDiagram:
     """Parse the slice-token grammar; `/` and newlines both separate slices.
 
-    An optional header line ``boundary: closed|open`` sets the boundary; the
-    default is closed.  Positions are read by ``read_int``.  The result is
-    validated.
+    An optional header ``boundary: closed|open`` sets the boundary; the
+    default is closed.  There is at most one header, before the first slice,
+    with exactly one of those values.  Positions are read by ``read_int``.
+    The result is validated.
     """
     tokens: List[Slice] = []
     declared = None
@@ -209,7 +210,18 @@ def parse_diagram(text: str) -> MorseDiagram:
             if not chunk or chunk.startswith("#"):
                 continue
             if chunk.startswith("boundary:"):
-                declared = chunk.split(":", 1)[1].strip()
+                value = chunk.split(":", 1)[1].strip()
+                if declared is not None:
+                    raise DiagramSyntaxError(f"line {lineno}: a second boundary header")
+                if tokens:
+                    raise DiagramSyntaxError(
+                        f"line {lineno}: boundary header after the first slice"
+                    )
+                if value not in ("closed", "open"):
+                    raise DiagramSyntaxError(
+                        f"line {lineno}: boundary {value!r} is not closed or open"
+                    )
+                declared = value
                 continue
             parts = chunk.split()
             if len(parts) != 2:
@@ -371,12 +383,11 @@ class LineLabel(NamedTuple):
 
     ``crossing`` is the slice index of the crossing, ``tensorand`` 0 or 1 (the
     factor of the crossing's tensor-square element riding this line), and
-    u_d / u_u the extremum counters from this line to the end of the
-    traversal (back to the basepoint for closed components).
-
-    u_d = u_u on every label: along a component, each cap-cup pair moves
-    both counters by the same amount, and
-    ``test_counter_whitney_identity_random`` asserts it.
+    ``u`` the twist exponent: the d+ minus the d- extrema from this line to
+    the end of the traversal (back to the basepoint for closed components).
+    Caps and cups alternate along a component, so u is also the u+ minus
+    u- count and minus the Whitney degree of the rest of the walk; the bead
+    on this line is twisted by t_d^u o t_u^u.
 
     A tuple underneath, so that the labels every skein node's traversal makes
     are cheap to build; a label still equals only another label.
@@ -384,8 +395,7 @@ class LineLabel(NamedTuple):
 
     crossing: int
     tensorand: int
-    u_d: int
-    u_u: int
+    u: int
 
     def __eq__(self, other) -> bool:
         return other.__class__ is LineLabel and tuple.__eq__(self, other)
@@ -456,26 +466,19 @@ def traverse(
             if event[e] is not None:
                 events.append(event[e])
             e = after[e]
-        # one pass from the end: u_d / u_u count the extrema after each line
+        # one pass from the end: u counts the d+ minus d- extrema after each line
         labels = []
         extrema = []
-        ud = uu = 0
+        u = 0
         for ev in reversed(events):
             if ev[0] == "ext":
                 t = ev[1]
                 extrema.append(t)
-                if t == "d+":
-                    ud += 1
-                elif t == "d-":
-                    ud -= 1
-                elif t == "u+":
-                    uu += 1
-                else:
-                    uu -= 1
+                u += (t == "d+") - (t == "d-")
             else:
                 _, crossing, side = ev
                 labels.append(
-                    LineLabel(crossing, _tensorand(slices[crossing].kind, side), ud, uu)
+                    LineLabel(crossing, _tensorand(slices[crossing].kind, side), u)
                 )
         cw = sum(1 for t in extrema if t in _CLOCKWISE)
         whitney2 = cw - (len(extrema) - cw)

@@ -1,15 +1,15 @@
 """State-sum evaluation of the bead-sliding invariants.
 
 Every crossing of a diagram carries a copy of rho (positive) or rho^-1
-(negative); traversal assigns each crossing line a tensor factor and the
-extremum counters u_d, u_u.  Substituting the sparse entries of the copies
-and multiplying the (t_d^{u_d} o t_u^{u_u})-twisted factors componentwise
-gives each component c a bead product w_c.  One rule closes every diagram:
-an open strand keeps w_c, and a closed component becomes tr(G^{d_c} w_c),
-with G the twist, tr a tracelike, automorphism-invariant functional and d_c
-the Whitney degree of c.  An open tangle thus gives an element w(T) of the
-algebra, a closed diagram the scalar prod_c tr(G^{d_c} w(L_c)); both are
-regular-isotopy invariants.
+(negative); traversal assigns each crossing line a tensor factor and a twist
+exponent u, minus the Whitney degree of the rest of the walk.  Substituting
+the sparse entries of the copies and multiplying the (t_d o t_u)^u-twisted
+factors componentwise gives each component c a bead product w_c.  One rule
+closes every diagram: an open strand keeps w_c, and a closed component
+becomes tr(G^{d_c} w_c), with G the twist, tr a tracelike,
+automorphism-invariant functional and d_c the Whitney degree of c.  An open
+tangle thus gives an element w(T) of the algebra, a closed diagram the scalar
+prod_c tr(G^{d_c} w(L_c)); both are regular-isotopy invariants.
 
 One state sum applies the rule: it runs over the assignments of one nonzero
 entry of its copy to every crossing, the two factor indices of an entry
@@ -22,7 +22,7 @@ depth survive.  The entry points only check their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, AlgebraMap
 from .diagram import _X_POS, MorseDiagram, TraversalRecord, traverse
@@ -83,7 +83,7 @@ def formal_word(
 ) -> FormalWord:
     record = traverse(d, preferred_starts)
     comps = tuple(
-        tuple((l.crossing, l.tensorand, l.u_d, l.u_u) for l in c.labels)
+        tuple((l.crossing, l.tensorand, l.u, l.u) for l in c.labels)
         for c in record.components
     )
     return FormalWord(
@@ -108,13 +108,15 @@ def _state_sum(
     the open strand's product scaled by that, a link's the scalar itself, and
     the sum starts from the matching zero; a value that vanishes is not added.
 
-    Crossings are assigned in order of first traversal encounter; each
-    component's product is extended as soon as its next label's crossing is
-    assigned, so a vanishing product prunes the whole subtree.  An entry's
-    coefficient is multiplied into the coefficient only after the bead
-    products at its depth survive, so pruned branches cost no Scalar product.
-    Without crossings the one assignment is empty, with coefficient 1 and
-    unit products.
+    A bead is its label's tensorand of the chosen entry twisted by
+    (t_d o t_u)^u, which is t_d^u o t_u^u as the automorphisms commute; one
+    memo holds the powers.  Crossings are assigned in order of first
+    traversal encounter; each component's product is extended as soon as its
+    next label's crossing is assigned, so a vanishing product prunes the
+    whole subtree.  An entry's coefficient is multiplied into the coefficient
+    only after the bead products at its depth survive, so pruned branches
+    cost no Scalar product.  Without crossings the one assignment is empty,
+    with coefficient 1 and unit products.
     """
     algebra = S.algebra
     entries = {
@@ -145,29 +147,28 @@ def _state_sum(
 
         return power
 
-    t_d, t_u = powers(S.t_d), powers(S.t_u)
-    # per component, in label order: (assignment depth, twisted basis
-    # element of the label's tensorand, per entry of its crossing)
-    maps: Dict[Tuple[int, int], AlgebraMap] = {}
-    plans = []
-    for comp in comps:
-        plan = []
+    twist = powers(S.d_then_u())
+    # per depth, in component and then label order: (component, depth of the
+    # label's crossing, twisted basis element of the label's tensorand per
+    # entry); a label extends its component at the deepest crossing among
+    # itself and the labels before it
+    steps: List[list] = [[] for _ in order]
+    for ci, comp in enumerate(comps):
+        reach = 0
         for label in comp.labels:
-            key = (label.u_d, label.u_u)
-            if key not in maps:
-                maps[key] = t_d(label.u_d).compose(t_u(label.u_u))
+            at = depth_of[label.crossing]
+            reach = max(reach, at)
             per_entry = tuple(
-                maps[key].apply_basis(pair[label.tensorand])
+                twist(label.u).apply_basis(pair[label.tensorand])
                 for pair, _ in entries[label.crossing]
             )
-            plan.append((depth_of[label.crossing], per_entry))
-        plans.append(plan)
+            steps[reach].append((ci, at, per_entry))
     entry_coeffs = [tuple(c for _, c in entries[crossing]) for crossing in order]
     K = len(order)
     choices = [0] * K
     total = algebra.zero() if d.boundary == "open" else algebra.table.zero
 
-    def rec(depth: int, coeff: Scalar, prods: List[AlgebraElement], ptrs: List[int]):
+    def rec(depth: int, coeff: Scalar, prods: List[AlgebraElement]):
         nonlocal total
         if depth == K:
             open_part = None
@@ -183,25 +184,16 @@ def _state_sum(
         for idx, c in enumerate(entry_coeffs[depth]):
             choices[depth] = idx
             prods2 = list(prods)
-            ptrs2 = list(ptrs)
-            for ci, plan in enumerate(plans):
-                ptr = ptrs2[ci]
-                w = prods2[ci]
-                while ptr < len(plan) and plan[ptr][0] <= depth:
-                    d_req, per_entry = plan[ptr]
-                    w = w * per_entry[choices[d_req]]
-                    ptr += 1
-                    if w.is_zero:
-                        break
+            for ci, at, per_entry in steps[depth]:
+                w = prods2[ci] * per_entry[choices[at]]
                 if w.is_zero:
                     break
                 prods2[ci] = w
-                ptrs2[ci] = ptr
             else:
                 # entries are nonzero, so a product of them never vanishes
-                rec(depth + 1, coeff * c, prods2, ptrs2)
+                rec(depth + 1, coeff * c, prods2)
 
-    rec(0, algebra.table.one, [algebra.one()] * len(comps), [0] * len(comps))
+    rec(0, algebra.table.one, [algebra.one()] * len(comps))
     return total
 
 

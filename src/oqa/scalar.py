@@ -32,6 +32,8 @@ Substitution of constants for every symbol evaluates numerator and
 denominator in the ground domain (Q or Q(i)) and divides once.  Parsing walks
 the ``ast`` tree of the one grammar ``text()`` writes with Scalar arithmetic
 (see ``_read``): no text is run as Python, and other text raises ScalarError.
+Each step of that walk is size-bounded before it runs, a step off the Laurent
+route also by the size of the gcd that cancels it.
 """
 
 from __future__ import annotations
@@ -456,6 +458,14 @@ _MAX_EXPONENT = 1000
 _MAX_TERMS = 1_000_000
 _MAX_DEGREE = 10_000
 
+# the most terms, and the highest gcd degree, that one step may give a
+# polynomial gcd: off the Laurent route sympy's FracField cancels every
+# product, quotient and sum by a gcd, which the bounds above do not count;
+# 1/(a+1)**99 + 1/(b+1)**99 (10**4 terms, degree 99) takes about 2 s, and
+# 1/(a+1)**30 + 1/(b+1)**30 + 1/(w+1)**30 (29791 terms) about 11 s
+_MAX_GCD_TERMS = 4096
+_MAX_GCD_DEGREE = 64
+
 
 def _degree(x: Scalar) -> int:
     """The highest total degree in x's numerator and denominator."""
@@ -484,6 +494,27 @@ def _bounds(op, x: Scalar, y) -> tuple:
     return max(nx * dy + ny * dx, dx * dy), 0
 
 
+def _gcd_degree(op, x: Scalar, y: Scalar) -> int:
+    """An upper bound on the degree of the gcd that cancels op(x, y), for op
+    one of + - * /; 0 on the Laurent route, where both denominators (after
+    x / y is taken as x times y.denom / y.numer) are monomials.
+
+    The bound is the lower of those on the degrees of the numerator and the
+    denominator sympy cancels, so a gcd against a constant counts 0.
+    """
+    xn, xd, yn, yd = x.elem.numer, x.elem.denom, y.elem.numer, y.elem.denom
+    if op is truediv:
+        yn, yd = yd, yn
+    if _monomial(xd) is not None and _monomial(yd) is not None:
+        return 0
+    deg = lambda p: max((sum(m) for m in p), default=0)
+    if op is mul or op is truediv:
+        num = deg(xn) + deg(yn)
+    else:
+        num = max(deg(xn) + deg(yd), deg(xd) + deg(yn))
+    return min(num, deg(xd) + deg(yd))
+
+
 def _read(table: SymbolTable, text: str) -> Scalar:
     """Read the grammar ``text()`` writes with Scalar arithmetic.
 
@@ -494,7 +525,9 @@ def _read(table: SymbolTable, text: str) -> Scalar:
     unless its base is a lone symbol, checked before the base is read.  Each
     step that combines two values or takes a power is refused before it runs
     if ``_bounds`` lets its result pass ``_MAX_TERMS`` terms or degree
-    ``_MAX_DEGREE``.
+    ``_MAX_DEGREE``, or if it leaves the Laurent route for a gcd that may
+    pass ``_MAX_GCD_TERMS`` terms or degree ``_MAX_GCD_DEGREE``
+    (``_gcd_degree``).
     Chains of operators and signs are walked in a loop, so any sum Python
     parses is read.  Other text, an undeclared symbol and a zero divisor
     raise a one-line ScalarError.
@@ -527,6 +560,17 @@ def _read(table: SymbolTable, text: str) -> Scalar:
         if degree > _MAX_DEGREE:
             raise refuse(
                 f"{segment(node)!r} may have degree up to {degree}, more than {_MAX_DEGREE}"
+            )
+        gcd = 0 if op is pow else _gcd_degree(op, x, y)
+        if gcd and terms > _MAX_GCD_TERMS:
+            raise refuse(
+                f"{segment(node)!r} needs a polynomial gcd on up to {terms} terms, "
+                f"more than {_MAX_GCD_TERMS}"
+            )
+        if gcd > _MAX_GCD_DEGREE:
+            raise refuse(
+                f"{segment(node)!r} needs a polynomial gcd of degree up to {gcd}, "
+                f"more than {_MAX_GCD_DEGREE}"
             )
         return op(x, y)
 

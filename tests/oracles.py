@@ -14,9 +14,10 @@ judging of ``traverse``, and it gives ``oracle_insertion_sites`` its rows.
 Shared: the public ``MorseDiagram``, ``SliceKind`` and error types.
 
 ``_walk_all`` is the walker.  It steps each component point by point through
-the slices, reads the tensorand off its own over/under rule and counts u_d /
-u_u as suffix sums of its own extremum events.  It checks ``traverse``:
-components, start points, line labels, extrema, Whitney degrees and events.
+the slices, reads the tensorand off its own over/under rule and counts each
+label's twist exponent u as the d+ minus d- suffix sum of its own extremum
+events.  It checks ``traverse``: components, start points, line labels,
+extrema, Whitney degrees and events.
 Shared: the public record types ``TraversalRecord``, ``ComponentRecord`` and
 ``LineLabel``.
 
@@ -183,9 +184,8 @@ def _walk_all(
         for k, ev in enumerate(events):
             if ev[0] == "line":
                 after = [e[1] for e in events[k + 1 :] if e[0] == "ext"]
-                u_d = after.count("d+") - after.count("d-")
-                u_u = after.count("u+") - after.count("u-")
-                labels.append(LineLabel(ev[1], _tensorand(d, ev[1], ev[2]), u_d, u_u))
+                u = after.count("d+") - after.count("d-")
+                labels.append(LineLabel(ev[1], _tensorand(d, ev[1], ev[2]), u))
         extrema = tuple(e[1] for e in events if e[0] == "ext")
         cw = sum(t in _CW for t in extrema)
         whitney = (cw - (len(extrema) - cw)) // 2

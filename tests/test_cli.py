@@ -266,6 +266,20 @@ def test_diagram_file_input(capsys, tmp_path, ex2_file):
         capsys, "invariant", "--structure", ex2_file, "--diagram", str(p)
     )
     assert code == 0
+    # a second, empty, misspelled or late boundary header is bad input
+    loop = "cup_ccw 0\ncap_ccw 0\n"
+    for text, message in (
+        ("boundary: open\nboundary: closed\n" + loop, "line 2: a second boundary header"),
+        ("boundary:\n" + loop, "line 1: boundary '' is not closed or open"),
+        ("boundary: Open\n" + loop, "line 1: boundary 'Open' is not closed or open"),
+        ("cup_ccw 0 / boundary: closed / cap_ccw 0\n",
+         "line 1: boundary header after the first slice"),
+    ):
+        p.write_text(text)
+        for argv in (("invariant", "--structure", ex2_file), ("conway",)):
+            code, out, err = run_cli(capsys, *argv, "--diagram", str(p))
+            assert (code, out) == (2, ""), (argv, text)
+            assert err == f"error: bad diagram {p}: {message}\n", (argv, text)
 
 
 def test_verify_section6(capsys, single_block_file):

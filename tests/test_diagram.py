@@ -62,6 +62,21 @@ def test_parse_errors():
         with pytest.raises(DiagramSyntaxError) as info:
             parse_diagram(hopf.format(token))
         assert str(info.value) == f"line 1: bad position {token!r}"
+    # one boundary header, before the first slice, spelled exactly
+    loop = "cup_ccw 0\ncap_ccw 0"
+    for text, message in (
+        ("boundary: open\nboundary: closed\n" + loop, "line 2: a second boundary header"),
+        ("boundary: closed / boundary: closed / " + loop, "line 1: a second boundary header"),
+        ("boundary:\n" + loop, "line 1: boundary '' is not closed or open"),
+        ("boundary: Open\n" + loop, "line 1: boundary 'Open' is not closed or open"),
+        ("cup_ccw 0 / boundary: closed / cap_ccw 0",
+         "line 1: boundary header after the first slice"),
+        (loop + "\nboundary: closed", "line 3: boundary header after the first slice"),
+    ):
+        with pytest.raises(DiagramSyntaxError) as info:
+            parse_diagram(text)
+        assert str(info.value) == message, text
+    assert parse_diagram("# a loop\nboundary:closed\n" + loop).key() == builtin("unknot_ccw").key()
 
 
 def test_validate_direction_rules():
@@ -136,14 +151,14 @@ def test_hopf_traversal_decorations():
 def test_curl_traversal_counters():
     rec = traverse(builtin("curl"))
     labels = rec.components[0].labels
-    assert [(l.tensorand, l.u_d, l.u_u) for l in labels] == [(0, -1, -1), (1, 0, 0)]
+    assert [(l.tensorand, l.u) for l in labels] == [(0, -1), (1, 0)]
 
 
 def test_trefoil_tangle_counters():
     rec = traverse(builtin("trefoil_tangle"))
     labels = rec.components[0].labels
-    assert [(l.tensorand, l.u_d, l.u_u) for l in labels] == [
-        (1, 1, 1), (0, 1, 1), (1, 1, 1), (0, 0, 0), (1, 0, 0), (0, 0, 0),
+    assert [(l.tensorand, l.u) for l in labels] == [
+        (1, 1), (0, 1), (1, 1), (0, 0), (1, 0), (0, 0),
     ]
     assert [l.crossing for l in labels] == [1, 2, 3, 1, 2, 3]
 
@@ -162,10 +177,11 @@ def test_straight_strand():
      ("c_r_plus", 2), ("c_l_minus", 2), ("curl", None), ("trefoil_tangle", None)],
 )
 def test_counter_whitney_identity(name, m):
-    """u_d(l) = u_u(l) = -d(l), d(l) the Whitney degree of the remaining walk.
+    """u(l) = -d(l), d(l) the Whitney degree of the remaining walk.
 
-    Both counters and the suffix Whitney degree are recomputed here from the
-    raw interleaved event list, independently of the counter code path.
+    The d+/d- and u+/u- suffix counts and the suffix Whitney degree are
+    recomputed here from the raw interleaved event list, independently of the
+    counter code path, and all three must give u.
     """
     d = builtin(name, m)
     _check_counters(traverse(d))
@@ -173,30 +189,30 @@ def test_counter_whitney_identity(name, m):
         _check_counters(traverse(d, [point]))
 
 
-# (is_open, start, [(crossing, tensorand, u_d, u_u), ...]) per component, in
+# (is_open, start, [(crossing, tensorand, u), ...]) per component, in
 # traversal order; the CLI whitney lists follow this order
 _PINNED_TRAVERSALS = [
     ("hopf", builtin("hopf"), (), [
-        (False, (1, 1), [(2, 0, 1, 1), (3, 1, 1, 1)]),
-        (False, (2, 2), [(2, 1, -1, -1), (3, 0, -1, -1)]),
+        (False, (1, 1), [(2, 0, 1), (3, 1, 1)]),
+        (False, (2, 2), [(2, 1, -1), (3, 0, -1)]),
     ]),
     ("trefoil_knot", builtin("trefoil_knot"), (), [
-        (False, (1, 1), [(2, 0, 0, 0), (3, 1, 0, 0), (4, 0, 0, 0),
-                         (2, 1, 1, 1), (3, 0, 1, 1), (4, 1, 1, 1)]),
+        (False, (1, 1), [(2, 0, 0), (3, 1, 0), (4, 0, 0),
+                         (2, 1, 1), (3, 0, 1), (4, 1, 1)]),
     ]),
     ("figure8_knot", builtin("figure8_knot"), (), [
-        (False, (1, 1), [(4, 0, 3, 3), (5, 1, 3, 3), (3, 0, 2, 2), (4, 1, 2, 2),
-                         (6, 0, 2, 2), (3, 1, 1, 1), (5, 0, 1, 1), (6, 1, 1, 1)]),
+        (False, (1, 1), [(4, 0, 3), (5, 1, 3), (3, 0, 2), (4, 1, 2),
+                         (6, 0, 2), (3, 1, 1), (5, 0, 1), (6, 1, 1)]),
     ]),
     ("open tangle with a closed component",
      word(("cup_cw", 1), ("xp", 0), ("cup_ccw", 0), ("xn", 1), ("xp", 2),
           ("cap_cw", 3), ("cap_ccw", 0), boundary="open"), (), [
-        (True, (0, 0), [(1, 0, 0, 0), (4, 1, 0, 0)]),
-        (False, (1, 1), [(1, 1, 0, 0), (3, 0, 0, 0), (3, 1, -1, -1), (4, 0, -1, -1)]),
+        (True, (0, 0), [(1, 0, 0), (4, 1, 0)]),
+        (False, (1, 1), [(1, 1, 0), (3, 0, 0), (3, 1, -1), (4, 0, -1)]),
     ]),
     ("hopf from (3, 2)", builtin("hopf"), [(3, 2)], [
-        (False, (3, 2), [(3, 1, 1, 1), (2, 0, 0, 0)]),
-        (False, (2, 2), [(2, 1, -1, -1), (3, 0, -1, -1)]),
+        (False, (3, 2), [(3, 1, 1), (2, 0, 0)]),
+        (False, (2, 2), [(2, 1, -1), (3, 0, -1)]),
     ]),
 ]
 
@@ -208,7 +224,7 @@ _PINNED_TRAVERSALS = [
 def test_traversal_order_pinned(d, starts, want):
     """Component order, start points and line labels of traverse."""
     got = [
-        (c.is_open, c.start, [(l.crossing, l.tensorand, l.u_d, l.u_u) for l in c.labels])
+        (c.is_open, c.start, [(l.crossing, l.tensorand, l.u) for l in c.labels])
         for c in traverse(d, starts).components
     ]
     assert got == want
@@ -272,12 +288,12 @@ def test_slices_and_labels_equal_only_their_own_kind():
 
     for value, fields in (
         (Slice(SliceKind.X_POS, 1), (SliceKind.X_POS, 1)),
-        (LineLabel(3, 1, 0, -1), (3, 1, 0, -1)),
+        (LineLabel(3, 1, -1), (3, 1, -1)),
     ):
         assert value == type(value)(*fields) and not value != type(value)(*fields)
         assert value != fields and fields != value and not value == fields
         assert hash(value) == hash(fields)
-    assert Slice(SliceKind.X_POS, 1) != LineLabel(3, 1, 0, -1)
+    assert Slice(SliceKind.X_POS, 1) != LineLabel(3, 1, -1)
 
 
 def test_traverse_matches_oracle():
@@ -372,9 +388,8 @@ def _check_counters(rec) -> None:
             u_u = suffix.count("u+") - suffix.count("u-")
             cw = sum(1 for e in suffix if e in _CLOCKWISE)
             suffix_whitney2 = cw - (len(suffix) - cw)
-            assert (label.u_d, label.u_u) == (u_d, u_u)
-            assert u_d == u_u
-            assert 2 * u_d == -suffix_whitney2
+            assert label.u == u_d == u_u
+            assert 2 * label.u == -suffix_whitney2
         assert next(label_iter, None) is None
         cw = sum(1 for e in comp.extrema if e in _CLOCKWISE)
         assert comp.whitney == (cw - (len(comp.extrema) - cw)) // 2

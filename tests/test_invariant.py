@@ -289,7 +289,8 @@ def test_state_sum_vs_oracle_random(ex2_n2, ex2_n3, alexander_n2):
     Open tangles with and without extra closed components on a numeric M_2
     structure, on the Tr G = 0 structure and on a two-block Thm-5 structure
     on M_3, open tangles on Sweedler's H4, and closed diagrams at every upward
-    basepoint, also on the symbolic M_3 structure.  Bead products die at
+    basepoint, also on the symbolic M_3 structure and on the standardized
+    (unbalanced) numeric M_2 structure.  Bead products die at
     different depths there, and the coefficient, multiplied in only on the
     surviving branches, must still match the oracle exactly.
     """
@@ -322,6 +323,8 @@ def test_state_sum_vs_oracle_random(ex2_n2, ex2_n3, alexander_n2):
 
     closed = [(S, None) for S in (m2, alexander_n2) for _ in range(6)]
     closed += [(ex2_n3, crossings) for crossings in (1, 2, 3)]
+    # t_d = 1 != t_u: the twist exponent meets the oracle's separate rules
+    closed += [(standardize(m2), None) for _ in range(6)]
     for S, crossings in closed:
         while True:
             d = _random_small_diagram(rng)
@@ -354,18 +357,19 @@ def test_state_sum_scalar_product_count(ex2_n3, alexander_n2, monkeypatch):
         return calls
 
     # with the product taken before the bead products were checked, the
-    # counts were 1702, 3871 and 619
-    assert count(evaluate_link, ex2_n3, builtin("trefoil_knot")) == 1023
-    assert count(evaluate_link, ex2_n3, builtin("figure8_knot")) == 2305
-    assert count(evaluate_link, alexander_n2, builtin("figure8_knot")) == 479
+    # counts were 1702, 3871 and 619; with separate t_d and t_u power memos
+    # composed per (u_d, u_u) pair they were 1023, 2305, 479, 421 and 412
+    assert count(evaluate_link, ex2_n3, builtin("trefoil_knot")) == 1005
+    assert count(evaluate_link, ex2_n3, builtin("figure8_knot")) == 2260
+    assert count(evaluate_link, alexander_n2, builtin("figure8_knot")) == 459
     # two components of Whitney degree -1 share one G^-1, and an open
     # tangle's extra closed component is traced like a link's
     link = parse_diagram("cup_ccw 0 / cup_ccw 1 / xp 2 / xp 2 / cap_ccw 1 / cap_ccw 0")
     assert [c.whitney for c in traverse(link).components] == [-1, -1]
-    assert count(evaluate_link, ex2_n3, link) == 421
+    assert count(evaluate_link, ex2_n3, link) == 412
     tangle = parse_diagram("boundary: open / cup_cw 1 / xp 0 / xp 0 / cap_cw 1")
     assert [c.is_open for c in traverse(tangle).components] == [True, False]
-    assert count(evaluate_tangle, ex2_n3, tangle) == 412
+    assert count(evaluate_tangle, ex2_n3, tangle) == 385
 
 
 def test_component_text_names_past_twelve_crossings():
