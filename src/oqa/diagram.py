@@ -29,7 +29,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import (
-    Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+    Collection, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 __all__ = [
@@ -389,8 +390,10 @@ class LineLabel(NamedTuple):
     u- count and minus the Whitney degree of the rest of the walk; the bead
     on this line is twisted by t_d^u o t_u^u.
 
-    A tuple underneath, so that the labels every skein node's traversal makes
-    are cheap to build; a label still equals only another label.
+    A tuple underneath, so that the label ``traverse`` makes for every
+    crossing line is cheap to build; a label still equals only another
+    label.  The skein engine reads the same lines straight off ``_walks``,
+    as bare ``(crossing, tensorand)`` pairs.
     """
 
     crossing: int
@@ -431,41 +434,75 @@ def _tensorand(kind: SliceKind, side: str) -> int:
     return 1 if side == "L" else 0
 
 
-def traverse(
+def _walks(
     d: MorseDiagram, preferred_starts: Sequence[Tuple[int, int]] = ()
-) -> TraversalRecord:
-    """Walk every component, labelling crossing lines and counting extrema.
+) -> Iterator[Tuple[bool, Tuple[int, int], List[Tuple]]]:
+    """Walk every component of ``d``, edge to edge; the one walker of
+    ``traverse`` and of the skein engine's nodes.
 
     ``_link`` checks the word (raising what ``validate`` raises) and links
     the strand edges, keeping the edges at the gaps of the basepoints; the
-    basepoints are checked against those after the word.  The walk then
-    follows each component edge to edge.
-
-    The open strand of a tangle is walked first, from the bottom boundary to
-    the top.  ``preferred_starts`` then seeds components at explicit upward
-    points (basepoint overrides).  Every other component starts at its first
-    upward point in scan order (gaps bottom-to-top, positions left-to-right),
-    which is the first point of one of its upward edges.  Closed components
-    cycle back to their basepoint.
+    basepoints are checked against those after the word.  Yields, component
+    by component in ``traverse``'s order, ``(is_open, start, events)``, the
+    events being ``_link``'s in walk order: ``("ext", type)`` for an extremum
+    and ``("line", crossing, side)`` for a crossing line, side "L" or "R".
+    Raises DiagramValidationError after the last component if an edge was
+    left off every component.
     """
-    slices = d.slices
     upward, event, after, rows = _link(d, {g for g, _ in preferred_starts})
     for g, p in preferred_starts:
-        if not (0 <= g <= len(slices) and 0 <= p < len(rows[g])):
+        if not (0 <= g <= len(d.slices) and 0 <= p < len(rows[g])):
             raise DiagramError(f"basepoint {(g, p)} outside the diagram")
         if not upward[rows[g][p]]:
             raise DiagramError(f"basepoint {(g, p)} is not on an upward strand")
 
     visited = [False] * len(upward)
-    components: List[ComponentRecord] = []
 
-    def walk(e: int, start: Tuple[int, int], is_open: bool) -> None:
+    def walk(e: int) -> List[Tuple]:
         events: List[Tuple] = []
         while e is not None and not visited[e]:
             visited[e] = True
             if event[e] is not None:
                 events.append(event[e])
             e = after[e]
+        return events
+
+    if d.boundary == "open":
+        yield True, (0, 0), walk(0)
+    for g, p in preferred_starts:
+        e = rows[g][p]
+        if not visited[e]:
+            yield False, (g, p), walk(e)
+    # each cup or crossing g makes the next two edges (see _link), whose first
+    # points (g + 1, q) and (g + 1, q + 1) come in scan order
+    e = int(d.boundary == "open")
+    for g, (kind, q) in enumerate(d.slices):
+        if not kind.is_cap:
+            for k in (0, 1):
+                if upward[e + k] and not visited[e + k]:
+                    yield False, (g + 1, q + k), walk(e + k)
+            e += 2
+    if not all(visited):
+        missing = visited.index(False)
+        raise DiagramValidationError(f"edge {missing} not on any component")
+
+
+def traverse(
+    d: MorseDiagram, preferred_starts: Sequence[Tuple[int, int]] = ()
+) -> TraversalRecord:
+    """Walk every component, labelling crossing lines and counting extrema.
+
+    ``_walks`` checks the word and the basepoints and follows each component
+    edge to edge.  The open strand of a tangle is walked first, from the
+    bottom boundary to the top.  ``preferred_starts`` then seeds components
+    at explicit upward points (basepoint overrides).  Every other component
+    starts at its first upward point in scan order (gaps bottom-to-top,
+    positions left-to-right), which is the first point of one of its upward
+    edges.  Closed components cycle back to their basepoint.
+    """
+    slices = d.slices
+    components: List[ComponentRecord] = []
+    for is_open, start, events in _walks(d, preferred_starts):
         # one pass from the end: u counts the d+ minus d- extrema after each line
         labels = []
         extrema = []
@@ -492,25 +529,6 @@ def traverse(
                 tuple(events),
             )
         )
-
-    if d.boundary == "open":
-        walk(0, (0, 0), True)
-    for g, p in preferred_starts:
-        e = rows[g][p]
-        if not visited[e]:
-            walk(e, (g, p), False)
-    # each cup or crossing g makes the next two edges (see _link), whose first
-    # points (g + 1, q) and (g + 1, q + 1) come in scan order
-    e = int(d.boundary == "open")
-    for g, (kind, q) in enumerate(slices):
-        if not kind.is_cap:
-            for k in (0, 1):
-                if upward[e + k] and not visited[e + k]:
-                    walk(e + k, (g + 1, q + k), False)
-            e += 2
-    if not all(visited):
-        missing = visited.index(False)
-        raise DiagramValidationError(f"edge {missing} not on any component")
     return TraversalRecord(tuple(components))
 
 

@@ -4,16 +4,18 @@ This module computes the two-variable regular-isotopy polynomial H_L(alpha, z)
 (skein H(L+) - H(L-) = z H(L0), positive/negative kinks scale by alpha^{+-1},
 unknot value 1, distant unions scale by (alpha - alpha^-1)/z) directly on
 Morse diagrams, by switching crossings toward descending diagrams.  Each
-skein node is walked once: the switched words share its traversal, and only
-the smoothings L0 are new nodes, kept on an explicit stack rather than in
-Python recursion, so that no recursion limit bounds the depth.  Every node
-is reduced before it is looked up: inside each run of consecutive crossing
-slices, crossings on disjoint strand pairs are put in position order and
-opposite crossings that meet cancel (M2).  Both are regular isotopies, so H
-is unchanged, and smoothings reached along different paths share one memo
-entry.  The one-variable Alexander polynomial nabla_L(z) (same skein, unknot
-1, split links 0) is H_L(1, z).  Nothing here touches the state-sum
-evaluator, so the two provide independent routes to the same invariants.
+skein node is walked once, by the walker ``traverse`` is built on, for its
+crossing lines alone; the node's word is then switched in place, one slice
+at a time, and only the smoothings L0 are new nodes, kept on an explicit
+stack rather than in Python recursion, so that no recursion limit bounds the
+depth.  Every node is reduced before it is looked up: inside each run of
+consecutive crossing slices, crossings on disjoint strand pairs are put in
+position order and opposite crossings that meet cancel (M2).  Both are
+regular isotopies, so H is unchanged, and smoothings reached along
+different paths share one memo entry.  The one-variable Alexander
+polynomial nabla_L(z) (same skein, unknot 1, split links 0) is H_L(1, z).
+Nothing here touches the state-sum evaluator, so the two provide
+independent routes to the same invariants.
 
 For a single-block diagonal structure on M_n with parameters a (= rho_1111)
 and bc = sbc^2, writing q = a/sbc and r = q^2, the closed-link trace formula
@@ -48,16 +50,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraElement
+# traverse is not called here; perfbench/spans.py traces the name in this module
 from .diagram import (
     _SWITCH,
     _X_POS,
     DiagramError,
     MorseDiagram,
     Slice,
-    TraversalRecord,
+    _tensorand,
+    _walks,
     crossing_triple,
     cut_open,
     stats,
@@ -179,23 +183,26 @@ class SkeinPolynomial:
         return total
 
 
-def _descending_value(d: MorseDiagram, record: TraversalRecord) -> SkeinPolynomial:
+def _descending_value(
+    word: Sequence[Slice], lines: Sequence[Sequence[Tuple[int, int]]]
+) -> SkeinPolynomial:
     """Value of a descending diagram: layered curled unlinks.
 
-    Each component is a curled unknot, alpha to its self-writhe; pulling the
-    r components apart (inter-component crossings change nothing) scales by
-    delta^(r - 1), delta = (alpha - alpha^-1)/z.
+    ``lines`` holds each component's crossing lines in walk order, and
+    ``word`` the crossings' signs.  Each component is a curled unknot, alpha
+    to its self-writhe; pulling the r components apart (inter-component
+    crossings change nothing) scales by delta^(r - 1),
+    delta = (alpha - alpha^-1)/z.
     """
-    r = len(record.components)
+    r = len(lines)
     if r == 0:
         return SkeinPolynomial.one()
     self_writhe = 0
-    for comp in record.components:
+    for comp in lines:
         met = set()
-        for label in comp.labels:
-            crossing = label.crossing
+        for crossing, _ in comp:
             if crossing in met:
-                self_writhe += 1 if d.slices[crossing].kind is _X_POS else -1
+                self_writhe += 1 if word[crossing].kind is _X_POS else -1
             else:
                 met.add(crossing)
     # delta^(r-1) = sum_k C(r-1, k) (-1)^k alpha^(r-1-2k) z^(1-r)
@@ -234,24 +241,35 @@ def _reduced(d: MorseDiagram) -> MorseDiagram:
 
 
 class _Node:
-    """A memo miss of ``_skein``: its word switched so far, the crossings
-    left to switch (last first), and its terms gathered so far."""
+    """A memo miss of ``_skein``: its word as a slice list, switched in place
+    so far, its boundary, each component's crossing lines ``(crossing,
+    tensorand)`` in walk order, the crossings left to switch (last first),
+    and its terms gathered so far."""
 
-    __slots__ = ("key", "record", "word", "todo", "terms", "sign")
+    __slots__ = ("key", "word", "boundary", "lines", "todo", "terms", "sign")
 
     def __init__(self, d: MorseDiagram, key: Tuple) -> None:
         self.key = key
-        self.record = traverse(d)
-        self.word = d
+        slices = d.slices
+        self.word = list(slices)
+        self.boundary = d.boundary
+        self.lines = [
+            [
+                (ev[1], _tensorand(slices[ev[1]].kind, ev[2]))
+                for ev in events
+                if ev[0] == "line"
+            ]
+            for _, _, events in _walks(d)
+        ]
         # crossings first met on their under line, in the order met
         seen: set = set()
         todo = []
-        for comp in self.record.components:
-            for label in comp.labels:
-                if label.crossing not in seen:
-                    seen.add(label.crossing)
-                    if label.tensorand == 1:
-                        todo.append(label.crossing)
+        for comp in self.lines:
+            for crossing, tensorand in comp:
+                if crossing not in seen:
+                    seen.add(crossing)
+                    if tensorand == 1:
+                        todo.append(crossing)
         todo.reverse()
         self.todo = todo
         self.terms: Dict[Tuple[int, int], int] = {}
@@ -269,9 +287,11 @@ def _skein(d: MorseDiagram, memo: Dict) -> SkeinPolynomial:
     (tensorand 1: the first tensor factor rides the over strand) is switched
     in the order met, and each switch adds +-z H(L0) for the smoothing of the
     word switched so far.  Switching a crossing changes neither the strand
-    connectivity nor which line of another crossing is met first, so one
-    traversal of ``d`` serves every switched word and the descending leaf:
-    each memo miss is walked once.
+    connectivity nor which line of another crossing is met first, so the
+    one walk of ``d`` (``_walks``) serves every switched word and the
+    descending leaf: each memo miss is walked once.  A switch replaces one
+    slot of the node's slice list; the smoothing is that list less one
+    slice, reduced and looked up as a new node.
 
     The smoothings are evaluated on an explicit stack of nodes rather than by
     Python recursion, so the depth (one node per smoothing) meets no
@@ -294,20 +314,22 @@ def _skein(d: MorseDiagram, memo: Dict) -> SkeinPolynomial:
                 terms[k] = terms.get(k, 0) + node.sign * c
             value = None
         if node.todo:
-            l_plus, l_minus, l_zero = crossing_triple(node.word, node.todo.pop())
-            if node.word is l_plus:
-                # H(L+) = H(L-) + z H(L0)
-                node.word, node.sign = l_minus, 1
-            else:
-                node.word, node.sign = l_plus, -1
-            l_zero = _reduced(l_zero)
+            index = node.todo.pop()
+            word = node.word
+            kind, pos = word[index]
+            # H(L+) = H(L-) + z H(L0), and H(L-) = H(L+) - z H(L0)
+            node.sign = 1 if kind is _X_POS else -1
+            smoothed = word.copy()
+            del smoothed[index]
+            word[index] = Slice(_SWITCH[kind], pos)
+            l_zero = _reduced(MorseDiagram(smoothed, node.boundary))
             zero_key = l_zero.key()
             value = memo.get(zero_key)
             if value is None:
                 stack.append(_Node(l_zero, zero_key))
             continue
         terms = node.terms
-        for k, c in _descending_value(node.word, node.record).terms.items():
+        for k, c in _descending_value(node.word, node.lines).terms.items():
             terms[k] = terms.get(k, 0) + c
         value = memo[node.key] = SkeinPolynomial(terms)
         stack.pop()

@@ -17,8 +17,11 @@ canonical form without a gcd: the result's denominator is again a monomial,
 and the only common factor left to cancel is the power of each symbol that
 divides the whole numerator.  Division, inverse and negative powers take the
 same Laurent route when the dividend's denominator and the divisor's
-numerator are single monomials.  Any other operand pair goes through sympy's
-``FracField`` arithmetic, which cancels by a polynomial gcd.
+numerator are single monomials.  Off that route a product with a constant
+factor, or a quotient by a constant, scales the other numerator and keeps
+its denominator, since a constant cannot change the gcd.  Any other operand
+pair goes through sympy's ``FracField`` arithmetic, which cancels by a
+polynomial gcd.
 
 A product with the unit costs nothing: when either factor's element is the
 field's own ``one`` (the element ``SymbolTable.one`` and every constant 1
@@ -300,6 +303,13 @@ class Scalar:
             return self
         ex, ey = _monomial(x.denom), _monomial(y.denom)
         if ex is None or ey is None:
+            # a factor off the Laurent route is no constant; the other may be
+            c, f = (y, x) if ex is None else (x, y)
+            if _is_constant(c):
+                if not c:
+                    return self.table.zero
+                num = f.numer.mul_ground(c.numer.LC)
+                return Scalar(self.table, self.table._field.raw_new(num, f.denom))
             return Scalar(self.table, x * y)
         return _laurent(self.table, x.numer * y.numer, tuple(map(add, ex, ey)))
 
@@ -310,7 +320,12 @@ class Scalar:
         if not y:
             raise ZeroDenominatorError("division by the zero scalar")
         q = _laurent_quotient(self.table, x, y)
-        return Scalar(self.table, x / y) if q is None else q
+        if q is not None:
+            return q
+        if _is_constant(y):
+            num = x.numer.quo_ground(y.numer.LC)
+            return Scalar(self.table, self.table._field.raw_new(num, x.denom))
+        return Scalar(self.table, x / y)
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return self._coerce(other) / self
@@ -399,6 +414,17 @@ def _monomial(den) -> Optional[tuple]:
         (monom,) = den
         return monom
     return None
+
+
+def _is_constant(e) -> bool:
+    """Whether the FracElement e is a ground constant (0 included).
+
+    A constant cannot change a gcd: times or into a reduced fraction with a
+    monic denominator it scales the numerator alone, and the result is
+    reduced with the same denominator.  A canonical constant's denominator
+    is 1.
+    """
+    return e.denom.is_ground and e.numer.is_ground
 
 
 def _laurent(table: SymbolTable, num, exp: tuple) -> Scalar:
@@ -497,7 +523,9 @@ def _bounds(op, x: Scalar, y) -> tuple:
 def _gcd_degree(op, x: Scalar, y: Scalar) -> int:
     """An upper bound on the degree of the gcd that cancels op(x, y), for op
     one of + - * /; 0 on the Laurent route, where both denominators (after
-    x / y is taken as x times y.denom / y.numer) are monomials.
+    x / y is taken as x times y.denom / y.numer) are monomials, and 0 for a
+    product with a constant factor or a quotient by a constant, which
+    ``Scalar`` scales without a gcd.
 
     The bound is the lower of those on the degrees of the numerator and the
     denominator sympy cancels, so a gcd against a constant counts 0.
@@ -506,6 +534,10 @@ def _gcd_degree(op, x: Scalar, y: Scalar) -> int:
     if op is truediv:
         yn, yd = yd, yn
     if _monomial(xd) is not None and _monomial(yd) is not None:
+        return 0
+    if op is mul and (_is_constant(x.elem) or _is_constant(y.elem)):
+        return 0
+    if op is truediv and _is_constant(y.elem):
         return 0
     deg = lambda p: max((sum(m) for m in p), default=0)
     if op is mul or op is truediv:

@@ -44,7 +44,8 @@ arithmetic.
 recursion of ``homfly`` and ``conway``: every smoothing is memoized as the
 word it is, with no height exchange and no M2 cancellation, the recursion is
 Python's own, the walk is ``_walk_all``'s and the descending leaf is worked
-out here.  Shared: ``crossing_triple`` and ``SkeinPolynomial`` arithmetic.
+out here.  It switches and smooths with ``crossing_triple``, which the
+skein engine no longer calls.  Shared: ``SkeinPolynomial`` arithmetic.
 
 ``oracle_insertion_sites`` checks ``insertion_sites``: it tries a full
 ``apply_move``, which validates the whole rewritten word, at every (gap,

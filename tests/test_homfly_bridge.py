@@ -27,6 +27,7 @@ from oqa import (
     single_block_params,
     skein_triple_check,
     stats,
+    traverse,
 )
 from oqa.diagram import (
     MOVES,
@@ -38,7 +39,9 @@ from oqa.diagram import (
     validate,
     word,
 )
-from oqa.homfly_bridge import _reduced, _skein
+import oqa.diagram
+import oqa.homfly_bridge
+from oqa.homfly_bridge import _Node, _reduced, _skein
 from oracles import oracle_conway, oracle_homfly
 
 
@@ -186,10 +189,9 @@ def _seeded_braid_closures(rng, count):
     return out
 
 
-def test_skein_matches_unreduced_oracle():
-    """homfly and conway on reduced words equal the recursion on the words
-    themselves (tests/oracles.py): seeded braid closures, every closed builtin
-    with curl counts 0-3, and criterion-13 random closed diagrams."""
+def _differential_diagrams():
+    """Seeded braid closures, every closed builtin with curl counts 0-3, and
+    criterion-13 random closed diagrams."""
     from test_acceptance import _random_small_diagram
 
     rng = random.Random(10)
@@ -200,7 +202,13 @@ def test_skein_matches_unreduced_oracle():
         elif builtin(name).boundary == "closed":
             diagrams.append(builtin(name))
     diagrams += [_random_small_diagram(rng) for _ in range(40)]
-    for d in diagrams:
+    return diagrams
+
+
+def test_skein_matches_unreduced_oracle():
+    """homfly and conway on reduced words equal the recursion on the words
+    themselves (tests/oracles.py), on ``_differential_diagrams``."""
+    for d in _differential_diagrams():
         reduced = _reduced(d)
         validate(reduced)
         assert _is_reduced(reduced) and _reduced(reduced) == reduced, d
@@ -220,6 +228,50 @@ def test_skein_node_count_on_braid_closure():
     memo = {}
     _skein(_braid_closure(4, gens), memo)
     assert len(memo) == 389
+
+
+def test_skein_lines_are_traversal_lines(monkeypatch):
+    """A skein node's crossing lines are traverse's labels less the twist
+    exponent, component by component, on every diagram of the differential
+    test and on its reduced word; and the skein runs neither traverse nor
+    crossing_triple."""
+    for d in _differential_diagrams():
+        for word_ in (d, _reduced(d)):
+            want = [
+                [(l.crossing, l.tensorand) for l in comp.labels]
+                for comp in traverse(word_).components
+            ]
+            assert _Node(word_, word_.key()).lines == want, word_
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the skein walks its nodes with _walks alone")
+
+    d = _braid_closure(3, [1, -2, 1, -2, 1, -2])
+    want = homfly(d), conway(d)
+    for module in (oqa.diagram, oqa.homfly_bridge):
+        monkeypatch.setattr(module, "traverse", refuse)
+        monkeypatch.setattr(module, "crossing_triple", refuse)
+    assert (homfly(d), conway(d)) == want
+
+
+def test_torus_link_recurrence():
+    """T(2,k), the closure of sigma_1^k: switching the last crossing gives
+    sigma_1^(k-2) after an M2 cancellation, and smoothing it gives T(2,k-1).
+    So H(k) = H(k-2) + z H(k-1) from H(0) = delta = (alpha - alpha^-1)/z and
+    H(1) = alpha, and nabla(k) = nabla(k-2) + z nabla(k-1) from 0 and 1.  The
+    mirror words sigma_1^-k give H(-k) = H(-k+2) - z H(-k+1) from alpha^-1,
+    and nabla alike from 0 and 1."""
+    delta = _mono(1, -1) - _mono(-1, -1)
+    for sign in (1, -1):
+        closures = [_braid_closure(2, [sign] * k) for k in range(41)]
+        h = [homfly(d) for d in closures]
+        nabla = [conway(d) for d in closures]
+        assert h[0] == delta and h[1] == _mono(sign, 0)
+        assert nabla[0].is_zero and nabla[1] == SkeinPolynomial.one()
+        step = _mono(0, 1, sign)
+        for k in range(2, 41):
+            assert h[k] == h[k - 2] + step * h[k - 1], (sign, k)
+            assert nabla[k] == nabla[k - 2] + step * nabla[k - 1], (sign, k)
 
 
 def _depth() -> int:

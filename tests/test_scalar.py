@@ -1,6 +1,7 @@
 import ast
 import copy
 import operator
+import random
 import time
 from fractions import Fraction
 
@@ -347,6 +348,70 @@ def test_equal_tables_share_a_field():
     assert t1.one == t2.one and t1.zero * x == t2.zero
     with pytest.raises(ScalarError, match="different symbol tables"):
         x * SymbolTable(["a", "b"]).sym("a")
+
+
+# -- constant factors off the Laurent route ------------------------------------
+
+
+def _off_laurent(rng, table):
+    """A reduced fraction over a denominator that is not a monomial."""
+    ring, dom = table._field.ring, table._domain
+    while True:
+        polys = []
+        for size in (rng.randint(1, 4), rng.randint(2, 3)):
+            terms = {
+                (rng.randint(0, 2), rng.randint(0, 2)): dom.convert(rng.randint(-5, 5))
+                + (dom(0, rng.randint(-2, 2)) if table.gaussian else dom.zero)
+                for _ in range(size)
+            }
+            polys.append(ring.from_dict(terms))
+        if polys[1]:
+            x = Scalar(table, table._field.new(*polys))
+            if len(x.elem.denom) > 1:
+                return x
+
+
+def _constants(rng, table):
+    out = [table.zero, table.scalar(-1), table.rational(3, 7), table.rational(-5, 2)]
+    if table.gaussian:
+        out += [table.i, table.rational(1, 2) - 3 * table.i]
+    return out + [table.rational(rng.randint(-9, 9), rng.randint(1, 9))]
+
+
+def test_constant_factors_match_fracfield():
+    """A product with a constant, or a quotient by one, of a fraction whose
+    denominator is not a monomial keeps that denominator, equals sympy's
+    FracField result, and counts gcd degree 0; over Q and over Q(i)."""
+    from oqa.scalar import _gcd_degree
+
+    rng = random.Random(26)
+    for table in (SymbolTable(["a", "b"]), SymbolTable(["a", "b"], gaussian=True)):
+        for _ in range(12):
+            x = _off_laurent(rng, table)
+            for c in _constants(rng, table):
+                for got in (x * c, c * x):
+                    _assert_same(got, table, x.elem * c.elem)
+                assert _gcd_degree(operator.mul, x, c) == 0
+                assert _gcd_degree(operator.mul, c, x) == 0
+                if c:
+                    _assert_same(x / c, table, x.elem / c.elem)
+                    assert _gcd_degree(operator.truediv, x, c) == 0
+                    assert (x * c).elem.denom == (x / c).elem.denom == x.elem.denom
+
+
+def test_constant_chain_reads():
+    """Each *2 of the chain scales the numerator; no gcd degree is counted."""
+    from oqa.scalar import _gcd_degree
+
+    table = SymbolTable(["a", "b"])
+    base = table.parse("(a+b+1)**60/(a+b+2)**60")
+    value, two = base, table.scalar(2)
+    for _ in range(5):
+        assert _gcd_degree(operator.mul, value, two) == 0
+        value = value * two
+    assert value.elem.numer == base.elem.numer * 32
+    assert value.elem.denom == base.elem.denom
+    assert table.parse("((a+b+1)**60/(a+b+2)**60)*2*2*2*2*2") == value
 
 
 # -- Laurent quotients, ground substitution and the text reader ---------------
