@@ -136,7 +136,7 @@ class AlgebraElement:
     coeffs: Mapping[int, Scalar]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", dict(_clean(self.coeffs)))
+        object.__setattr__(self, "coeffs", _clean(self.coeffs))
 
     def _check(self, other: "AlgebraElement") -> None:
         if other.algebra.basis_labels != self.algebra.basis_labels:
@@ -218,7 +218,7 @@ class TensorSquareElement:
     coeffs: Mapping[Tuple[int, int], Scalar]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", dict(_clean(self.coeffs)))
+        object.__setattr__(self, "coeffs", _clean(self.coeffs))
 
     def __add__(self, other: "TensorSquareElement") -> "TensorSquareElement":
         out = dict(self.coeffs)
@@ -461,21 +461,20 @@ def qybe_check(algebra: AlgebraSpec, rho: TensorSquareElement) -> bool:
     return not qybe_defect(algebra, rho)
 
 
-def _qybe_side(algebra: AlgebraSpec, rho: TensorSquareElement, left: bool) -> dict:
-    """rho_12 rho_13 rho_23 (``left``) or rho_23 rho_13 rho_12 as a triple table.
+def _qybe_side(algebra: AlgebraSpec, rho: TensorSquareElement) -> dict:
+    """rho_12 rho_13 rho_23 as a triple table; over A^op it is rho_23 rho_13 rho_12.
 
-    With rho = sum_s c_s e_{i_s} (x) e_{j_s}, the left side is
-    sum_{s,t,u} c_s c_t c_u e_{i_s} e_{i_t} (x) e_{j_s} e_{i_u} (x) e_{j_t} e_{j_u}
-    and the right side the same sum with every product reversed.  The (s, t)
-    pairs are summed first, keyed by (first slot, j_s, j_t); each u then
-    multiplies into the second and third slots.
+    With rho = sum_s c_s e_{i_s} (x) e_{j_s} this is
+    sum_{s,t,u} c_s c_t c_u e_{i_s} e_{i_t} (x) e_{j_s} e_{i_u} (x) e_{j_t} e_{j_u}.
+    The (s, t) pairs are summed first, keyed by (first slot, j_s, j_t); each
+    u then multiplies into the second and third slots.
     """
     structure = algebra.structure
     terms = list(rho.coeffs.items())
     pairs: dict = {}
     for (i_s, j_s), c_s in terms:
         for (i_t, j_t), c_t in terms:
-            first = structure.get((i_s, i_t) if left else (i_t, i_s))
+            first = structure.get((i_s, i_t))
             if not first:
                 continue
             c = c_s * c_t
@@ -489,10 +488,10 @@ def _qybe_side(algebra: AlgebraSpec, rho: TensorSquareElement, left: bool) -> di
         if cp.is_zero:
             continue
         for (i_u, j_u), c_u in terms:
-            second = structure.get((j_s, i_u) if left else (i_u, j_s))
+            second = structure.get((j_s, i_u))
             if not second:
                 continue
-            third = structure.get((j_t, j_u) if left else (j_u, j_t))
+            third = structure.get((j_t, j_u))
             if not third:
                 continue
             c = cp * c_u
@@ -507,9 +506,10 @@ def _qybe_side(algebra: AlgebraSpec, rho: TensorSquareElement, left: bool) -> di
 
 
 def qybe_defect(algebra: AlgebraSpec, rho: TensorSquareElement) -> dict:
-    """Nonzero slots of rho_12 rho_13 rho_23 - rho_23 rho_13 rho_12 (witnesses)."""
-    out = _qybe_side(algebra, rho, left=True)
-    for k, c in _qybe_side(algebra, rho, left=False).items():
+    """Nonzero slots of rho_12 rho_13 rho_23 - rho_23 rho_13 rho_12 (witnesses);
+    the right side is the left side over A^op."""
+    out = _qybe_side(algebra, rho)
+    for k, c in _qybe_side(algebra.opposite(), rho).items():
         s = out.get(k)
         out[k] = -c if s is None else s - c
     return {k: c for k, c in out.items() if not c.is_zero}
@@ -526,9 +526,7 @@ class AlgebraMap:
     columns: Mapping[int, Mapping[int, Scalar]]
 
     def __post_init__(self):
-        cols = {
-            j: dict(_clean(col)) for j, col in self.columns.items() if _clean(col)
-        }
+        cols = {j: c for j, col in self.columns.items() if (c := _clean(col))}
         object.__setattr__(self, "columns", cols)
 
     @staticmethod

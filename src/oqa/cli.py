@@ -131,6 +131,7 @@ def _load_diagram(spec: str) -> MorseDiagram:
 
 def _parse_bindings(pairs: List[str], table: SymbolTable) -> Dict[str, Scalar]:
     out: Dict[str, Scalar] = {}
+    seen = set()
     for pair in pairs:
         if "=" not in pair:
             raise CliInputError(f"--bind expects sym=value, got {pair!r}")
@@ -142,6 +143,9 @@ def _parse_bindings(pairs: List[str], table: SymbolTable) -> Dict[str, Scalar]:
                 f"--bind names undeclared symbol {name!r} "
                 f"(declared: {', '.join(table.symbols) or 'none'})"
             )
+        if name in seen:
+            raise CliInputError(f"--bind names {name!r} twice")
+        seen.add(name)
         if value == "symbolic":
             continue
         try:
@@ -363,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-axioms", help="verify the three structure axioms")
     p.add_argument("--structure", required=True)
     p.add_argument("--bind", action="append", default=[], metavar="SYM=VALUE")
-    p.add_argument("--full", action="store_true", help="report every witness")
+    p.add_argument("--full", action="store_true", help="report every differing slot")
     p.set_defaults(func=cmd_check_axioms)
 
     p = sub.add_parser("invariant", help="evaluate the bead-sliding invariant")

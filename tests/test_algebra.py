@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -217,6 +218,26 @@ def test_qybe_defect_matches_oracle_sweedler(t):
 def test_qybe_defect_matches_oracle_unit(t, m2):
     for algebra in (m2, matrix_algebra(t, 3), sweedler_algebra(t)):
         assert _assert_defect_matches(algebra, tensor_unit(algebra)) == {}
+
+
+def test_qybe_defect_matches_oracle_random_sparse(t):
+    """Seeded sparse rho with rational coefficients, some times a symbol, over
+    M_2, M_3 and H4 and their opposites.  Each rho has an E11 (x) E12 slot (on
+    H4, 1 (x) g), which none of Thm 5's slot patterns has."""
+    rng = random.Random(2701)
+    a = t.sym("a")
+    failing = 0
+    for base in (matrix_algebra(t, 2), matrix_algebra(t, 3), sweedler_algebra(t)):
+        for algebra in (base, base.opposite()):
+            for _ in range(3):
+                slots = [(i, j) for i in range(algebra.dim) for j in range(algebra.dim)]
+                coeffs = {}
+                for slot in [(0, 1)] + rng.sample(slots, rng.randint(1, 4)):
+                    c = t.scalar(Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4)))
+                    coeffs[slot] = c * a if rng.random() < 0.3 else c
+                rho = TensorSquareElement(algebra, coeffs)
+                failing += bool(_assert_defect_matches(algebra, rho))
+    assert failing
 
 
 def test_apply_map_tensor(t, m2):

@@ -98,6 +98,45 @@ def test_check_axioms_full_report(capsys, tmp_path, ex2_file):
         assert json.loads(out)["witnesses"] == list(want)
 
 
+def test_check_axioms_full_report_lists_every_qa1_qa2_slot(capsys, tmp_path, ex2_file):
+    """--full lists every slot at which a qa1 product differs from the unit
+    and a twisted rho from rho, per table in sorted slot order."""
+    from oqa import AlgebraMap, apply_map_tensor, structure_from_json, structure_to_json
+    from oqa import tensor_mul, tensor_unit
+
+    blob = structure_to_json(structure_from_json(json.loads(open(ex2_file).read())))
+    blob["rho"].append({"i": "E11", "j": "E12", "c": "1"})
+    del blob["rho_inv"]
+    del blob["twist"]
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(blob))
+    S = structure_from_json(blob)
+    A, ident = S.algebra, AlgebraMap.identity(S.algebra)
+    p = apply_map_tensor(ident, S.t_u, S.rho)
+    r = apply_map_tensor(S.t_d, ident, S.rho_inv)
+    tables = [
+        ("qa1 left", tensor_mul(A, p, r, second_factor_opposite=True), tensor_unit(A)),
+        ("qa1 right", tensor_mul(A, r, p, second_factor_opposite=True), tensor_unit(A)),
+        ("qa2 t_d", apply_map_tensor(S.t_d, S.t_d, S.rho), S.rho),
+        ("qa2 t_u", apply_map_tensor(S.t_u, S.t_u, S.rho), S.rho),
+    ]
+    zero, labels = S.table.zero, A.basis_labels
+    want = []
+    for tag, got, ref in tables:
+        for i, j in sorted(got.coeffs.keys() | ref.coeffs.keys()):
+            g, w = got.coeffs.get((i, j), zero), ref.coeffs.get((i, j), zero)
+            if g != w:
+                want.append(f"{tag}: slot {labels[i]}(x){labels[j]}: {g.text()} != {w.text()}")
+
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "check-axioms", "--structure", str(bad), "--full"
+    )
+    assert code == 1
+    got = [w for w in json.loads(out)["witnesses"] if not w.startswith("qa3:")]
+    assert got == want
+    assert [sum(w.startswith(tag + ":") for w in got) for tag, _, _ in tables] == [4, 3, 1, 1]
+
+
 def test_check_axioms_malformed(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -214,6 +253,17 @@ def test_bind_input_errors(capsys, tmp_path, ex2_file):
     code, out, err = run_cli(capsys, "check-axioms", "--structure", str(bad))
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith(f"error: bad structure file {bad}: cannot parse"), err
+
+
+def test_bind_naming_a_symbol_twice_is_an_input_error(capsys, ex2_file):
+    """A symbol bound twice exits 2 whichever value, a number or symbolic,
+    comes first."""
+    for binds in (["a=2", "a=3"], ["a=2", "a=symbolic"], ["a=symbolic", "a=2"]):
+        argv = ["invariant", "--structure", ex2_file, "--diagram", "builtin:hopf"]
+        for bind in binds:
+            argv += ["--bind", bind]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: --bind names 'a' twice\n"), binds
 
 
 def test_bind_making_t_singular_is_an_input_error(capsys, tmp_path, ex2_file):

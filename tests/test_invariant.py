@@ -358,18 +358,20 @@ def test_state_sum_scalar_product_count(ex2_n3, alexander_n2, monkeypatch):
 
     # with the product taken before the bead products were checked, the
     # counts were 1702, 3871 and 619; with separate t_d and t_u power memos
-    # composed per (u_d, u_u) pair they were 1023, 2305, 479, 421 and 412
-    assert count(evaluate_link, ex2_n3, builtin("trefoil_knot")) == 1005
-    assert count(evaluate_link, ex2_n3, builtin("figure8_knot")) == 2260
-    assert count(evaluate_link, alexander_n2, builtin("figure8_knot")) == 459
+    # composed per (u_d, u_u) pair they were 1023, 2305, 479, 421 and 412;
+    # with the trace check multiplying basis elements they were 1005, 2260,
+    # 459, 412 and 385
+    assert count(evaluate_link, ex2_n3, builtin("trefoil_knot")) == 957
+    assert count(evaluate_link, ex2_n3, builtin("figure8_knot")) == 2212
+    assert count(evaluate_link, alexander_n2, builtin("figure8_knot")) == 447
     # two components of Whitney degree -1 share one G^-1, and an open
     # tangle's extra closed component is traced like a link's
     link = parse_diagram("cup_ccw 0 / cup_ccw 1 / xp 2 / xp 2 / cap_ccw 1 / cap_ccw 0")
     assert [c.whitney for c in traverse(link).components] == [-1, -1]
-    assert count(evaluate_link, ex2_n3, link) == 412
+    assert count(evaluate_link, ex2_n3, link) == 364
     tangle = parse_diagram("boundary: open / cup_cw 1 / xp 0 / xp 0 / cap_cw 1")
     assert [c.is_open for c in traverse(tangle).components] == [True, False]
-    assert count(evaluate_tangle, ex2_n3, tangle) == 385
+    assert count(evaluate_tangle, ex2_n3, tangle) == 337
 
 
 def test_component_text_names_past_twelve_crossings():

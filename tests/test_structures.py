@@ -22,6 +22,7 @@ from oqa import (
     check_axioms,
     classify_thm5,
     matrix_algebra,
+    matrix_trace,
     minimal_subalgebra,
     opposite,
     params_from_json,
@@ -32,6 +33,7 @@ from oqa import (
     sweedler_oqa,
     tensor_unit,
 )
+from oqa.structures import is_tracelike
 
 
 def test_rho_abc_slots_n2():
@@ -112,6 +114,76 @@ def test_broken_automorphism_fails_qa1(table2, ex2_n2):
     assert not report.qa1
     assert report.qa2 and report.qa3
     assert any("qa1" in w for w in report.witnesses)
+
+
+def test_check_axioms_builds_each_qybe_side_once(table2, ex2_n2, monkeypatch):
+    """A structure that fails qa3 gets its verdict and its witnesses from one
+    QYBE defect: each side is built once."""
+    import oqa.algebra
+
+    calls = 0
+    side = oqa.algebra._qybe_side
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return side(*args, **kwargs)
+
+    monkeypatch.setattr(oqa.algebra, "_qybe_side", counted)
+    rho = ex2_n2.rho + TensorSquareElement(ex2_n2.algebra, {(0, 1): table2.one})
+    broken = OrientedQuantumAlgebraStructure(
+        algebra=ex2_n2.algebra,
+        rho=rho,
+        rho_inv=ex2_n2.rho_inv,
+        t_d=ex2_n2.t_d,
+        t_u=ex2_n2.t_u,
+        twist=None,
+        trace=ex2_n2.trace,
+    )
+    report = check_axioms(broken)
+    assert not report.qa3
+    assert report.witnesses[-1].startswith("qa3: slot ")
+    assert calls == 2
+
+
+def _tracelike_by_products(algebra, functional):
+    """tr(e_i e_j) = tr(e_j e_i) with both products built as elements."""
+    basis = [algebra.basis_element(i) for i in range(algebra.dim)]
+    return all(
+        (x * y).pairing(functional) == (y * x).pairing(functional)
+        for x in basis
+        for y in basis
+    )
+
+
+def test_is_tracelike_matches_element_products():
+    """Seeded functionals over M_2..M_4, H4 and H4^op: random ones (mostly not
+    tracelike), a multiple of the matrix trace on M_n, and, on H4, values on
+    1 and g only (tr(x) = tr(gx) = 0 is what tracelike asks there)."""
+    t = SymbolTable(["a"])
+    a = t.sym("a")
+    rng = random.Random(2702)
+
+    def value():
+        c = t.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        return c * a if rng.random() < 0.3 else c
+
+    cases = []
+    for n in (2, 3, 4):
+        algebra = matrix_algebra(t, n)
+        cases.append((algebra, {k: c * a for k, c in matrix_trace(algebra, n).items()}))
+        diag = {(i - 1) * (n + 1): value() for i in range(1, n + 1)}
+        cases.append((algebra, diag))
+        for _ in range(2):
+            cases.append((algebra, {k: value() for k in rng.sample(range(n * n), n)}))
+    h4 = sweedler_oqa(t, a).algebra
+    for algebra in (h4, h4.opposite()):
+        cases.append((algebra, {0: value(), 1: value()}))
+        for _ in range(3):
+            cases.append((algebra, {k: value() for k in range(4) if rng.random() < 0.6}))
+    verdicts = [is_tracelike(algebra, f) for algebra, f in cases]
+    assert verdicts == [_tracelike_by_products(algebra, f) for algebra, f in cases]
+    assert True in verdicts and False in verdicts
 
 
 def test_standardize(ex2_n2):
