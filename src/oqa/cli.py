@@ -155,6 +155,12 @@ def _parse_bindings(pairs: List[str], table: SymbolTable) -> Dict[str, Scalar]:
     return out
 
 
+def _why(exc: Exception) -> str:
+    """The message of an error met reading a JSON file; a KeyError is a
+    field the file lacks."""
+    return f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _bound(bindings: Dict[str, Scalar], s: Scalar) -> Scalar:
     try:
         return substitute(s, bindings)
@@ -171,7 +177,7 @@ def _load_structure(path: str, binds: List[str]) -> OrientedQuantumAlgebraStruct
         sub = functools.partial(_bound, bindings) if bindings else None
         S = structure_from_json(data, sub)
     except (ValueError, KeyError, TypeError) as exc:
-        raise CliInputError(f"bad structure file {path}: {exc}") from None
+        raise CliInputError(f"bad structure file {path}: {_why(exc)}") from None
     # det t_d or det t_u can vanish at the bound values; with a twist, t_d o t_u
     # is conjugation by G, so both maps stay bijective and need no check
     if bindings and S.twist is None:
@@ -253,7 +259,7 @@ def _load_single_block(path: str):
     try:
         return params_from_json(data)
     except (ValueError, KeyError, TypeError) as exc:
-        raise CliInputError(f"bad single-block parameter file {path}: {exc}") from None
+        raise CliInputError(f"bad single-block parameter file {path}: {_why(exc)}") from None
 
 
 def _homogeneous_degree(s: Scalar, symbols) -> Optional[int]:
@@ -269,6 +275,10 @@ def cmd_verify_section6(args) -> int:
         ctx = section6_context(params)
     except StructureError as exc:
         raise CliInputError(str(exc)) from None
+    except ZeroDenominatorError as exc:  # the file's values divide by zero
+        raise CliInputError(
+            f"bad single-block parameter file {args.structure}: {exc}"
+        ) from None
 
     diagrams: List[str] = args.diagrams or [
         "unknot_ccw",

@@ -423,6 +423,10 @@ def section6_context(params: MnStructureParams) -> SectionSixContext:
 
     q = a / sbc
     r = q * q
+    if r.is_one:
+        raise StructureError(
+            "a^2 = bc: q = a/sbc is 1 or -1, so the skein variable q - q^-1 is zero"
+        )
 
     e = sum(1 if ai == a else -1 for ai in a_values)
 

@@ -11,25 +11,46 @@ Canonical form is maintained eagerly (content/GCD reduction with a monic
 denominator), so ``==`` is exact mathematical equality and Scalars are
 hashable.  All values are immutable.
 
-Products and sums of Laurent scalars -- both denominators single monomials,
-which covers constants and every table without symbols -- reach that same
-canonical form without a gcd: the result's denominator is again a monomial,
-and the only common factor left to cancel is the power of each symbol that
-divides the whole numerator.  Division, inverse and negative powers take the
-same Laurent route when the dividend's denominator and the divisor's
-numerator are single monomials.  Off that route a product with a constant
-factor, or a quotient by a constant, scales the other numerator and keeps
-its denominator, since a constant cannot change the gcd.  Any other operand
-pair goes through sympy's ``FracField`` arithmetic, which cancels by a
-polynomial gcd.
+Arithmetic takes the first of four routes that fits its operands:
 
-A product with the unit costs nothing: when either factor's element is the
-field's own ``one`` (the element ``SymbolTable.one`` and every constant 1
-hold), the product is the other factor, unchanged.  This is an identity test,
-so it is exact; a 1 reached by arithmetic is a different object and takes the
-ordinary route to the same canonical value.  Equal tables share one
-``FracField``, so the rule and every other operation hold across tables built
-separately from the same symbols and domain.
+* **Ground.**  A canonical constant has denominator 1, so ``_ground_value``
+  reads its ground element (a ``PythonMPQ`` on Q, a ``GaussianRational`` on
+  Q(i)) off the numerator.  A product of two constants, and a power or the
+  negation of one, computes on the ground elements and multiplies no
+  polynomial.
+* **Constant factor.**  A product with a constant, or a quotient by one,
+  scales the other numerator and keeps its denominator, since a constant
+  cannot change the gcd.
+* **Laurent.**  Products and sums of Laurent scalars -- both denominators
+  single monomials -- reach canonical form without a gcd: the result's
+  denominator is again a monomial, and the only common factor left to
+  cancel is the power of each symbol that divides the whole numerator.
+  Division, inverse and negative powers take the same route when the
+  dividend's denominator and the divisor's numerator are single monomials.
+  Sums, quotients and inverses of constants take this route too.
+* **FracField.**  Any other operand pair goes through sympy's ``FracField``
+  arithmetic, which cancels by a polynomial gcd.
+
+The public constructor ``Scalar(table, elem)`` checks that ``elem`` belongs
+to the table's field and makes its denominator monic (sympy reduces the
+fraction but, over Q(i), does not fix the denominator's unit); results of
+the FracField route and of inverting a fraction go through it.  The other
+routes build results that are canonical by construction -- a ground element
+over 1, a scaled numerator over a kept monic denominator, a Laurent
+numerator over a monic monomial, a negated numerator, a power of a reduced
+fraction -- so ``_canonical`` builds their Scalars once, without that check.
+
+Every constant that the ground and Laurent routes make is wrapped once by
+``SymbolTable._ground``: 0 is the table's ``zero`` and 1 its ``one``, both
+built once per table, and any other constant is its ground element over the
+denominator of the field's ``one``.  A product with the unit costs nothing:
+when either factor's element is the field's own ``one``, the product is
+the other factor, unchanged.  This is an identity test, so it is exact.  A
+1 reached by arithmetic on those routes is that ``one``, so later products
+by it short-circuit; a 1 from the FracField route (say (a+b)/(a+b)) is an
+equal but separate element and takes the ordinary route to the same value.
+Equal tables share one ``FracField``, so the rule and every other operation
+hold across tables built separately from the same symbols and domain.
 
 Substitution of constants for every symbol evaluates numerator and
 denominator in the ground domain (Q or Q(i)) and divides once.  Parsing walks
@@ -121,8 +142,12 @@ class SymbolTable:
         if field is None:
             field = _FIELDS[key] = FracField(symbols, self._domain)
         self._field = field
+        self._zero_monom = field.ring.zero_monom
         self._sympy_syms = {name: sympy.Symbol(name) for name in symbols}
         self._gens = dict(zip(symbols, self._field.gens))
+        # built once: every 0 and 1 that arithmetic makes is one of these
+        self.zero = _canonical(self, field.zero)
+        self.one = _canonical(self, field.one)
 
     def __repr__(self) -> str:
         dom = "QQ_I" if self.gaussian else "QQ"
@@ -139,14 +164,6 @@ class SymbolTable:
         return hash((self.symbols, self.gaussian))
 
     # -- constructors ------------------------------------------------------
-
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, self._field.zero)
-
-    @property
-    def one(self) -> "Scalar":
-        return Scalar(self, self._field.one)
 
     def sym(self, name: str) -> "Scalar":
         if name not in self._gens:
@@ -176,18 +193,21 @@ class SymbolTable:
         return self._ground(c)
 
     def _ground(self, c) -> "Scalar":
-        """The constant Scalar of a ground-domain element.
+        """The constant Scalar of a ground-domain element: ``zero`` for 0,
+        ``one`` for 1 (so products by it take the unit rule), else c over 1.
 
         ``FracField.ground_new`` would cancel c / 1 through a gcd; a constant
         over 1 is already reduced with a monic denominator, and shares the
         denominator of the field's ``one`` (``ring.one`` is a fresh copy on
-        every read).  The constant 1 is the field's ``one`` itself, so
-        products by it take the unit rule.
+        every read).
         """
-        field = self._field
+        if not c:
+            return self.zero
         if c == self._domain.one:
-            return Scalar(self, field.one)
-        return Scalar(self, field.raw_new(field.ring.ground_new(c), field.one.denom))
+            return self.one
+        field = self._field
+        num = field.ring.dtype({self._zero_monom: c})
+        return _canonical(self, field.raw_new(num, field.one.denom))
 
     def rational(self, p: int, q: int = 1) -> "Scalar":
         if q == 0:
@@ -301,15 +321,15 @@ class Scalar:
             return other
         if y is one:
             return self
+        cx, cy = _ground_value(x), _ground_value(y)
+        if cy is not None:
+            if cx is not None:
+                return self.table._ground(cx * cy)
+            return _scaled(self.table, x, cy)
+        if cx is not None:
+            return _scaled(self.table, y, cx)
         ex, ey = _monomial(x.denom), _monomial(y.denom)
         if ex is None or ey is None:
-            # a factor off the Laurent route is no constant; the other may be
-            c, f = (y, x) if ex is None else (x, y)
-            if _is_constant(c):
-                if not c:
-                    return self.table.zero
-                num = f.numer.mul_ground(c.numer.LC)
-                return Scalar(self.table, self.table._field.raw_new(num, f.denom))
             return Scalar(self.table, x * y)
         return _laurent(self.table, x.numer * y.numer, tuple(map(add, ex, ey)))
 
@@ -322,9 +342,9 @@ class Scalar:
         q = _laurent_quotient(self.table, x, y)
         if q is not None:
             return q
-        if _is_constant(y):
-            num = x.numer.quo_ground(y.numer.LC)
-            return Scalar(self.table, self.table._field.raw_new(num, x.denom))
+        c = _ground_value(y)
+        if c is not None:
+            return _scaled(self.table, x, self.table._domain.one / c)
         return Scalar(self.table, x / y)
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
@@ -337,11 +357,20 @@ class Scalar:
             if not self.elem:
                 raise ZeroDenominatorError("negative power of the zero scalar")
             return self._inverse() ** -exponent
-        # sympy refuses 0**0; here, as in Python and sympy's Pow, it is 1
-        return Scalar(self.table, self.elem ** exponent) if exponent else self.table.one
+        if not exponent:
+            # sympy refuses 0**0; here, as in Python and sympy's Pow, it is 1
+            return self.table.one
+        c = _ground_value(self.elem)
+        if c is not None:
+            return self.table._ground(c**exponent)
+        # a power of a reduced fraction over a monic denominator is one too
+        return _canonical(self.table, self.elem**exponent)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.table, -self.elem)
+        c = _ground_value(self.elem)
+        if c is not None:
+            return self.table._ground(-c)
+        return _canonical(self.table, -self.elem)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -416,15 +445,46 @@ def _monomial(den) -> Optional[tuple]:
     return None
 
 
-def _is_constant(e) -> bool:
-    """Whether the FracElement e is a ground constant (0 included).
+def _ground_value(e):
+    """The ground element of the canonical FracElement e when e is a
+    constant (0 included), else None.
 
-    A constant cannot change a gcd: times or into a reduced fraction with a
-    monic denominator it scales the numerator alone, and the result is
-    reduced with the same denominator.  A canonical constant's denominator
-    is 1.
+    A canonical constant's denominator is 1, so its value is the numerator's
+    constant term.
     """
-    return e.denom.is_ground and e.numer.is_ground
+    num, den = e.numer, e.denom
+    if len(num) > 1 or len(den) != 1:
+        return None
+    zero = num.ring.zero_monom
+    if zero not in den:
+        return None
+    return num.get(zero) if num else num.ring.domain.zero
+
+
+def _canonical(table: SymbolTable, elem) -> "Scalar":
+    """The Scalar of an element of ``table``'s field that is already reduced
+    with a monic denominator, built without ``__post_init__``'s check.
+
+    Only internal results whose form is canonical by construction come here;
+    ``Scalar(table, elem)`` keeps the check for every other element.
+    """
+    s = object.__new__(Scalar)
+    object.__setattr__(s, "table", table)
+    object.__setattr__(s, "elem", elem)
+    return s
+
+
+def _scaled(table: SymbolTable, f, c) -> "Scalar":
+    """``c * f`` for a FracElement f that is no constant and a ground
+    element c.
+
+    A constant cannot change a gcd: times a reduced fraction with a monic
+    denominator it scales the numerator alone, and the result is reduced
+    with the same denominator.
+    """
+    if not c:
+        return table.zero
+    return _canonical(table, table._field.raw_new(f.numer.mul_ground(c), f.denom))
 
 
 def _laurent(table: SymbolTable, num, exp: tuple) -> Scalar:
@@ -444,9 +504,14 @@ def _laurent(table: SymbolTable, num, exp: tuple) -> Scalar:
             num = num.new([(tuple(map(sub, m, low)), c) for m, c in num.items()])
             exp = tuple(map(sub, exp, low))
     field = table._field
-    # a zero exponent shares the denominator of the field's one
-    den = field.ring.dtype([(exp, table._domain.one)]) if any(exp) else field.one.denom
-    return Scalar(table, field.raw_new(num, den))
+    if any(exp):
+        den = field.ring.dtype([(exp, table._domain.one)])
+    elif len(num) == 1 and table._zero_monom in num:
+        return table._ground(num[table._zero_monom])
+    else:
+        # a zero exponent shares the denominator of the field's one
+        den = field.one.denom
+    return _canonical(table, field.raw_new(num, den))
 
 
 def _laurent_quotient(table: SymbolTable, x, y) -> Optional[Scalar]:
@@ -535,9 +600,10 @@ def _gcd_degree(op, x: Scalar, y: Scalar) -> int:
         yn, yd = yd, yn
     if _monomial(xd) is not None and _monomial(yd) is not None:
         return 0
-    if op is mul and (_is_constant(x.elem) or _is_constant(y.elem)):
+    constant = lambda s: _ground_value(s.elem) is not None
+    if op is mul and (constant(x) or constant(y)):
         return 0
-    if op is truediv and _is_constant(y.elem):
+    if op is truediv and constant(y):
         return 0
     deg = lambda p: max((sum(m) for m in p), default=0)
     if op is mul or op is truediv:
@@ -663,11 +729,10 @@ def _ground_point(values: Sequence[Scalar]) -> Optional[list]:
     """The ground-domain values of constant Scalars, or None if one is not."""
     point = []
     for v in values:
-        num, den = v.elem.numer, v.elem.denom
-        if not (num.is_ground and den.is_ground):
+        c = _ground_value(v.elem)
+        if c is None:
             return None
-        # canonical constants have denominator 1
-        point.append(num.LC)
+        point.append(c)
     return point
 
 

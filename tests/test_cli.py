@@ -461,6 +461,40 @@ def test_malformed_files_are_input_errors(capsys, tmp_path, ex2_file, single_blo
         assert code == 2 and out == "" and err.count("\n") == 1, (argv, err)
 
 
+
+def test_section6_files_that_cannot_close_are_input_errors(capsys, tmp_path, ex2_file):
+    """verify-section6 exits 2 with one line, naming the cause, when a^2 = bc
+    (q = a/sbc is 1 or -1, so the skein variable q - q^-1 is zero) and when
+    the file's values make the build divide by zero, as check-axioms does."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"symbols": ["a"], "n": 1, "a": "a", "bc": "a**2"}))
+    code, out, err = run_cli(capsys, "verify-section6", "--structure", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: a^2 = bc: q = a/sbc is 1 or -1, so the skein variable q - q^-1 is zero\n"
+    blob = dict(json.loads(open(ex2_file).read()), omega1_sq="0")
+    path.write_text(json.dumps(blob))
+    for command, kind in (("verify-section6", "single-block parameter"), ("check-axioms", "structure")):
+        code, out, err = run_cli(capsys, command, "--structure", str(path))
+        assert (code, out, err) == (2, "", f"error: bad {kind} file {path}: inverse of the zero scalar\n")
+
+
+def test_missing_json_fields_are_named(capsys, tmp_path, ex2_file, single_block_file):
+    """A field a file lacks is named as such in both loaders, not as the bare
+    text of a KeyError."""
+    from oqa import structure_from_json, structure_to_json
+
+    explicit = structure_to_json(structure_from_json(json.loads(open(ex2_file).read())))
+    block = json.loads(open(single_block_file).read())
+    path = tmp_path / "f.json"
+    for command, kind, blob, field in (
+        ("check-axioms", "structure", {k: v for k, v in explicit.items() if k != "algebra"}, "algebra"),
+        ("check-axioms", "structure", dict(explicit, algebra={"n": 2}), "kind"),
+        ("verify-section6", "single-block parameter", {k: v for k, v in block.items() if k != "n"}, "n"),
+    ):
+        path.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, command, "--structure", str(path))
+        assert (code, out, err) == (2, "", f"error: bad {kind} file {path}: missing field {field!r}\n")
+
 def test_successive_calls_share_no_options(capsys, tmp_path, ex2_file):
     """main() builds its parser once per process; the --bind and --full of
     one call do not reach the next."""

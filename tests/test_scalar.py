@@ -322,10 +322,13 @@ def test_unit_products_match_full_product(data):
         _assert_same(got, table, x.elem * one.elem)
         # the unit rule hands back the other factor itself
         assert got.elem is x.elem
-    # a 1 reached by arithmetic is not the field's one: full route, same value
+    # x / x on the ground or Laurent route (a one-term numerator and
+    # denominator) is the field's one; from the FracField route it is an
+    # equal but separate element, which takes the full route to the same value
     if x:
         computed = x / x
-        assert computed.is_one and computed.elem is not one.elem
+        on_route = len(x.elem.numer) == len(x.elem.denom) == 1
+        assert computed.is_one and (computed.elem is one.elem) == on_route
         _assert_same(x * computed, table, x.elem * computed.elem)
         _assert_same(computed * x, table, computed.elem * x.elem)
 
@@ -348,6 +351,112 @@ def test_equal_tables_share_a_field():
     assert t1.one == t2.one and t1.zero * x == t2.zero
     with pytest.raises(ScalarError, match="different symbol tables"):
         x * SymbolTable(["a", "b"]).sym("a")
+
+
+# -- the ground route and results built without the check ---------------------
+
+_ground_tables = (
+    SymbolTable([]),
+    SymbolTable([], gaussian=True),
+    SymbolTable(["a", "sbc"]),
+    SymbolTable(["a", "sbc"], gaussian=True),
+)
+
+
+def _ground_operands(table):
+    """0, 1, -1, I and -I (Gaussian tables), random rationals or Gaussian
+    rationals, a constant from the public constructor, and (with symbols)
+    Laurent values and values over a non-monomial denominator."""
+    dom = table._domain
+    const = st.builds(
+        lambda p, q, r: table._ground(
+            dom.convert(Fraction(p, q)) + (dom(0, r) if table.gaussian else dom.zero)
+        ),
+        st.integers(-9, 9),
+        st.integers(1, 9),
+        st.integers(-3, 3),
+    )
+    # an element that __post_init__ has to make canonical: 2i/(3i) is 2/3
+    unit, ring = (dom(0, 1) if table.gaussian else dom.one), table._field.ring
+    checked = Scalar(table, table._field.raw_new(
+        ring.ground_new(2 * unit), ring.ground_new(3 * unit)
+    ))
+    fixed = [table.zero, table.one, -table.one, checked]
+    if table.gaussian:
+        fixed += [table.i, -table.i]
+    ops = [st.sampled_from(fixed), const]
+    if table.symbols:
+        s0, s1 = table.syms(*table.symbols)
+        ops += [laurent_scalars(table), laurent_scalars(table).map(lambda y: y / (s0 - s1))]
+    return st.one_of(ops)
+
+
+def _assert_canonical(got, table, ref_elem):
+    """``got`` is the canonical Scalar of the FracField element ``ref_elem``,
+    and meets what ``Scalar.__post_init__`` enforces although the ground,
+    constant-factor and Laurent routes skip it: the element lies in the
+    table's field, its denominator is monic, and re-checking it changes
+    nothing, the hash included."""
+    assert got.table is table and got.elem.field is table._field
+    assert got.elem.denom.LC == table._domain.one
+    rechecked = Scalar(table, got.elem)
+    assert (rechecked.elem.numer, rechecked.elem.denom) == (got.elem.numer, got.elem.denom)
+    assert hash(got) == hash(rechecked)
+    _assert_same(got, table, ref_elem)
+
+
+def _constant(x):
+    return x.elem.numer.is_ground and x.elem.denom.is_ground
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ground_route_matches_fracfield(data):
+    """Every operation, on constants of Q and Q(i) and on constants mixed
+    with symbolic values, equals sympy's FracField result and is canonical;
+    a 0 or 1 that arithmetic makes from two constants is ``zero`` or ``one``
+    itself (the unit rule hands back an operand, which may be built apart)."""
+    table = data.draw(st.sampled_from(_ground_tables))
+    x = data.draw(_ground_operands(table))
+    y = data.draw(_ground_operands(table))
+    field_one = table._field.one
+    results = [
+        (x * y, x.elem * y.elem),
+        (x + y, x.elem + y.elem),
+        (x - y, x.elem - y.elem),
+        (-x, -x.elem),
+        (x * 3, x.elem * 3),
+        (2 - x, 2 - x.elem),
+        (x**0, field_one),
+    ]
+    for k in (1, 2, 3):
+        results.append((x**k, x.elem**k))
+    if y:
+        results += [(x / y, x.elem / y.elem), (y.inv(), y.elem**-1), (y**-2, y.elem**-2)]
+    for got, ref in results:
+        _assert_canonical(got, table, ref)
+    if _constant(x) and _constant(y):
+        for got, _ in results:
+            if got is x or got is y:
+                continue
+            if got.is_zero:
+                assert got is table.zero
+            elif got.is_one:
+                assert got is table.one and got.elem is field_one
+
+
+def test_zero_and_one_are_built_once():
+    """``zero`` and ``one`` are one Scalar per table, and every 0 and 1 that
+    constant arithmetic makes is that Scalar."""
+    for table in _ground_tables:
+        assert table.zero is table.zero and table.one is table.one
+        assert table.one.elem is table._field.one and table.zero.elem is table._field.zero
+        half = table.rational(1, 2)
+        assert half + half is table.one and half - half is table.zero
+        assert half * 2 is table.one and half / half is table.one
+        assert table.scalar(0) is table.zero and table.scalar(1) is table.one
+        assert -(-table.one) is table.one and (-table.one) ** 2 is table.one
+        assert table.parse("3/3") is table.one
 
 
 # -- constant factors off the Laurent route ------------------------------------
