@@ -145,7 +145,7 @@ class SymbolTable:
         self._zero_monom = field.ring.zero_monom
         self._sympy_syms = {name: sympy.Symbol(name) for name in symbols}
         self._gens = dict(zip(symbols, self._field.gens))
-        # built once: every 0 and 1 that arithmetic makes is one of these
+        # built once; the ground and Laurent routes return these for 0 and 1
         self.zero = _canonical(self, field.zero)
         self.one = _canonical(self, field.one)
 
