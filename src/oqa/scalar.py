@@ -11,23 +11,28 @@ Canonical form is maintained eagerly (content/GCD reduction with a monic
 denominator), so ``==`` is exact mathematical equality and Scalars are
 hashable.  All values are immutable.
 
+A Scalar keeps one of two things.  A constant keeps its ground element (a
+``PythonMPQ`` on Q, a ``GaussianRational`` on Q(i)) in the slot
+``_ground_value`` and no polynomial; any other value keeps its canonical
+``FracElement``.  ``elem`` reads that element, and for a constant builds it
+on demand (ground element over 1) without keeping it, for ``text()``,
+``substitute``, ``laurent_view``, the reader's gcd bound and a sum with a
+value that is no constant.
+
 Arithmetic takes the first of four routes that fits its operands:
 
-* **Ground.**  A canonical constant has denominator 1, so ``_ground_value``
-  reads its ground element (a ``PythonMPQ`` on Q, a ``GaussianRational`` on
-  Q(i)) off the numerator.  A product of two constants, and a power or the
-  negation of one, computes on the ground elements and multiplies no
-  polynomial.
-* **Constant factor.**  A product with a constant, or a quotient by one,
-  scales the other numerator and keeps its denominator, since a constant
-  cannot change the gcd.
+* **Ground.**  Two constants: ``+ - * /``, ``inv``, powers, negation, ``==``
+  and ``hash`` compute on the ground elements and build one small Scalar
+  (or none), with no polynomial.
+* **Constant factor.**  A product of a constant and any other value, or a
+  quotient of that value by a constant, scales the other numerator and
+  keeps its denominator, since a constant cannot change the gcd.
 * **Laurent.**  Products and sums of Laurent scalars -- both denominators
   single monomials -- reach canonical form without a gcd: the result's
   denominator is again a monomial, and the only common factor left to
   cancel is the power of each symbol that divides the whole numerator.
   Division, inverse and negative powers take the same route when the
   dividend's denominator and the divisor's numerator are single monomials.
-  Sums, quotients and inverses of constants take this route too.
 * **FracField.**  Any other operand pair goes through sympy's ``FracField``
   arithmetic, which cancels by a polynomial gcd.
 
@@ -35,22 +40,24 @@ The public constructor ``Scalar(table, elem)`` checks that ``elem`` belongs
 to the table's field and makes its denominator monic (sympy reduces the
 fraction but, over Q(i), does not fix the denominator's unit); results of
 the FracField route and of inverting a fraction go through it.  The other
-routes build results that are canonical by construction -- a ground element
-over 1, a scaled numerator over a kept monic denominator, a Laurent
-numerator over a monic monomial, a negated numerator, a power of a reduced
-fraction -- so ``_canonical`` builds their Scalars once, without that check.
+routes build results that are canonical by construction -- a scaled
+numerator over a kept monic denominator, a Laurent numerator over a monic
+monomial, a negated numerator, a power of a reduced fraction -- so
+``_canonical`` builds their Scalars once, without that check.
 
-Every constant that the ground and Laurent routes make is wrapped once by
-``SymbolTable._ground``: 0 is the table's ``zero`` and 1 its ``one``, both
-built once per table, and any other constant is its ground element over the
-denominator of the field's ``one``.  A product with the unit costs nothing:
-when either factor's element is the field's own ``one``, the product is
-the other factor, unchanged.  This is an identity test, so it is exact.  A
-1 reached by arithmetic on those routes is that ``one``, so later products
-by it short-circuit; a 1 from the FracField route (say (a+b)/(a+b)) is an
-equal but separate element and takes the ordinary route to the same value.
-Equal tables share one ``FracField``, so the rule and every other operation
-hold across tables built separately from the same symbols and domain.
+Every constant, from any route, is built by ``SymbolTable._ground``: 0 is
+the table's ``zero`` and 1 its ``one``, both built once per table, and any
+other constant is a new Scalar holding its ground element.  The public
+constructor hands a constant element to it too, so a 1 from the FracField
+route (say (a+b)/(a+b)) is ``one`` as well.  A product with the unit costs
+nothing: when either factor is the table's ``one``, the product is the
+other factor, unchanged.  This is an identity test, so it is exact.  Equal
+tables share one ``FracField``, so every operation holds across tables
+built separately from the same symbols and domain.
+
+Pickle and ``copy`` rebuild a table from its symbols and domain, and a
+Scalar from its table and its terms as plain integers; no sympy object is
+pickled.
 
 Substitution of constants for every symbol evaluates numerator and
 denominator in the ground domain (Q or Q(i)) and divides once.  Parsing walks
@@ -65,7 +72,7 @@ from __future__ import annotations
 import ast
 import keyword
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import add, mul, sub, truediv
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -145,9 +152,9 @@ class SymbolTable:
         self._zero_monom = field.ring.zero_monom
         self._sympy_syms = {name: sympy.Symbol(name) for name in symbols}
         self._gens = dict(zip(symbols, self._field.gens))
-        # built once; the ground and Laurent routes return these for 0 and 1
-        self.zero = _canonical(self, field.zero)
-        self.one = _canonical(self, field.one)
+        # built once; every 0 and 1 of this table is one of these
+        self.zero = _constant(self, self._domain.zero)
+        self.one = _constant(self, self._domain.one)
 
     def __repr__(self) -> str:
         dom = "QQ_I" if self.gaussian else "QQ"
@@ -162,6 +169,10 @@ class SymbolTable:
 
     def __hash__(self) -> int:
         return hash((self.symbols, self.gaussian))
+
+    def __reduce__(self):
+        # sympy's fields do not pickle; an equal table shares the field
+        return SymbolTable, (self.symbols, self.gaussian)
 
     # -- constructors ------------------------------------------------------
 
@@ -186,6 +197,12 @@ class SymbolTable:
             if value.table != self:
                 raise ScalarError("scalar belongs to a different symbol table")
             return value
+        if isinstance(value, (float, complex, sympy.Float)):
+            # a binary float is not the decimal it prints as: 0.1 is not 1/10
+            raise ScalarError(
+                f"cannot coerce {value!r} into {self!r}: floats are inexact; "
+                "use an int or a Fraction"
+            )
         try:
             c = self._domain.convert(value)
         except Exception as exc:
@@ -194,20 +211,13 @@ class SymbolTable:
 
     def _ground(self, c) -> "Scalar":
         """The constant Scalar of a ground-domain element: ``zero`` for 0,
-        ``one`` for 1 (so products by it take the unit rule), else c over 1.
-
-        ``FracField.ground_new`` would cancel c / 1 through a gcd; a constant
-        over 1 is already reduced with a monic denominator, and shares the
-        denominator of the field's ``one`` (``ring.one`` is a fresh copy on
-        every read).
-        """
+        ``one`` for 1 (so products by it take the unit rule), else a new
+        Scalar holding c."""
         if not c:
             return self.zero
         if c == self._domain.one:
             return self.one
-        field = self._field
-        num = field.ring.dtype({self._zero_monom: c})
-        return _canonical(self, field.raw_new(num, field.one.denom))
+        return _constant(self, c)
 
     def rational(self, p: int, q: int = 1) -> "Scalar":
         if q == 0:
@@ -229,6 +239,10 @@ class SymbolTable:
             )
         if expr.has(sympy.I) and not self.gaussian:
             raise ScalarError("imaginary unit requires a Gaussian symbol table")
+        if expr.has(sympy.Float):
+            raise ScalarError(
+                f"expression {expr} has a float; floats are inexact; use an int or a Fraction"
+            )
         try:
             elem = self._field.from_expr(expr)
         except ZeroDivisionError:
@@ -255,31 +269,50 @@ def make_scalar(table: SymbolTable, expr) -> "Scalar":
     raise ScalarError(f"cannot build a scalar from {expr!r}")
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """An exact rational function; immutable, canonical, hashable."""
+    """An exact rational function; immutable, canonical, hashable.
 
-    # _hash stays unset until the first hash() (see __hash__), so that making
-    # a Scalar costs no more for it
-    __slots__ = ("table", "elem", "_hash")
+    ``Scalar(table, elem)`` takes an element of the table's ``FracField``.
+    """
 
-    table: SymbolTable
-    elem: object  # sympy FracElement
+    # a constant holds its ground element in _ground_value and None in
+    # _elem; any other value None and its canonical FracElement.  _hash stays
+    # unset until the first hash() (see __hash__), so that making a Scalar
+    # costs no more for it
+    __slots__ = ("table", "_ground_value", "_elem", "_hash")
 
-    # -- basic protocol ----------------------------------------------------
-
-    def __post_init__(self):
-        if self.elem.field is not self.table._field:
+    def __new__(cls, table: SymbolTable, elem) -> "Scalar":
+        if elem.field is not table._field:
             raise ScalarError("element does not belong to the table's field")
         # sympy reduces the fraction but (over the Gaussian rationals) does
         # not fix the denominator's unit; canonical form here is a monic
         # denominator
-        den = self.elem.denom
+        den = elem.denom
         lc = den.LC
-        if lc != self.table._domain.one:
-            field = self.table._field
-            num = self.elem.numer.quo_ground(lc)
-            object.__setattr__(self, "elem", field.raw_new(num, den.quo_ground(lc)))
+        if lc != table._domain.one:
+            elem = table._field.raw_new(elem.numer.quo_ground(lc), den.quo_ground(lc))
+        c = _ground_of(elem)
+        return _canonical(table, elem) if c is None else table._ground(c)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def elem(self):
+        """The canonical sympy ``FracElement``; a constant's is built anew on
+        every read."""
+        e = self._elem
+        if e is not None:
+            return e
+        c, field = self._ground_value, self.table._field
+        if not c:
+            return field.zero
+        return field.raw_new(field.ring.dtype({self.table._zero_monom: c}), field.one.denom)
+
+    # -- basic protocol ----------------------------------------------------
 
     def _coerce(self, other: ScalarLike) -> "Scalar":
         if isinstance(other, Scalar):
@@ -288,8 +321,12 @@ class Scalar:
             return other
         return self.table.scalar(other)
 
-    def _sum(self, x, y, op) -> "Scalar":
-        """``op(x, y)`` for FracElements x, y and op one of add, sub."""
+    def _sum(self, x: "Scalar", y: "Scalar", op) -> "Scalar":
+        """``op(x, y)`` for Scalars x, y of this table and op one of add, sub."""
+        cx, cy = x._ground_value, y._ground_value
+        if cx is not None and cy is not None:
+            return self.table._ground(op(cx, cy))
+        x, y = x.elem, y.elem
         ex, ey = _monomial(x.denom), _monomial(y.denom)
         if ex is None or ey is None:
             return Scalar(self.table, op(x, y))
@@ -303,49 +340,53 @@ class Scalar:
         return _laurent(self.table, num, e)
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        return self._sum(self.elem, self._coerce(other).elem, add)
+        return self._sum(self, self._coerce(other), add)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        return self._sum(self.elem, self._coerce(other).elem, sub)
+        return self._sum(self, self._coerce(other), sub)
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
-        return self._sum(self._coerce(other).elem, self.elem, sub)
+        return self._sum(self._coerce(other), self, sub)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
         other = self._coerce(other)
-        x, y = self.elem, other.elem
-        one = self.table._field.one
-        if x is one:
+        table = self.table
+        one = table.one
+        if self is one:
             return other
-        if y is one:
+        if other is one:
             return self
-        cx, cy = _ground_value(x), _ground_value(y)
+        cx, cy = self._ground_value, other._ground_value
         if cy is not None:
             if cx is not None:
-                return self.table._ground(cx * cy)
-            return _scaled(self.table, x, cy)
+                return table._ground(cx * cy)
+            return _scaled(table, self._elem, cy)
         if cx is not None:
-            return _scaled(self.table, y, cx)
+            return _scaled(table, other._elem, cx)
+        x, y = self._elem, other._elem
         ex, ey = _monomial(x.denom), _monomial(y.denom)
         if ex is None or ey is None:
-            return Scalar(self.table, x * y)
-        return _laurent(self.table, x.numer * y.numer, tuple(map(add, ex, ey)))
+            return Scalar(table, x * y)
+        return _laurent(table, x.numer * y.numer, tuple(map(add, ex, ey)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
-        x, y = self.elem, self._coerce(other).elem
-        if not y:
-            raise ZeroDenominatorError("division by the zero scalar")
-        q = _laurent_quotient(self.table, x, y)
-        if q is not None:
-            return q
-        c = _ground_value(y)
+        other = self._coerce(other)
+        table = self.table
+        c = other._ground_value
         if c is not None:
-            return _scaled(self.table, x, self.table._domain.one / c)
-        return Scalar(self.table, x / y)
+            if not c:
+                raise ZeroDenominatorError("division by the zero scalar")
+            cx = self._ground_value
+            if cx is not None:
+                return table._ground(cx / c)
+            return _scaled(table, self._elem, table._domain.one / c)
+        x, y = self.elem, other._elem
+        q = _laurent_quotient(table, x, y)
+        return Scalar(table, x / y) if q is None else q
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return self._coerce(other) / self
@@ -354,52 +395,62 @@ class Scalar:
         if not isinstance(exponent, int):
             raise ScalarError("only integer powers are supported")
         if exponent < 0:
-            if not self.elem:
+            if not self:
                 raise ZeroDenominatorError("negative power of the zero scalar")
             return self._inverse() ** -exponent
         if not exponent:
             # sympy refuses 0**0; here, as in Python and sympy's Pow, it is 1
             return self.table.one
-        c = _ground_value(self.elem)
+        c = self._ground_value
         if c is not None:
             return self.table._ground(c**exponent)
         # a power of a reduced fraction over a monic denominator is one too
-        return _canonical(self.table, self.elem**exponent)
+        return _canonical(self.table, self._elem**exponent)
 
     def __neg__(self) -> "Scalar":
-        c = _ground_value(self.elem)
+        c = self._ground_value
         if c is not None:
             return self.table._ground(-c)
-        return _canonical(self.table, -self.elem)
+        return _canonical(self.table, -self._elem)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = self.table.scalar(other)
-        if not isinstance(other, Scalar):
+        elif not isinstance(other, Scalar):
             return NotImplemented
-        return self.table == other.table and self.elem == other.elem
+        if self.table is not other.table and self.table != other.table:
+            return False
+        c, d = self._ground_value, other._ground_value
+        if c is None:
+            return d is None and self._elem == other._elem
+        return d is not None and c == d
 
     def __hash__(self) -> int:
         # not hash(self.elem): sympy caches a polynomial's hash, and
         # PolyElement.square caches it before it has added every term.  A
         # Scalar never changes, so its own hash is made on first use and kept.
+        # A constant hashes as the terms of its element: c over 1.
         h = getattr(self, "_hash", None)
         if h is None:
-            num, den = self.elem.numer, self.elem.denom
-            h = hash((frozenset(num.items()), frozenset(den.items())))
-            object.__setattr__(self, "_hash", h)
+            c = self._ground_value
+            if c is None:
+                num, den = self._elem.numer.items(), self._elem.denom.items()
+            else:
+                zero = self.table._zero_monom
+                num, den = ((zero, c),) if c else (), ((zero, self.table._domain.one),)
+            h = hash((frozenset(num), frozenset(den)))
+            _set_hash(self, h)
         return h
 
-    # frozen and slotted: copy and pickle set the fields past __setattr__
-    def __getstate__(self):
-        return self.table, self.elem
-
-    def __setstate__(self, state) -> None:
-        object.__setattr__(self, "table", state[0])
-        object.__setattr__(self, "elem", state[1])
+    def __reduce__(self):
+        # sympy's polynomials do not pickle; plain integers do, and rebuild
+        # any value, also one past the bounds of the text reader
+        table, e = self.table, self.elem
+        return _rebuild, (table, _int_terms(table, e.numer), _int_terms(table, e.denom))
 
     def __bool__(self) -> bool:
-        return bool(self.elem)
+        c = self._ground_value
+        return c is None or bool(c)
 
     def __repr__(self) -> str:
         return f"Scalar({self.text()})"
@@ -408,22 +459,26 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        return not self.elem
+        return not self
 
     @property
     def is_one(self) -> bool:
-        return self.elem == self.table._field.one
+        return self is self.table.one
 
     def inv(self) -> "Scalar":
-        if not self.elem:
+        if not self:
             raise ZeroDenominatorError("inverse of the zero scalar")
         return self._inverse()
 
     def _inverse(self) -> "Scalar":
         """1 / self for a nonzero scalar; swapping a reduced fraction needs
         no gcd, and a monomial numerator takes the Laurent rule."""
-        q = _laurent_quotient(self.table, self.table._field.one, self.elem)
-        return Scalar(self.table, self.elem ** -1) if q is None else q
+        table = self.table
+        c = self._ground_value
+        if c is not None:
+            return table._ground(table._domain.one / c)
+        q = _laurent_quotient(table, table._field.one, self._elem)
+        return Scalar(table, self._elem ** -1) if q is None else q
 
     def as_expr(self) -> sympy.Expr:
         return self.elem.as_expr()
@@ -431,6 +486,63 @@ class Scalar:
     def text(self) -> str:
         """Canonical `num / den` text with a fixed (lex) monomial order."""
         return _PRINTER.doprint(self.elem.as_expr())
+
+
+_new = object.__new__
+_set_table = Scalar.table.__set__
+_set_ground_value = Scalar._ground_value.__set__
+_set_elem = Scalar._elem.__set__
+_set_hash = Scalar._hash.__set__
+
+
+def _constant(table: SymbolTable, c) -> Scalar:
+    """The Scalar holding the ground element c; ``SymbolTable._ground`` is
+    the one caller after the table's ``zero`` and ``one`` are built."""
+    s = _new(Scalar)
+    _set_table(s, table)
+    _set_ground_value(s, c)
+    _set_elem(s, None)
+    return s
+
+
+def _canonical(table: SymbolTable, elem) -> Scalar:
+    """The Scalar of an element of ``table``'s field that is no constant and
+    already reduced with a monic denominator, built without the checks of
+    ``Scalar(table, elem)``.
+
+    Only internal results whose form is canonical by construction come here;
+    the public constructor keeps the checks for every other element.
+    """
+    s = _new(Scalar)
+    _set_table(s, table)
+    _set_ground_value(s, None)
+    _set_elem(s, elem)
+    return s
+
+
+def _int_terms(table: SymbolTable, poly) -> tuple:
+    """The terms of a polynomial as (monomial, integers) pairs: p, q of each
+    rational coefficient p/q, and of its real and imaginary parts on Q(i)."""
+    parts = (lambda c: (c.x, c.y)) if table.gaussian else (lambda c: (c,))
+    return tuple(
+        (monom, tuple(int(n) for q in parts(c) for n in (q.numerator, q.denominator)))
+        for monom, c in poly.items()
+    )
+
+
+def _rebuild(table: SymbolTable, numer: tuple, denom: tuple) -> Scalar:
+    """The Scalar whose numerator and denominator have the given
+    ``_int_terms``; a 0 or 1 is the table's ``zero`` or ``one``."""
+    field = table._field
+
+    def poly(terms):
+        coeffs = {}
+        for monom, ints in terms:
+            q = [QQ(p, d) for p, d in zip(ints[::2], ints[1::2])]
+            coeffs[monom] = table._domain(*q) if table.gaussian else q[0]
+        return field.ring.from_dict(coeffs)
+
+    return Scalar(table, field.raw_new(poly(numer), poly(denom)))
 
 
 def _monomial(den) -> Optional[tuple]:
@@ -445,7 +557,7 @@ def _monomial(den) -> Optional[tuple]:
     return None
 
 
-def _ground_value(e):
+def _ground_of(e):
     """The ground element of the canonical FracElement e when e is a
     constant (0 included), else None.
 
@@ -461,20 +573,7 @@ def _ground_value(e):
     return num.get(zero) if num else num.ring.domain.zero
 
 
-def _canonical(table: SymbolTable, elem) -> "Scalar":
-    """The Scalar of an element of ``table``'s field that is already reduced
-    with a monic denominator, built without ``__post_init__``'s check.
-
-    Only internal results whose form is canonical by construction come here;
-    ``Scalar(table, elem)`` keeps the check for every other element.
-    """
-    s = object.__new__(Scalar)
-    object.__setattr__(s, "table", table)
-    object.__setattr__(s, "elem", elem)
-    return s
-
-
-def _scaled(table: SymbolTable, f, c) -> "Scalar":
+def _scaled(table: SymbolTable, f, c) -> Scalar:
     """``c * f`` for a FracElement f that is no constant and a ground
     element c.
 
@@ -560,7 +659,17 @@ _MAX_GCD_DEGREE = 64
 
 def _degree(x: Scalar) -> int:
     """The highest total degree in x's numerator and denominator."""
-    return max(sum(m) for p in (x.elem.numer, x.elem.denom) for m in p)
+    if x._ground_value is not None:
+        return 0
+    return max(sum(m) for p in (x._elem.numer, x._elem.denom) for m in p)
+
+
+def _sizes(x: Scalar) -> tuple:
+    """The numbers of terms in x's numerator and denominator."""
+    c = x._ground_value
+    if c is not None:
+        return (1 if c else 0), 1
+    return len(x._elem.numer), len(x._elem.denom)
 
 
 def _bounds(op, x: Scalar, y) -> tuple:
@@ -572,12 +681,12 @@ def _bounds(op, x: Scalar, y) -> tuple:
     its two halves.  A sum is bounded in terms only: it adds degrees just in
     the denominators.
     """
-    nx, dx = len(x.elem.numer), len(x.elem.denom)
+    nx, dx = _sizes(x)
     if op is pow:
         t, e = max(nx, dx), abs(y)
         power = lambda j: math.comb(j + t - 1, t - 1)
         return power((e + 1) // 2) * power(e // 2), e * _degree(x)
-    ny, dy = len(y.elem.numer), len(y.elem.denom)
+    ny, dy = _sizes(y)
     if op is mul:
         return max(nx * ny, dx * dy), _degree(x) + _degree(y)
     if op is truediv:
@@ -587,23 +696,21 @@ def _bounds(op, x: Scalar, y) -> tuple:
 
 def _gcd_degree(op, x: Scalar, y: Scalar) -> int:
     """An upper bound on the degree of the gcd that cancels op(x, y), for op
-    one of + - * /; 0 on the Laurent route, where both denominators (after
-    x / y is taken as x times y.denom / y.numer) are monomials, and 0 for a
-    product with a constant factor or a quotient by a constant, which
-    ``Scalar`` scales without a gcd.
+    one of + - * /; 0 on the ground route, 0 on the Laurent route, where
+    both denominators (after x / y is taken as x times y.denom / y.numer) are
+    monomials, and 0 for a product with a constant factor or a quotient by a
+    constant, which ``Scalar`` scales without a gcd.
 
     The bound is the lower of those on the degrees of the numerator and the
     denominator sympy cancels, so a gcd against a constant counts 0.
     """
+    cx, cy = x._ground_value is not None, y._ground_value is not None
+    if (cx and cy) or (op is mul and cx) or (op in (mul, truediv) and cy):
+        return 0
     xn, xd, yn, yd = x.elem.numer, x.elem.denom, y.elem.numer, y.elem.denom
     if op is truediv:
         yn, yd = yd, yn
     if _monomial(xd) is not None and _monomial(yd) is not None:
-        return 0
-    constant = lambda s: _ground_value(s.elem) is not None
-    if op is mul and (constant(x) or constant(y)):
-        return 0
-    if op is truediv and constant(y):
         return 0
     deg = lambda p: max((sum(m) for m in p), default=0)
     if op is mul or op is truediv:
@@ -729,7 +836,7 @@ def _ground_point(values: Sequence[Scalar]) -> Optional[list]:
     """The ground-domain values of constant Scalars, or None if one is not."""
     point = []
     for v in values:
-        c = _ground_value(v.elem)
+        c = v._ground_value
         if c is None:
             return None
         point.append(c)
@@ -767,6 +874,8 @@ def substitute(s: Scalar, bindings: Mapping[str, ScalarLike]) -> Scalar:
     if point is None:
         num = _eval_poly(table, s.elem.numer, values)
         den = _eval_poly(table, s.elem.denom, values)
+    elif s._ground_value is not None:
+        return s
     else:
         num = _eval_ground(table, s.elem.numer, point)
         den = _eval_ground(table, s.elem.denom, point)
@@ -886,14 +995,29 @@ def perfect_sqrt(s: Scalar) -> Optional[Scalar]:
 def _monomial_sqrt(s: Scalar) -> Optional[Scalar]:
     """The root of a Laurent monomial with a square rational coefficient, or
     None when ``s`` is not one (``perfect_sqrt`` then factors it)."""
-    num, den = s.elem.numer, s.elem.denom
+    table = s.table
+    c = s._ground_value
+    if c is not None:
+        root = _ground_sqrt(table, c)
+        return None if root is None else table._ground(root)
+    num, den = s._elem.numer, s._elem.denom
     if len(num) != 1 or len(den) != 1:
         return None
     ((num_exp, c),) = num.items()
     (den_exp,) = den  # canonical denominators are monic
     if any(e % 2 for e in num_exp + den_exp):
         return None
-    table = s.table
+    root = _ground_sqrt(table, c)
+    if root is None:
+        return None
+    half = lambda exp: tuple(e // 2 for e in exp)
+    return _laurent(table, num.new([(half(num_exp), root)]), half(den_exp))
+
+
+def _ground_sqrt(table: SymbolTable, c):
+    """sqrt(|c|), times ``I`` when c < 0 on a Gaussian table, for a nonzero
+    ground element c that is a rational with square numerator and
+    denominator; else None."""
     if table.gaussian:
         if c.y:
             return None
@@ -905,11 +1029,8 @@ def _monomial_sqrt(s: Scalar) -> Optional[Scalar]:
     if c < 0:
         if not table.gaussian:
             return None
-        coeff = table._domain(0, QQ(rp, rq))
-    else:
-        coeff = table._domain.convert(QQ(rp, rq))
-    half = lambda exp: tuple(e // 2 for e in exp)
-    return _laurent(table, num.new([(half(num_exp), coeff)]), half(den_exp))
+        return table._domain(0, QQ(rp, rq))
+    return table._domain.convert(QQ(rp, rq))
 
 
 def _sympy_sqrt(s: Scalar) -> Optional[Scalar]:

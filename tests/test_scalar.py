@@ -321,14 +321,11 @@ def test_unit_products_match_full_product(data):
     for got in (x * one, one * x, x * 1, 1 * x, x * table.scalar(1)):
         _assert_same(got, table, x.elem * one.elem)
         # the unit rule hands back the other factor itself
-        assert got.elem is x.elem
-    # x / x on the ground or Laurent route (a one-term numerator and
-    # denominator) is the field's one; from the FracField route it is an
-    # equal but separate element, which takes the full route to the same value
+        assert got is x
+    # x / x is the table's one on every route, the FracField route included
     if x:
         computed = x / x
-        on_route = len(x.elem.numer) == len(x.elem.denom) == 1
-        assert computed.is_one and (computed.elem is one.elem) == on_route
+        assert computed.is_one and computed is table.one
         _assert_same(x * computed, table, x.elem * computed.elem)
         _assert_same(computed * x, table, computed.elem * x.elem)
 
@@ -376,7 +373,7 @@ def _ground_operands(table):
         st.integers(1, 9),
         st.integers(-3, 3),
     )
-    # an element that __post_init__ has to make canonical: 2i/(3i) is 2/3
+    # an element that the public constructor has to make canonical: 2i/(3i) is 2/3
     unit, ring = (dom(0, 1) if table.gaussian else dom.one), table._field.ring
     checked = Scalar(table, table._field.raw_new(
         ring.ground_new(2 * unit), ring.ground_new(3 * unit)
@@ -393,7 +390,7 @@ def _ground_operands(table):
 
 def _assert_canonical(got, table, ref_elem):
     """``got`` is the canonical Scalar of the FracField element ``ref_elem``,
-    and meets what ``Scalar.__post_init__`` enforces although the ground,
+    and meets what ``Scalar(table, elem)`` enforces although the ground,
     constant-factor and Laurent routes skip it: the element lies in the
     table's field, its denominator is monic, and re-checking it changes
     nothing, the hash included."""
@@ -442,7 +439,7 @@ def test_ground_route_matches_fracfield(data):
             if got.is_zero:
                 assert got is table.zero
             elif got.is_one:
-                assert got is table.one and got.elem is field_one
+                assert got is table.one
 
 
 def test_zero_and_one_are_built_once():
@@ -450,7 +447,8 @@ def test_zero_and_one_are_built_once():
     constant arithmetic makes is that Scalar."""
     for table in _ground_tables:
         assert table.zero is table.zero and table.one is table.one
-        assert table.one.elem is table._field.one and table.zero.elem is table._field.zero
+        field = table._field
+        assert Scalar(table, field.one) is table.one and Scalar(table, field.zero) is table.zero
         half = table.rational(1, 2)
         assert half + half is table.one and half - half is table.zero
         assert half * 2 is table.one and half / half is table.one
@@ -842,3 +840,156 @@ def test_hash_is_kept_and_unchanged(symbols, gaussian, text):
     assert hash(y) == hash(x)
     assert len({x, y, x * 1}) == 1
     assert repr(x) == f"Scalar({x.text()})"
+
+
+# -- pickle, copy and exactness of coercion -------------------------------------
+
+
+def _round_trip_values():
+    """Symbolic, Gaussian and constant values, 0 and 1 included, and one
+    whose text the reader refuses (degree past its bound)."""
+    t1 = SymbolTable(["a", "b"])
+    t2 = SymbolTable(["a", "b"], gaussian=True)
+    t3 = SymbolTable([], gaussian=True)
+    a, b = t1.syms("a", "b")
+    ga, gb = t2.syms("a", "b")
+    return [
+        (a**2 - 3 * b) / (2 * a * b + 1),
+        a**12000 * (a + b + 1) ** 3 / (b - 1),
+        (t2.i * ga - t2.rational(1, 2)) / gb**2,
+        ga * 3 + t2.i,
+        t3.rational(3, 5) + t3.rational(4, 5) * t3.i,
+        t1.rational(-7, 3),
+        t1.zero,
+        t1.one,
+        t3.zero,
+        t3.one,
+        (a + 1) / (a + 1),
+    ]
+
+
+def test_pickle_and_deepcopy_round_trip():
+    """pickle and deepcopy rebuild the table from its symbols and domain and
+    the value from its terms as integers: the result is equal, hashes equal,
+    and a 0 or 1 is the loaded table's own ``zero`` or ``one``."""
+    import pickle
+
+    for x in _round_trip_values():
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        loaded = [pickle.loads(pickle.dumps(x, protocol)) for protocol in protocols]
+        loaded += [copy.deepcopy(x), copy.copy(x)]
+        for y in loaded:
+            assert y == x and hash(y) == hash(x) and y.table == x.table
+            assert y.text() == x.text()
+            assert (y is y.table.zero) == (x is x.table.zero)
+            assert (y is y.table.one) == (x is x.table.one)
+        table = pickle.loads(pickle.dumps(x.table))
+        assert table == x.table and table._field is x.table._field
+        pair = pickle.loads(pickle.dumps((x, x.table.one)))
+        assert pair[0].table is pair[1].table and pair[1] is pair[0].table.one
+    with pytest.raises(ScalarError):  # the reader refuses that value's text
+        SymbolTable(["a", "b"]).parse(_round_trip_values()[1].text())
+
+
+def test_scalars_are_immutable():
+    x = SymbolTable(["a"]).sym("a")
+    with pytest.raises(AttributeError):
+        x.table = SymbolTable(["b"])
+    with pytest.raises(AttributeError):
+        del x._hash
+
+
+@pytest.mark.parametrize("value", [0.1, 0.5, 2.0, float("nan"), 1j, 0.5 + 0j])
+def test_floats_are_refused(value):
+    """A float is not the decimal it prints as (0.1 is not 1/10), so no
+    coercion takes one: each raises a one-line ScalarError naming int and
+    Fraction."""
+    for table in (SymbolTable(["a"]), SymbolTable([], gaussian=True)):
+        x = table.rational(3, 2)
+        for call in (
+            lambda: table.scalar(value),
+            lambda: x * value,
+            lambda: value * x,
+            lambda: x + value,
+            lambda: x - value,
+            lambda: value / x,
+            lambda: x / value,
+        ):
+            with pytest.raises(ScalarError) as info:
+                call()
+            message = str(info.value)
+            assert "\n" not in message and message.endswith("use an int or a Fraction")
+    assert SymbolTable([]).scalar(Fraction(1, 10)).text() == "1/10"
+
+
+def test_sympy_floats_are_refused():
+    import sympy
+
+    table = SymbolTable(["a"])
+    for call in (
+        lambda: table.scalar(sympy.Float(0.1)),
+        lambda: make_scalar(table, sympy.Float("0.5")),
+        lambda: make_scalar(table, sympy.Symbol("a") * 0.5),
+    ):
+        with pytest.raises(ScalarError, match="floats are inexact; use an int or a Fraction"):
+            call()
+    assert make_scalar(table, sympy.Symbol("a") * sympy.Rational(1, 2)).text() == "a/2"
+
+
+def test_ground_route_builds_no_polynomial(monkeypatch):
+    """Seeded arithmetic on constants over Q and Q(i) -- every operation on
+    two constants, and substitution at a ground point -- runs with the
+    field's ``raw_new`` and its ring's ``dtype`` refusing to build."""
+    tables = [SymbolTable(s, gaussian=g) for s in ([], ["a", "b"]) for g in (False, True)]
+    symbolic = {t: t.parse("(a**2 - 3*b)/(2*a*b + 1)") for t in tables if t.symbols}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial was built on the ground route")
+
+    for table in tables:
+        monkeypatch.setattr(table._field, "raw_new", refuse)
+        monkeypatch.setattr(table._field.ring, "dtype", refuse)
+    with pytest.raises(AssertionError):  # the gate is live
+        tables[0].rational(3, 7).elem
+
+    rng = random.Random(29)
+    for table in tables:
+        def constant():
+            x = table.rational(rng.randint(-9, 9), rng.randint(1, 9))
+            if table.gaussian:
+                x = x + rng.randint(-3, 3) * table.i
+            return x
+
+        for _ in range(60):
+            x, y = constant(), constant()
+            values = [x + y, x - y, x * y, -x, x**0, x**3, 2 - x, 3 + x, x * 2, 1 * x]
+            if y:
+                values += [x / y, y.inv(), y**-2, 5 / y]
+            for v in values:
+                assert v._ground_value is not None
+                assert (v is table.zero) == (not v) and (v is table.one) == (v == 1)
+            assert (x == y) == (x - y is table.zero)
+            assert x + 0 == x and hash(x + 0) == hash(x)
+            assert x * y == y * x and x + y - y == x
+            if table.symbols:
+                bindings = {"a": x, "b": y}
+                assert substitute(x, bindings) is x
+                if 2 * x * y + 1:
+                    got = substitute(symbolic[table], bindings)
+                    assert got == (x * x - 3 * y) / (2 * x * y + 1)
+
+
+def test_fracfield_constants_are_the_tables_own():
+    """A constant from the FracField route is held by its ground element,
+    and a 0 or 1 is the table's ``zero`` or ``one``."""
+    for table in (SymbolTable(["a", "b"]), SymbolTable(["a", "b"], gaussian=True)):
+        a, b = table.syms("a", "b")
+        x = a + b + 1
+        assert x / x is table.one and (a + 1) / (a + 1) is table.one
+        assert Scalar(table, x.elem / x.elem) is table.one
+        assert Scalar(table, x.elem - x.elem) is table.zero
+        two = Scalar(table, (2 * x).elem / x.elem)
+        assert two == 2 and two._ground_value is not None and two * x == x + x
+        if table.gaussian:
+            i = table.i
+            assert (i * a + 1) / (a - i) == i and ((i * a + 1) / (a - i))._ground_value is not None
