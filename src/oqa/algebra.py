@@ -1,9 +1,11 @@
 """Finite-dimensional unital algebras given by structure constants.
 
 An :class:`AlgebraSpec` fixes a basis e_0..e_{dim-1} and a sparse table
-c[i][j][k] with e_i e_j = sum_k c[i][j][k] e_k.  Elements, tensor squares
-(elements of A (x) A) and linear/algebra maps are thin sparse wrappers over
-Scalars.  Everything is immutable and exact.
+c[i][j][k] with e_i e_j = sum_k c[i][j][k] e_k.  Elements and tensor squares
+(elements of A (x) A) are sparse tables of Scalars with one shared base
+class; linear/algebra maps hold a sparse table per column.  Everything is
+immutable and exact.  This module does arithmetic only: the structure file
+format that reads and writes these tables lives in ``oqa.structures``.
 
 The two concrete algebras used by the builders are the matrix algebra M_n(k)
 with basis E_ij (row-major) and the four-dimensional algebra generated by
@@ -16,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .scalar import Scalar, ScalarError, SymbolTable
+from .scalar import Scalar, SymbolTable
 
 __all__ = [
     "AlgebraError",
@@ -78,7 +80,7 @@ class AlgebraSpec:
         return AlgebraElement(self, {i: self.table.one})
 
     def element(self, coeffs: Mapping[int, Scalar]) -> "AlgebraElement":
-        return AlgebraElement(self, {k: c for k, c in coeffs.items() if not c.is_zero})
+        return AlgebraElement(self, coeffs)
 
     def opposite(self) -> "AlgebraSpec":
         structure = {
@@ -112,52 +114,62 @@ class AlgebraSpec:
                 )
 
 
-def _json_object(data, what: str) -> Mapping:
-    if not isinstance(data, Mapping):
-        raise AlgebraError(f"{what} must be a JSON object, not {type(data).__name__}")
-    return data
-
-
-def _json_scalar(table: SymbolTable, text, field: str) -> Scalar:
-    """``table.parse(text)``; a ScalarError gets the JSON field appended."""
-    try:
-        return table.parse(text)
-    except ScalarError as exc:
-        raise type(exc)(f"{exc} (in {field})") from None
-
-
 def _clean(coeffs: Mapping) -> dict:
     return {k: c for k, c in coeffs.items() if not c.is_zero}
 
 
 @dataclass(frozen=True)
-class AlgebraElement:
+class _SparseTable:
+    """A sparse table of nonzero Scalars of ``algebra``, keyed by basis
+    indices (an element of A) or by pairs of them (an element of A (x) A).
+    Values of different classes are never equal."""
+
     algebra: AlgebraSpec
-    coeffs: Mapping[int, Scalar]
+    coeffs: Mapping
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _clean(self.coeffs))
 
-    def _check(self, other: "AlgebraElement") -> None:
+    def _check(self, other: "_SparseTable") -> None:
         if other.algebra.basis_labels != self.algebra.basis_labels:
             raise AlgebraError("elements of different algebras")
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __add__(self, other):
         self._check(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             s = out.get(k)
             out[k] = c if s is None else s + c
-        return AlgebraElement(self.algebra, out)
+        return type(self)(self.algebra, out)
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, {k: -c for k, c in self.coeffs.items()})
+    def __neg__(self):
+        return type(self)(self.algebra, {k: -c for k, c in self.coeffs.items()})
 
-    def scale(self, s: Scalar) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, {k: c * s for k, c in self.coeffs.items()})
+    def scale(self, s: Scalar):
+        return type(self)(self.algebra, {k: c * s for k, c in self.coeffs.items()})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.algebra.basis_labels == other.algebra.basis_labels
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.coeffs.items()))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+
+@dataclass(frozen=True, eq=False)
+class AlgebraElement(_SparseTable):
+    coeffs: Mapping[int, Scalar]
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
@@ -174,21 +186,6 @@ class AlgebraElement:
                     contrib = cij * c
                     out[k] = contrib if s is None else s + contrib
         return AlgebraElement(self.algebra, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return (
-            self.algebra.basis_labels == other.algebra.basis_labels
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def pairing(self, functional: Mapping[int, Scalar]) -> Scalar:
         """Apply a linear functional given by its values on basis elements."""
@@ -210,78 +207,25 @@ class AlgebraElement:
         return f"AlgebraElement({self.text()})"
 
 
-@dataclass(frozen=True)
-class TensorSquareElement:
+@dataclass(frozen=True, eq=False)
+class TensorSquareElement(_SparseTable):
     """Element of A (x) A as a sparse table over basis pairs."""
 
-    algebra: AlgebraSpec
     coeffs: Mapping[Tuple[int, int], Scalar]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _clean(self.coeffs))
-
-    def __add__(self, other: "TensorSquareElement") -> "TensorSquareElement":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
-        return TensorSquareElement(self.algebra, out)
-
-    def __sub__(self, other: "TensorSquareElement") -> "TensorSquareElement":
-        return self + other.scale(-self.algebra.table.one)
-
-    def scale(self, s: Scalar) -> "TensorSquareElement":
-        return TensorSquareElement(
-            self.algebra, {k: c * s for k, c in self.coeffs.items()}
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorSquareElement):
-            return NotImplemented
-        return (
-            self.algebra.basis_labels == other.algebra.basis_labels
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _tensorand_span(self, side: int) -> List[AlgebraElement]:
+        """The elements sum_k c_(k, m) e_k (side 0) or sum_k c_(m, k) e_k
+        (side 1), one per index m of the other tensorand."""
+        by_other: Dict[int, dict] = {}
+        for key, c in self.coeffs.items():
+            by_other.setdefault(key[1 - side], {})[key[side]] = c
+        return [AlgebraElement(self.algebra, v) for v in by_other.values()]
 
     def first_tensorand_span(self) -> List[AlgebraElement]:
-        by_second: Dict[int, dict] = {}
-        for (i, j), c in self.coeffs.items():
-            by_second.setdefault(j, {})[i] = c
-        return [AlgebraElement(self.algebra, v) for v in by_second.values()]
+        return self._tensorand_span(0)
 
     def second_tensorand_span(self) -> List[AlgebraElement]:
-        by_first: Dict[int, dict] = {}
-        for (i, j), c in self.coeffs.items():
-            by_first.setdefault(i, {})[j] = c
-        return [AlgebraElement(self.algebra, v) for v in by_first.values()]
-
-    def to_json(self) -> list:
-        labels = self.algebra.basis_labels
-        return [
-            {"i": labels[i], "j": labels[j], "c": c.text()}
-            for (i, j), c in sorted(self.coeffs.items())
-        ]
-
-    @staticmethod
-    def from_json(
-        algebra: AlgebraSpec, data: Iterable[Mapping], field: str
-    ) -> "TensorSquareElement":
-        """The element of ``to_json``'s rows; a scalar error names the row
-        of the JSON field ``field`` that it came from."""
-        coeffs = {}
-        for k, row in enumerate(data):
-            key = (algebra.label_index(row["i"]), algebra.label_index(row["j"]))
-            if key in coeffs:
-                raise AlgebraError(f"duplicate tensor slot {row['i']},{row['j']}")
-            coeffs[key] = _json_scalar(algebra.table, row["c"], f'{field}[{k}]["c"]')
-        return TensorSquareElement(algebra, coeffs)
+        return self._tensorand_span(1)
 
 
 def tensor_unit(algebra: AlgebraSpec) -> TensorSquareElement:
@@ -568,12 +512,25 @@ class AlgebraMap:
         return AlgebraMap(self.algebra, cols)
 
     def power(self, n: int) -> "AlgebraMap":
-        if n < 0:
-            return self.inverse().power(-n)
-        out = AlgebraMap.identity(self.algebra)
-        for _ in range(n):
-            out = self.compose(out)
-        return out
+        """self^n for any integer n.  Powers are memoized on the map, each one
+        compose away from its neighbour towards 0, and self is inverted (a
+        linear solve per column) at most once."""
+        memo = self.__dict__.get("_powers")
+        if memo is None:
+            memo = {0: AlgebraMap.identity(self.algebra)}
+            object.__setattr__(self, "_powers", memo)
+        if n not in memo:
+            step = 1 if n > 0 else -1
+            start = n
+            while start - step not in memo:
+                start -= step
+            for k in range(start, n + step, step):
+                if k > 0:
+                    memo[k] = self.compose(memo[k - 1])
+                else:
+                    inverse = memo[-1] if k < -1 else self.inverse()
+                    memo[k] = inverse.compose(memo[k + 1])
+        return memo[n]
 
     def inverse(self) -> "AlgebraMap":
         dim = self.algebra.dim
@@ -616,28 +573,6 @@ class AlgebraMap:
                 (j, frozenset(col.items())) for j, col in self.columns.items()
             )
         )
-
-    def to_json(self) -> dict:
-        labels = self.algebra.basis_labels
-        return {
-            labels[j]: {labels[i]: c.text() for i, c in sorted(col.items())}
-            for j, col in sorted(self.columns.items())
-        }
-
-    @staticmethod
-    def from_json(algebra: AlgebraSpec, data: Mapping, field: str) -> "AlgebraMap":
-        """The map of ``to_json``'s columns; a scalar error names the entry
-        of the JSON field ``field`` that it came from."""
-        cols = {}
-        for jlabel, col in _json_object(data, "a map").items():
-            j = algebra.label_index(jlabel)
-            cols[j] = {
-                algebra.label_index(ilabel): _json_scalar(
-                    algebra.table, text, f'{field}["{jlabel}"]["{ilabel}"]'
-                )
-                for ilabel, text in _json_object(col, f"column {jlabel}").items()
-            }
-        return AlgebraMap(algebra, cols)
 
 
 def apply_map_tensor(

@@ -22,9 +22,9 @@ depth survive.  The entry points only check their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, AlgebraMap
+from .algebra import AlgebraElement
 from .diagram import _X_POS, MorseDiagram, TraversalRecord, traverse
 from .scalar import Scalar
 from .structures import OrientedQuantumAlgebraStructure, is_tracelike
@@ -109,13 +109,13 @@ def _state_sum(
     the sum starts from the matching zero; a value that vanishes is not added.
 
     A bead is its label's tensorand of the chosen entry twisted by
-    (t_d o t_u)^u, which is t_d^u o t_u^u as the automorphisms commute; one
-    memo holds the powers.  Crossings are assigned in order of first
-    traversal encounter; each component's product is extended as soon as its
-    next label's crossing is assigned, so a vanishing product prunes the
-    whole subtree.  An entry's coefficient is multiplied into the coefficient
-    only after the bead products at its depth survive, so pruned branches
-    cost no Scalar product.  Without crossings the one assignment is empty,
+    (t_d o t_u)^u, which is t_d^u o t_u^u as the automorphisms commute;
+    ``AlgebraMap.power`` memoizes the powers.  Crossings are assigned in
+    order of first traversal encounter; each component's product is extended
+    as soon as its next label's crossing is assigned, so a vanishing product
+    prunes the whole subtree.  An entry's coefficient is multiplied into the
+    coefficient only after the bead products at its depth survive, so pruned
+    branches cost no Scalar product.  Without crossings the one assignment is empty,
     with coefficient 1 and unit products.
     """
     algebra = S.algebra
@@ -130,24 +130,7 @@ def _state_sum(
     degrees = {c.whitney for c in comps if not c.is_open}
     g_powers = {n: S.twist.power(n) for n in degrees}
 
-    def powers(m: AlgebraMap) -> Callable[[int], AlgebraMap]:
-        """n -> m^n, each power one compose away from a memoized neighbour;
-        m is inverted (a linear solve per column) at most once."""
-        memo = {0: AlgebraMap.identity(algebra)}
-
-        def power(n: int) -> AlgebraMap:
-            if n not in memo:
-                if n > 0:
-                    memo[n] = m.compose(power(n - 1))
-                else:
-                    nearer = power(n + 1)
-                    step = memo[-1] if n < -1 else m.inverse()
-                    memo[n] = step.compose(nearer)
-            return memo[n]
-
-        return power
-
-    twist = powers(S.d_then_u())
+    du = S.d_then_u()
     # per depth, in component and then label order: (component, depth of the
     # label's crossing, twisted basis element of the label's tensorand per
     # entry); a label extends its component at the deepest crossing among
@@ -158,9 +141,9 @@ def _state_sum(
         for label in comp.labels:
             at = depth_of[label.crossing]
             reach = max(reach, at)
+            twist = du.power(label.u)
             per_entry = tuple(
-                twist(label.u).apply_basis(pair[label.tensorand])
-                for pair, _ in entries[label.crossing]
+                twist.apply_basis(pair[label.tensorand]) for pair, _ in entries[label.crossing]
             )
             steps[reach].append((ci, at, per_entry))
     entry_coeffs = [tuple(c for _, c in entries[crossing]) for crossing in order]

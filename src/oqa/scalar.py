@@ -16,17 +16,17 @@ A Scalar keeps one of two things.  A constant keeps its ground element (a
 ``_ground_value`` and no polynomial; any other value keeps its canonical
 ``FracElement``.  ``elem`` reads that element, and for a constant builds it
 on demand (ground element over 1) without keeping it, for ``text()``,
-``substitute``, ``laurent_view``, the reader's gcd bound and a sum with a
-value that is no constant.
+``substitute``, ``laurent_view`` and pickling.
 
 Arithmetic takes the first of four routes that fits its operands:
 
 * **Ground.**  Two constants: ``+ - * /``, ``inv``, powers, negation, ``==``
   and ``hash`` compute on the ground elements and build one small Scalar
   (or none), with no polynomial.
-* **Constant factor.**  A product of a constant and any other value, or a
-  quotient of that value by a constant, scales the other numerator and
-  keeps its denominator, since a constant cannot change the gcd.
+* **Constant operand.**  A constant and any other value n/d need no gcd,
+  since a constant cannot change one: a product, or a quotient by the
+  constant, scales n and keeps d; a sum or difference is (c d +- n)/d over
+  the same d; and c / x scales the inverse of x, a swapped reduced fraction.
 * **Laurent.**  Products and sums of Laurent scalars -- both denominators
   single monomials -- reach canonical form without a gcd: the result's
   denominator is again a monomial, and the only common factor left to
@@ -40,9 +40,9 @@ The public constructor ``Scalar(table, elem)`` checks that ``elem`` belongs
 to the table's field and makes its denominator monic (sympy reduces the
 fraction but, over Q(i), does not fix the denominator's unit); results of
 the FracField route and of inverting a fraction go through it.  The other
-routes build results that are canonical by construction -- a scaled
-numerator over a kept monic denominator, a Laurent numerator over a monic
-monomial, a negated numerator, a power of a reduced fraction -- so
+routes build results that are canonical by construction -- a scaled or
+shifted numerator over a kept monic denominator, a Laurent numerator over a
+monic monomial, a negated numerator, a power of a reduced fraction -- so
 ``_canonical`` builds their Scalars once, without that check.
 
 Every constant, from any route, is built by ``SymbolTable._ground``: 0 is
@@ -323,21 +323,31 @@ class Scalar:
 
     def _sum(self, x: "Scalar", y: "Scalar", op) -> "Scalar":
         """``op(x, y)`` for Scalars x, y of this table and op one of add, sub."""
+        table = self.table
         cx, cy = x._ground_value, y._ground_value
         if cx is not None and cy is not None:
-            return self.table._ground(op(cx, cy))
-        x, y = x.elem, y.elem
+            return table._ground(op(cx, cy))
+        if cx is not None or cy is not None:
+            # c + n/d = (c d + n)/d is reduced over the same monic d
+            if cx is not None:
+                f = y._elem
+                num = op(f.denom.mul_ground(cx), f.numer)
+            else:
+                f = x._elem
+                num = op(f.numer, f.denom.mul_ground(cy))
+            return _canonical(table, table._field.raw_new(num, f.denom))
+        x, y = x._elem, y._elem
         ex, ey = _monomial(x.denom), _monomial(y.denom)
         if ex is None or ey is None:
-            return Scalar(self.table, op(x, y))
+            return Scalar(table, op(x, y))
         if ex == ey:
-            return _laurent(self.table, op(x.numer, y.numer), ex)
+            return _laurent(table, op(x.numer, y.numer), ex)
         e = tuple(map(max, ex, ey))
         num = op(
             x.numer.mul_monom(tuple(map(sub, e, ex))),
             y.numer.mul_monom(tuple(map(sub, e, ey))),
         )
-        return _laurent(self.table, num, e)
+        return _laurent(table, num, e)
 
     def __add__(self, other: ScalarLike) -> "Scalar":
         return self._sum(self, self._coerce(other), add)
@@ -384,7 +394,10 @@ class Scalar:
             if cx is not None:
                 return table._ground(cx / c)
             return _scaled(table, self._elem, table._domain.one / c)
-        x, y = self.elem, other._elem
+        cx = self._ground_value
+        if cx is not None:
+            return _scaled(table, other._inverse()._elem, cx)
+        x, y = self._elem, other._elem
         q = _laurent_quotient(table, x, y)
         return Scalar(table, x / y) if q is None else q
 
@@ -698,16 +711,15 @@ def _gcd_degree(op, x: Scalar, y: Scalar) -> int:
     """An upper bound on the degree of the gcd that cancels op(x, y), for op
     one of + - * /; 0 on the ground route, 0 on the Laurent route, where
     both denominators (after x / y is taken as x times y.denom / y.numer) are
-    monomials, and 0 for a product with a constant factor or a quotient by a
-    constant, which ``Scalar`` scales without a gcd.
+    monomials, and 0 when either operand is a constant, which ``Scalar``
+    adds, scales or inverts without a gcd.
 
     The bound is the lower of those on the degrees of the numerator and the
-    denominator sympy cancels, so a gcd against a constant counts 0.
+    denominator sympy cancels.
     """
-    cx, cy = x._ground_value is not None, y._ground_value is not None
-    if (cx and cy) or (op is mul and cx) or (op in (mul, truediv) and cy):
+    if x._ground_value is not None or y._ground_value is not None:
         return 0
-    xn, xd, yn, yd = x.elem.numer, x.elem.denom, y.elem.numer, y.elem.denom
+    xn, xd, yn, yd = x._elem.numer, x._elem.denom, y._elem.numer, y._elem.denom
     if op is truediv:
         yn, yd = yd, yn
     if _monomial(xd) is not None and _monomial(yd) is not None:

@@ -17,6 +17,11 @@ rho_{a,B,C}, its balanced structure, and the full diagonal-block
 classification), the four-dimensional ``sweedler_oqa`` example, and provides
 the axiom checker, standardization, opposites, minimal subalgebras and twist
 attachment.
+
+The structure file format lives here too: ``structure_to_json`` and
+``structure_from_json`` write and read every table -- rho and rho^-1 as rows,
+t_d and t_u as columns, the trace and the twist -- and a value of the wrong
+JSON type raises a StructureError that names its field.
 """
 
 from __future__ import annotations
@@ -32,8 +37,6 @@ from .algebra import (
     AlgebraSpec,
     SingularError,
     TensorSquareElement,
-    _json_object,
-    _json_scalar,
     apply_map_tensor,
     echelon_basis,
     matrix_algebra,
@@ -45,7 +48,7 @@ from .algebra import (
     tensor_mul,
     tensor_unit,
 )
-from .scalar import Scalar, SymbolTable, perfect_sqrt
+from .scalar import Scalar, ScalarError, SymbolTable, perfect_sqrt
 
 __all__ = [
     "StructureError",
@@ -824,12 +827,28 @@ def attach_twist(
     return replace(S, twist=Twist(g, g_inv))
 
 
-# -- JSON serialization -------------------------------------------------------
+# -- the structure file format -------------------------------------------------
 
 
-def _element_to_json(x: AlgebraElement) -> dict:
-    labels = x.algebra.basis_labels
-    return {labels[i]: c.text() for i, c in sorted(x.coeffs.items())}
+_JSON_TYPES = {Mapping: "object", list: "list", str: "string", bool: "bool"}
+
+
+def _json_typed(value, kind: type, what: str):
+    """value when it is a JSON ``kind``, one of ``_JSON_TYPES``, else a
+    StructureError naming the field ``what`` and the type (for an object or a
+    list) or the value (for a string or a bool) it got."""
+    if isinstance(value, kind):
+        return value
+    got = f"not {type(value).__name__}" if kind in (Mapping, list) else f"got {value!r}"
+    raise StructureError(f"{what} must be a JSON {_JSON_TYPES[kind]}, {got}")
+
+
+def _json_scalar(table: SymbolTable, text, field: str) -> Scalar:
+    """``table.parse(text)``; a ScalarError gets the JSON field appended."""
+    try:
+        return table.parse(text)
+    except ScalarError as exc:
+        raise type(exc)(f"{exc} (in {field})") from None
 
 
 def _json_n(value) -> int:
@@ -841,22 +860,67 @@ def _json_n(value) -> int:
     return value
 
 
-def _scalars_from_json(algebra: AlgebraSpec, data, what: str) -> Dict[int, Scalar]:
-    """{basis label: scalar text} as {basis index: Scalar}."""
+def _labelled_to_json(algebra: AlgebraSpec, coeffs: Mapping[int, Scalar]) -> dict:
+    """{basis index: Scalar} as {basis label: scalar text}, in basis order."""
+    labels = algebra.basis_labels
+    return {labels[i]: c.text() for i, c in sorted(coeffs.items())}
+
+
+def _labelled_from_json(algebra: AlgebraSpec, data, what: str) -> Dict[int, Scalar]:
+    """{basis label: scalar text} as {basis index: Scalar}; an error names
+    the field ``what``, or its entry."""
     return {
         algebra.label_index(k): _json_scalar(algebra.table, v, f'{what}["{k}"]')
-        for k, v in _json_object(data, what).items()
+        for k, v in _json_typed(data, Mapping, what).items()
     }
 
 
-def _algebra_from_json(table: SymbolTable, alg: Mapping) -> AlgebraSpec:
+def _tensor_to_json(u: TensorSquareElement) -> list:
+    labels = u.algebra.basis_labels
+    return [
+        {"i": labels[i], "j": labels[j], "c": c.text()} for (i, j), c in sorted(u.coeffs.items())
+    ]
+
+
+def _tensor_from_json(algebra: AlgebraSpec, data, what: str) -> TensorSquareElement:
+    """The element of ``_tensor_to_json``'s rows; an error names the field
+    ``what``, or its row."""
+    coeffs = {}
+    for k, row in enumerate(_json_typed(data, list, what)):
+        row = _json_typed(row, Mapping, f"{what}[{k}]")
+        key = (algebra.label_index(row["i"]), algebra.label_index(row["j"]))
+        if key in coeffs:
+            raise StructureError(f"duplicate tensor slot {row['i']},{row['j']}")
+        coeffs[key] = _json_scalar(algebra.table, row["c"], f'{what}[{k}]["c"]')
+    return TensorSquareElement(algebra, coeffs)
+
+
+def _map_to_json(m: AlgebraMap) -> dict:
+    labels = m.algebra.basis_labels
+    return {labels[j]: _labelled_to_json(m.algebra, col) for j, col in sorted(m.columns.items())}
+
+
+def _map_from_json(algebra: AlgebraSpec, data, what: str) -> AlgebraMap:
+    """The map of ``_map_to_json``'s columns; an error names the field
+    ``what``, or its column or entry."""
+    columns = {
+        algebra.label_index(j): _labelled_from_json(algebra, col, f'{what}["{j}"]')
+        for j, col in _json_typed(data, Mapping, what).items()
+    }
+    return AlgebraMap(algebra, columns)
+
+
+def _algebra_from_json(table: SymbolTable, alg) -> AlgebraSpec:
+    alg = _json_typed(alg, Mapping, "algebra")
     if alg["kind"] == "matrix":
         algebra = matrix_algebra(table, _json_n(alg["n"]))
     elif alg["kind"] == "sweedler":
         algebra = sweedler_algebra(table)
     else:
         raise StructureError(f"unknown algebra kind {alg['kind']!r}")
-    return algebra.opposite() if alg.get("opposite") else algebra
+    # every nonempty string is truthy
+    opposite = _json_typed(alg.get("opposite", False), bool, "opposite")
+    return algebra.opposite() if opposite else algebra
 
 
 def _algebra_to_json(algebra: AlgebraSpec) -> dict:
@@ -878,20 +942,19 @@ def structure_to_json(S: OrientedQuantumAlgebraStructure) -> dict:
         "symbols": list(S.table.symbols),
         "gaussian": S.table.gaussian,
         "algebra": _algebra_to_json(algebra),
-        "rho": S.rho.to_json(),
-        "rho_inv": S.rho_inv.to_json(),
-        "t_d": S.t_d.to_json(),
-        "t_u": S.t_u.to_json(),
+        "rho": _tensor_to_json(S.rho),
+        "rho_inv": _tensor_to_json(S.rho_inv),
+        "t_d": _map_to_json(S.t_d),
+        "t_u": _map_to_json(S.t_u),
         "name": S.name,
     }
     if S.twist is not None:
         out["twist"] = {
-            "g": _element_to_json(S.twist.g),
-            "g_inv": _element_to_json(S.twist.g_inv),
+            "g": _labelled_to_json(algebra, S.twist.g.coeffs),
+            "g_inv": _labelled_to_json(algebra, S.twist.g_inv.coeffs),
         }
     if S.trace is not None:
-        labels = algebra.basis_labels
-        out["trace"] = {labels[i]: c.text() for i, c in sorted(S.trace.items())}
+        out["trace"] = _labelled_to_json(algebra, S.trace)
     return out
 
 
@@ -902,9 +965,7 @@ def table_from_json(data: Mapping) -> SymbolTable:
     # a string is iterable and every string is truthy
     if not isinstance(symbols, list):
         raise StructureError(f"symbols must be a JSON list of strings, got {symbols!r}")
-    if type(gaussian) is not bool:
-        raise StructureError(f"gaussian must be a JSON bool, got {gaussian!r}")
-    return SymbolTable(symbols, gaussian)
+    return SymbolTable(symbols, _json_typed(gaussian, bool, "gaussian"))
 
 
 def params_from_json(data: Mapping) -> MnStructureParams:
@@ -925,7 +986,7 @@ def params_from_json(data: Mapping) -> MnStructureParams:
         if len(a_values) != n:
             raise StructureError(f"a_values has {len(a_values)} entries, not n = {n}")
     B = {(i, j): table.one for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-    for key, text in _json_object(data.get("b", {}), "b").items():
+    for key, text in _json_typed(data.get("b", {}), Mapping, "b").items():
         try:
             pair = tuple(int(x) for x in key.split(","))
         except ValueError:
@@ -959,25 +1020,23 @@ def structure_from_json(
     elif builder is not None:
         raise StructureError(f"unknown builder {builder!r}")
     else:
+        name = _json_typed(data.get("name", "oqa"), str, "name")
         algebra = _algebra_from_json(table, data["algebra"])
-        rho = TensorSquareElement.from_json(algebra, data["rho"], "rho")
-        rho_inv = (
-            TensorSquareElement.from_json(algebra, data["rho_inv"], "rho_inv")
-            if "rho_inv" in data
-            else None
-        )
-        t_d = AlgebraMap.from_json(algebra, data["t_d"], "t_d")
-        t_u = AlgebraMap.from_json(algebra, data["t_u"], "t_u")
-        trace = None
+        rho = _tensor_from_json(algebra, data["rho"], "rho")
+        rho_inv = trace = None
+        if "rho_inv" in data:
+            rho_inv = _tensor_from_json(algebra, data["rho_inv"], "rho_inv")
+        t_d = _map_from_json(algebra, data["t_d"], "t_d")
+        t_u = _map_from_json(algebra, data["t_u"], "t_u")
         if "trace" in data:
-            trace = _scalars_from_json(algebra, data["trace"], "trace")
+            trace = _labelled_from_json(algebra, data["trace"], "trace")
         S = OrientedQuantumAlgebraStructure.create(
-            algebra, rho, t_d, t_u, rho_inv=rho_inv, trace=trace,
-            name=data.get("name", "oqa"),
+            algebra, rho, t_d, t_u, rho_inv=rho_inv, trace=trace, name=name
         )
         if "twist" in data:
+            twist = _json_typed(data["twist"], Mapping, "twist")
             g, g_inv = (
-                AlgebraElement(algebra, _scalars_from_json(algebra, data["twist"][k], k))
+                AlgebraElement(algebra, _labelled_from_json(algebra, twist[k], f'twist["{k}"]'))
                 for k in ("g", "g_inv")
             )
             S = attach_twist(S, g, g_inv)

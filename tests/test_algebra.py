@@ -5,6 +5,7 @@ import pytest
 
 import oqa.algebra
 from oqa import (
+    AlgebraError,
     AlgebraMap,
     SingularError,
     SymbolTable,
@@ -268,6 +269,59 @@ def test_map_inverse_and_powers(t, m2):
         singular.inverse()
 
 
+def test_tables_of_different_algebras_do_not_add(t, m2):
+    """Elements and tensors of M_2 and H4 neither add nor subtract, and an
+    element never equals a tensor, not even when both are zero."""
+    h4 = sweedler_algebra(t)
+    for x, y in (
+        (m2.basis_element(1), h4.basis_element(1)),
+        (TensorSquareElement(m2, {(0, 1): t.one}), TensorSquareElement(h4, {(0, 1): t.one})),
+    ):
+        with pytest.raises(AlgebraError, match="elements of different algebras"):
+            x + y
+        with pytest.raises(AlgebraError, match="elements of different algebras"):
+            x - y
+    for x, u in ((m2.zero(), TensorSquareElement(m2, {})),
+                 (m2.one(), TensorSquareElement(m2, {(0, 0): t.one}))):
+        assert x != u and u != x and not x == u
+
+
+def test_map_power_memo(t, m2, monkeypatch):
+    """power(n) agrees with n composes of the map or of its inverse, in any
+    order of asking, and inverts the map once; power(3000) needs no
+    recursion and is the diagonal of the 3000th powers."""
+    import sys
+
+    a = t.sym("a")
+    P, P_inv = _nilpotent_conjugation(m2, 2, {(1, 2): a})
+    conj = lambda: AlgebraMap(m2, {j: (P * m2.basis_element(j) * P_inv).coeffs for j in range(4)})
+
+    def composed(m, n):
+        step, out = (m if n >= 0 else m.inverse()), AlgebraMap.identity(m2)
+        for _ in range(abs(n)):
+            out = step.compose(out)
+        return out
+
+    want = {n: composed(conj(), n) for n in range(-3, 4)}
+    inverses = []
+    inverse = AlgebraMap.inverse
+    monkeypatch.setattr(AlgebraMap, "inverse", lambda m: inverses.append(m) or inverse(m))
+    m = conj()
+    for n in (2, -3, 3, 0, -1, 1, -2):
+        assert m.power(n) == want[n], n
+    assert len(inverses) == 1
+    q = a / t.sym("sbc")
+    entries = {0: t.one, 1: q.inv(), 2: q, 3: t.one}
+    diag = AlgebraMap.diagonal(m2, entries)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = diag.power(3000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == AlgebraMap.diagonal(m2, {j: c**3000 for j, c in entries.items()})
+
+
 # -- the reached-block solver against the full elimination -------------------
 
 
@@ -373,7 +427,7 @@ def test_tensor_invert_matches_full_elimination(t, monkeypatch):
         out = []
         for algebra, u in cases:
             try:
-                out.append(tensor_invert(algebra, u).to_json())
+                out.append(tensor_invert(algebra, u).coeffs)
             except SingularError as exc:
                 out.append(str(exc))
         return out
@@ -381,7 +435,7 @@ def test_tensor_invert_matches_full_elimination(t, monkeypatch):
     got = invert_all()
     monkeypatch.setattr(oqa.algebra, "solve_sparse", oracle_solve_sparse)
     assert got == invert_all()
-    assert all(isinstance(v, list) for v in got)
+    assert all(isinstance(v, dict) for v in got)
 
 
 def _nilpotent_conjugation(algebra, n, entries):
@@ -418,7 +472,7 @@ def test_map_inverse_matches_full_elimination(monkeypatch):
 
     def invert(m):
         try:
-            return m.inverse().to_json()
+            return m.inverse().columns
         except SingularError as exc:
             return str(exc)
 

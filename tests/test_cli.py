@@ -781,6 +781,41 @@ def test_json_fields_have_their_json_types(capsys, tmp_path, field, value, messa
     assert (code, out, err) == (2, "", f"error: bad structure file {path}: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        (("algebra",), ["matrix"], "algebra must be a JSON object, not list"),
+        # every nonempty string is truthy
+        (("algebra", "opposite"), "false", "opposite must be a JSON bool, got 'false'"),
+        (("rho",), {}, "rho must be a JSON list, not dict"),
+        (("rho",), {"i": "E11"}, "rho must be a JSON list, not dict"),
+        (("rho",), ["E11"], "rho[0] must be a JSON object, not str"),
+        (("rho_inv",), 5, "rho_inv must be a JSON list, not int"),
+        (("t_d",), [1], "t_d must be a JSON object, not list"),
+        (("t_d", "E11"), [1], 't_d["E11"] must be a JSON object, not list'),
+        (("trace",), ["E11"], "trace must be a JSON object, not list"),
+        (("twist",), "G", "twist must be a JSON object, not str"),
+        (("twist", "g"), ["E11"], 'twist["g"] must be a JSON object, not list'),
+        (("name",), 5, "name must be a JSON string, got 5"),
+    ],
+)
+def test_table_fields_have_their_json_types(capsys, tmp_path, ex2_file, field, value, message):
+    """Every table of an explicit-table file takes only its JSON shape: a
+    value of another type exits 2 with one line that names the field."""
+    from oqa import structure_from_json, structure_to_json
+
+    blob = structure_to_json(structure_from_json(json.loads(open(ex2_file).read())))
+    *outer, last = field
+    entry = blob
+    for key in outer:
+        entry = entry[key]
+    entry[last] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run_cli(capsys, "check-axioms", "--structure", str(path))
+    assert (code, out, err) == (2, "", f"error: bad structure file {path}: {message}\n")
+
+
 def test_scalar_errors_name_their_json_field(capsys, tmp_path, ex2_file):
     """A scalar text a structure file cannot be read from exits 2 with one
     line that ends with the JSON field it sits in: an example2 parameter, a

@@ -521,6 +521,65 @@ def test_constant_chain_reads():
     assert table.parse("((a+b+1)**60/(a+b+2)**60)*2*2*2*2*2") == value
 
 
+def _laurent_value(rng, table):
+    """A value that is no constant over a monomial denominator."""
+    ring, dom = table._field.ring, table._domain
+    exps = lambda: (rng.randint(0, 2), rng.randint(0, 2))
+    while True:
+        terms = {
+            exps(): dom.convert(rng.randint(-5, 5))
+            + (dom(0, rng.randint(-2, 2)) if table.gaussian else dom.zero)
+            for _ in range(rng.randint(1, 3))
+        }
+        num, den = ring.from_dict(terms), ring.from_dict({exps(): dom.one})
+        if num:
+            x = Scalar(table, table._field.new(num, den))
+            if not _constant(x):
+                return x
+
+
+def test_constant_operands_match_fracfield():
+    """c + x, x + c, c - x, x - c and c / x for a constant c equal sympy's
+    FracField result and are canonical, a sum keeps x's denominator, and none
+    counts a gcd degree; over Q and Q(i), with x on the Laurent route and
+    off it."""
+    from oqa.scalar import _gcd_degree
+
+    rng = random.Random(30)
+    for table in (SymbolTable(["a", "b"]), SymbolTable(["a", "b"], gaussian=True)):
+        for _ in range(6):
+            for x in (_off_laurent(rng, table), _laurent_value(rng, table)):
+                for c in _constants(rng, table):
+                    for got, ref in (
+                        (c + x, c.elem + x.elem),
+                        (x + c, x.elem + c.elem),
+                        (c - x, c.elem - x.elem),
+                        (x - c, x.elem - c.elem),
+                        (c / x, c.elem / x.elem),
+                    ):
+                        _assert_canonical(got, table, ref)
+                    assert (c + x).elem.denom == (x - c).elem.denom == x.elem.denom
+                    for op in (operator.add, operator.sub, operator.truediv):
+                        assert _gcd_degree(op, c, x) == _gcd_degree(op, x, c) == 0
+
+
+def test_constant_operands_run_no_gcd(monkeypatch):
+    """For x = (a+b+1)**60/(a+b+2)**60, x + 1, 1 - x and 3/x are built from
+    x's numerator and denominator alone: no polynomial gcd runs."""
+    table = SymbolTable(["a", "b"])
+    a, b = table._field.ring.gens
+    num, den = (a + b + 1) ** 60, (a + b + 2) ** 60
+    x = Scalar(table, table._field.raw_new(num, den))
+
+    def no_gcd(*args):
+        raise AssertionError("a polynomial gcd ran")
+
+    monkeypatch.setattr(type(num), "cancel", no_gcd)
+    monkeypatch.setattr(type(num), "gcd", no_gcd)
+    for got, want in ((x + 1, (num + den, den)), (1 - x, (den - num, den)), (3 / x, (3 * den, num))):
+        assert (got.elem.numer, got.elem.denom) == want
+
+
 # -- Laurent quotients, ground substitution and the text reader ---------------
 
 

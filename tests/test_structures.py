@@ -778,6 +778,34 @@ def test_structure_json_round_trip_opposite_matrix(ex2_n2):
     assert data["algebra"] == {"kind": "matrix", "n": 2, "opposite": True}
 
 
+def test_structure_json_bytes_are_pinned(ex2_n2, ex2_n3, alexander_n2):
+    """structure_to_json writes the same bytes for ten builds: example2 on
+    M_2 (with its opposite and standardization) and M_3, a Gaussian Tr G = 0
+    block, two blocks on M_3, a numeric M_4, and sweedler with its opposite
+    and at alpha = 0.  The digest pins the file format."""
+    import hashlib
+
+    q = SymbolTable([])
+    blocks = build_thm5(MnStructureParams(
+        table=q, n=3, blocks=((1, 2), (3,)), bc={0: 4, 1: 1}, diag={1: 3, 2: 3, 3: 5},
+        off_diag={(1, 2): 2, (2, 1): 2, (1, 3): 7, (3, 1): 1, (2, 3): 7, (3, 2): 1},
+        omega_sq={1: 1, 2: Fraction(9, 4), 3: 1}, exchange={(1, 2): Fraction(5, 3)},
+        omega_base_root={1: 1, 3: 1},
+    ))
+    B = {(i, j): q.scalar(1 + i + j) for i in range(1, 5) for j in range(i + 1, 5)}
+    n4 = build_balanced_example2(q, 4, q.scalar(3), q.scalar(4), B, q.one)
+    t = SymbolTable(["alpha"])
+    sweedler = sweedler_oqa(t, t.sym("alpha"))
+    built = [
+        ex2_n2, opposite(ex2_n2), standardize(ex2_n2), ex2_n3, alexander_n2, blocks, n4,
+        sweedler, opposite(sweedler), sweedler_oqa(t, t.zero),
+    ]
+    blob = json.dumps([structure_to_json(S) for S in built]).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "e2a84906aa951c0f4a916b9f3eecffe1909aa93d9435689acffd67ec1198bfd3"
+    )
+
+
 def test_params_from_json():
     """The shared parameter reader: a missing b_ij is 1, a key may carry
     spaces, a_values override a, and example2 files build from the result."""
