@@ -11,12 +11,19 @@ Canonical form is maintained eagerly (content/GCD reduction with a monic
 denominator), so ``==`` is exact mathematical equality and Scalars are
 hashable.  All values are immutable.
 
-A Scalar keeps one of two things.  A constant keeps its ground element (a
-``PythonMPQ`` on Q, a ``GaussianRational`` on Q(i)) in the slot
+A Scalar keeps one of two things.  A constant keeps its number in the slot
 ``_ground_value`` and no polynomial; any other value keeps its canonical
-``FracElement``.  ``elem`` reads that element, and for a constant builds it
-on demand (ground element over 1) without keeping it, for ``text()``,
-``substitute``, ``laurent_view`` and pickling.
+``FracElement``.  The number is a Q element (``QQ.dtype``) whenever it is
+real, on a Gaussian table too, and a ``GaussianRational`` only when its
+imaginary part is not 0: nearly every constant of a Q(i) table is rational,
+and Q arithmetic on it runs several times faster than sympy's Gaussian
+arithmetic.  sympy mixes a Q operand with a ``GaussianRational`` in
+``+ - * /`` and returns a ``GaussianRational``, which ``SymbolTable._ground``
+turns back into a Q element when it is real.  ``elem`` reads the
+``FracElement``, and for a constant builds it on demand (the number as an
+element of the table's domain, over 1) without keeping it, for ``text()``,
+``substitute``, ``laurent_view`` and pickling; the hash is taken from that
+domain element as well, so it does not depend on how the number is held.
 
 Arithmetic takes the first of four routes that fits its operands:
 
@@ -46,8 +53,9 @@ monic monomial, a negated numerator, a power of a reduced fraction -- so
 ``_canonical`` builds their Scalars once, without that check.
 
 Every constant, from any route, is built by ``SymbolTable._ground``: 0 is
-the table's ``zero`` and 1 its ``one``, both built once per table, and any
-other constant is a new Scalar holding its ground element.  The public
+the table's ``zero`` and 1 its ``one``, both built once per table and
+holding ``QQ.zero`` and ``QQ.one``, and any other constant is a new Scalar
+holding its number, a real one as a Q element.  The public
 constructor hands a constant element to it too, so a 1 from the FracField
 route (say (a+b)/(a+b)) is ``one`` as well.  A product with the unit costs
 nothing: when either factor is the table's ``one``, the product is the
@@ -114,6 +122,8 @@ class NotLaurentError(ScalarError):
 
 _PRINTER = StrPrinter({"order": "lex"})
 
+_GAUSSIAN = QQ_I.dtype
+
 # one FracField per (symbols, gaussian), shared by equal tables: sympy builds
 # a new field and ring on every FracField call
 _FIELDS: dict = {}
@@ -153,8 +163,8 @@ class SymbolTable:
         self._sympy_syms = {name: sympy.Symbol(name) for name in symbols}
         self._gens = dict(zip(symbols, self._field.gens))
         # built once; every 0 and 1 of this table is one of these
-        self.zero = _constant(self, self._domain.zero)
-        self.one = _constant(self, self._domain.one)
+        self.zero = _constant(self, QQ.zero)
+        self.one = _constant(self, QQ.one)
 
     def __repr__(self) -> str:
         dom = "QQ_I" if self.gaussian else "QQ"
@@ -210,12 +220,17 @@ class SymbolTable:
         return self._ground(c)
 
     def _ground(self, c) -> "Scalar":
-        """The constant Scalar of a ground-domain element: ``zero`` for 0,
-        ``one`` for 1 (so products by it take the unit rule), else a new
-        Scalar holding c."""
+        """The constant Scalar of a number c, a Q element or (on a Gaussian
+        table) a ``GaussianRational``: ``zero`` for 0, ``one`` for 1 (so
+        products by it take the unit rule), else a new Scalar holding c, as
+        its real part when its imaginary part is 0."""
+        if type(c) is _GAUSSIAN:
+            if c.y:
+                return _constant(self, c)
+            c = c.x
         if not c:
             return self.zero
-        if c == self._domain.one:
+        if c == QQ.one:
             return self.one
         return _constant(self, c)
 
@@ -307,10 +322,12 @@ class Scalar:
         e = self._elem
         if e is not None:
             return e
-        c, field = self._ground_value, self.table._field
+        table = self.table
+        c, field = self._ground_value, table._field
         if not c:
             return field.zero
-        return field.raw_new(field.ring.dtype({self.table._zero_monom: c}), field.one.denom)
+        c = _domain_element(table, c)
+        return field.raw_new(field.ring.dtype({table._zero_monom: c}), field.one.denom)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -331,10 +348,10 @@ class Scalar:
             # c + n/d = (c d + n)/d is reduced over the same monic d
             if cx is not None:
                 f = y._elem
-                num = op(f.denom.mul_ground(cx), f.numer)
+                num = op(f.denom.mul_ground(_domain_element(table, cx)), f.numer)
             else:
                 f = x._elem
-                num = op(f.numer, f.denom.mul_ground(cy))
+                num = op(f.numer, f.denom.mul_ground(_domain_element(table, cy)))
             return _canonical(table, table._field.raw_new(num, f.denom))
         x, y = x._elem, y._elem
         ex, ey = _monomial(x.denom), _monomial(y.denom)
@@ -393,7 +410,7 @@ class Scalar:
             cx = self._ground_value
             if cx is not None:
                 return table._ground(cx / c)
-            return _scaled(table, self._elem, table._domain.one / c)
+            return _scaled(table, self._elem, QQ.one / c)
         cx = self._ground_value
         if cx is not None:
             return _scaled(table, other._inverse()._elem, cx)
@@ -442,15 +459,19 @@ class Scalar:
         # not hash(self.elem): sympy caches a polynomial's hash, and
         # PolyElement.square caches it before it has added every term.  A
         # Scalar never changes, so its own hash is made on first use and kept.
-        # A constant hashes as the terms of its element: c over 1.
+        # A constant hashes as the terms of its element: c over 1, with c in
+        # the table's domain, so a real number on a Gaussian table hashes as
+        # the GaussianRational c + 0i, not as the Q element it is held as.
         h = getattr(self, "_hash", None)
         if h is None:
             c = self._ground_value
             if c is None:
                 num, den = self._elem.numer.items(), self._elem.denom.items()
             else:
-                zero = self.table._zero_monom
-                num, den = ((zero, c),) if c else (), ((zero, self.table._domain.one),)
+                table = self.table
+                zero = table._zero_monom
+                num = ((zero, _domain_element(table, c)),) if c else ()
+                den = ((zero, table._domain.one),)
             h = hash((frozenset(num), frozenset(den)))
             _set_hash(self, h)
         return h
@@ -489,7 +510,7 @@ class Scalar:
         table = self.table
         c = self._ground_value
         if c is not None:
-            return table._ground(table._domain.one / c)
+            return table._ground(QQ.one / c)
         q = _laurent_quotient(table, table._field.one, self._elem)
         return Scalar(table, self._elem ** -1) if q is None else q
 
@@ -509,13 +530,22 @@ _set_hash = Scalar._hash.__set__
 
 
 def _constant(table: SymbolTable, c) -> Scalar:
-    """The Scalar holding the ground element c; ``SymbolTable._ground`` is
-    the one caller after the table's ``zero`` and ``one`` are built."""
+    """The Scalar holding the number c, a Q element or a non-real
+    ``GaussianRational``; ``SymbolTable._ground`` is the one caller after
+    the table's ``zero`` and ``one`` are built."""
     s = _new(Scalar)
     _set_table(s, table)
     _set_ground_value(s, c)
     _set_elem(s, None)
     return s
+
+
+def _domain_element(table: SymbolTable, c):
+    """The number c of a constant as an element of the table's domain: a Q
+    element on a Gaussian table becomes the ``GaussianRational`` c + 0i."""
+    if table.gaussian and type(c) is not _GAUSSIAN:
+        return _GAUSSIAN.new(c, QQ.zero)
+    return c
 
 
 def _canonical(table: SymbolTable, elem) -> Scalar:
@@ -596,7 +626,8 @@ def _scaled(table: SymbolTable, f, c) -> Scalar:
     """
     if not c:
         return table.zero
-    return _canonical(table, table._field.raw_new(f.numer.mul_ground(c), f.denom))
+    num = f.numer.mul_ground(_domain_element(table, c))
+    return _canonical(table, table._field.raw_new(num, f.denom))
 
 
 def _laurent(table: SymbolTable, num, exp: tuple) -> Scalar:
@@ -844,14 +875,15 @@ def _eval_poly(table: SymbolTable, poly, values: Sequence[Scalar]) -> Scalar:
     return total
 
 
-def _ground_point(values: Sequence[Scalar]) -> Optional[list]:
-    """The ground-domain values of constant Scalars, or None if one is not."""
+def _ground_point(table: SymbolTable, values: Sequence[Scalar]) -> Optional[list]:
+    """The numbers of constant Scalars as elements of the table's domain, or
+    None if one is not a constant."""
     point = []
     for v in values:
         c = v._ground_value
         if c is None:
             return None
-        point.append(c)
+        point.append(_domain_element(table, c))
     return point
 
 
@@ -882,7 +914,7 @@ def substitute(s: Scalar, bindings: Mapping[str, ScalarLike]) -> Scalar:
             values.append(table.scalar(bindings[name]))
         else:
             values.append(table.sym(name))
-    point = _ground_point(values)
+    point = _ground_point(table, values)
     if point is None:
         num = _eval_poly(table, s.elem.numer, values)
         den = _eval_poly(table, s.elem.denom, values)
@@ -1023,14 +1055,17 @@ def _monomial_sqrt(s: Scalar) -> Optional[Scalar]:
     if root is None:
         return None
     half = lambda exp: tuple(e // 2 for e in exp)
+    root = _domain_element(table, root)
     return _laurent(table, num.new([(half(num_exp), root)]), half(den_exp))
 
 
 def _ground_sqrt(table: SymbolTable, c):
-    """sqrt(|c|), times ``I`` when c < 0 on a Gaussian table, for a nonzero
-    ground element c that is a rational with square numerator and
+    """sqrt(|c|) as a Q element, or ``I`` times it as a ``GaussianRational``
+    when c < 0 on a Gaussian table, for a nonzero number c -- a constant's
+    number or a polynomial's coefficient, so a Q element or a
+    ``GaussianRational`` -- that is a rational with square numerator and
     denominator; else None."""
-    if table.gaussian:
+    if type(c) is _GAUSSIAN:
         if c.y:
             return None
         c = c.x
@@ -1041,8 +1076,8 @@ def _ground_sqrt(table: SymbolTable, c):
     if c < 0:
         if not table.gaussian:
             return None
-        return table._domain(0, QQ(rp, rq))
-    return table._domain.convert(QQ(rp, rq))
+        return _GAUSSIAN.new(QQ.zero, QQ(rp, rq))
+    return QQ(rp, rq)
 
 
 def _sympy_sqrt(s: Scalar) -> Optional[Scalar]:

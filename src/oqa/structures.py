@@ -21,7 +21,9 @@ attachment.
 The structure file format lives here too: ``structure_to_json`` and
 ``structure_from_json`` write and read every table -- rho and rho^-1 as rows,
 t_d and t_u as columns, the trace and the twist -- and a value of the wrong
-JSON type raises a StructureError that names its field.
+JSON type raises a StructureError that names its field.  An error inside a
+row, a column or the algebra object -- an unknown basis label, a missing
+key, a bad scalar -- ends with the field it sits in, as ``(in rho[0]["i"])``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     AlgebraElement,
+    AlgebraError,
     AlgebraMap,
     AlgebraSpec,
     SingularError,
@@ -843,12 +846,26 @@ def _json_typed(value, kind: type, what: str):
     raise StructureError(f"{what} must be a JSON {_JSON_TYPES[kind]}, {got}")
 
 
-def _json_scalar(table: SymbolTable, text, field: str) -> Scalar:
-    """``table.parse(text)``; a ScalarError gets the JSON field appended."""
+def _in_field(field: str, read, *args):
+    """``read(*args)``; a ScalarError, AlgebraError or StructureError it
+    raises gets the JSON field appended, as in ``(in rho[0]["c"])``."""
     try:
-        return table.parse(text)
-    except ScalarError as exc:
+        return read(*args)
+    except (ScalarError, AlgebraError, StructureError) as exc:
         raise type(exc)(f"{exc} (in {field})") from None
+
+
+def _json_key(data: Mapping, key: str, what: str):
+    """``data[key]``; a missing key is a StructureError naming the field
+    ``what`` that lacks it."""
+    if key not in data:
+        raise StructureError(f"missing field {key!r} (in {what})")
+    return data[key]
+
+
+def _json_scalar(table: SymbolTable, text, field: str) -> Scalar:
+    """``table.parse(text)``; an error names the JSON field."""
+    return _in_field(field, table.parse, text)
 
 
 def _json_n(value) -> int:
@@ -869,9 +886,10 @@ def _labelled_to_json(algebra: AlgebraSpec, coeffs: Mapping[int, Scalar]) -> dic
 def _labelled_from_json(algebra: AlgebraSpec, data, what: str) -> Dict[int, Scalar]:
     """{basis label: scalar text} as {basis index: Scalar}; an error names
     the field ``what``, or its entry."""
+    fields = ((k, v, f'{what}["{k}"]') for k, v in _json_typed(data, Mapping, what).items())
     return {
-        algebra.label_index(k): _json_scalar(algebra.table, v, f'{what}["{k}"]')
-        for k, v in _json_typed(data, Mapping, what).items()
+        _in_field(at, algebra.label_index, k): _json_scalar(algebra.table, v, at)
+        for k, v, at in fields
     }
 
 
@@ -884,14 +902,19 @@ def _tensor_to_json(u: TensorSquareElement) -> list:
 
 def _tensor_from_json(algebra: AlgebraSpec, data, what: str) -> TensorSquareElement:
     """The element of ``_tensor_to_json``'s rows; an error names the field
-    ``what``, or its row."""
+    ``what``, or its row or the row's field."""
     coeffs = {}
     for k, row in enumerate(_json_typed(data, list, what)):
-        row = _json_typed(row, Mapping, f"{what}[{k}]")
-        key = (algebra.label_index(row["i"]), algebra.label_index(row["j"]))
+        at = f"{what}[{k}]"
+        row = _json_typed(row, Mapping, at)
+        i, j, c = (_json_key(row, name, at) for name in ("i", "j", "c"))
+        key = (
+            _in_field(f'{at}["i"]', algebra.label_index, i),
+            _in_field(f'{at}["j"]', algebra.label_index, j),
+        )
         if key in coeffs:
-            raise StructureError(f"duplicate tensor slot {row['i']},{row['j']}")
-        coeffs[key] = _json_scalar(algebra.table, row["c"], f'{what}[{k}]["c"]')
+            raise StructureError(f"duplicate tensor slot {i},{j} (in {at})")
+        coeffs[key] = _json_scalar(algebra.table, c, f'{at}["c"]')
     return TensorSquareElement(algebra, coeffs)
 
 
@@ -903,21 +926,24 @@ def _map_to_json(m: AlgebraMap) -> dict:
 def _map_from_json(algebra: AlgebraSpec, data, what: str) -> AlgebraMap:
     """The map of ``_map_to_json``'s columns; an error names the field
     ``what``, or its column or entry."""
+    fields = ((j, col, f'{what}["{j}"]') for j, col in _json_typed(data, Mapping, what).items())
     columns = {
-        algebra.label_index(j): _labelled_from_json(algebra, col, f'{what}["{j}"]')
-        for j, col in _json_typed(data, Mapping, what).items()
+        _in_field(at, algebra.label_index, j): _labelled_from_json(algebra, col, at)
+        for j, col, at in fields
     }
     return AlgebraMap(algebra, columns)
 
 
 def _algebra_from_json(table: SymbolTable, alg) -> AlgebraSpec:
     alg = _json_typed(alg, Mapping, "algebra")
-    if alg["kind"] == "matrix":
-        algebra = matrix_algebra(table, _json_n(alg["n"]))
-    elif alg["kind"] == "sweedler":
+    kind = _json_key(alg, "kind", "algebra")
+    if kind == "matrix":
+        n = _in_field('algebra["n"]', _json_n, _json_key(alg, "n", "algebra"))
+        algebra = matrix_algebra(table, n)
+    elif kind == "sweedler":
         algebra = sweedler_algebra(table)
     else:
-        raise StructureError(f"unknown algebra kind {alg['kind']!r}")
+        raise StructureError(f'unknown algebra kind {kind!r} (in algebra["kind"])')
     # every nonempty string is truthy
     opposite = _json_typed(alg.get("opposite", False), bool, "opposite")
     return algebra.opposite() if opposite else algebra
@@ -1036,7 +1062,10 @@ def structure_from_json(
         if "twist" in data:
             twist = _json_typed(data["twist"], Mapping, "twist")
             g, g_inv = (
-                AlgebraElement(algebra, _labelled_from_json(algebra, twist[k], f'twist["{k}"]'))
+                AlgebraElement(
+                    algebra,
+                    _labelled_from_json(algebra, _json_key(twist, k, "twist"), f'twist["{k}"]'),
+                )
                 for k in ("g", "g_inv")
             )
             S = attach_twist(S, g, g_inv)

@@ -486,14 +486,14 @@ def test_missing_json_fields_are_named(capsys, tmp_path, ex2_file, single_block_
     explicit = structure_to_json(structure_from_json(json.loads(open(ex2_file).read())))
     block = json.loads(open(single_block_file).read())
     path = tmp_path / "f.json"
-    for command, kind, blob, field in (
-        ("check-axioms", "structure", {k: v for k, v in explicit.items() if k != "algebra"}, "algebra"),
-        ("check-axioms", "structure", dict(explicit, algebra={"n": 2}), "kind"),
-        ("verify-section6", "single-block parameter", {k: v for k, v in block.items() if k != "n"}, "n"),
+    for command, kind, blob, missing in (
+        ("check-axioms", "structure", {k: v for k, v in explicit.items() if k != "algebra"}, "'algebra'"),
+        ("check-axioms", "structure", dict(explicit, algebra={"n": 2}), "'kind' (in algebra)"),
+        ("verify-section6", "single-block parameter", {k: v for k, v in block.items() if k != "n"}, "'n'"),
     ):
         path.write_text(json.dumps(blob))
         code, out, err = run_cli(capsys, command, "--structure", str(path))
-        assert (code, out, err) == (2, "", f"error: bad {kind} file {path}: missing field {field!r}\n")
+        assert (code, out, err) == (2, "", f"error: bad {kind} file {path}: missing field {missing}\n")
 
 def test_successive_calls_share_no_options(capsys, tmp_path, ex2_file):
     """main() builds its parser once per process; the --bind and --full of
@@ -839,6 +839,63 @@ def test_scalar_errors_name_their_json_field(capsys, tmp_path, ex2_file):
         for key in outer:
             entry = entry[key]
         entry[last] = text
+        path.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "check-axioms", "--structure", str(path))
+        assert (code, out, err) == (2, "", f"error: bad structure file {path}: {message}\n")
+
+
+def test_errors_inside_tables_name_their_field(capsys, tmp_path, ex2_file):
+    """An unknown basis label, a missing key or a duplicate slot inside a row
+    or column of an explicit-table file, and a bad field of its algebra
+    object, exit 2 with one line that ends with the field it sits in."""
+    from oqa import structure_from_json, structure_to_json
+
+    def renamed(table, old, new):
+        return {new if k == old else k: v for k, v in table.items()}
+
+    unknown = "unknown basis label {} in AlgebraSpec(M2, dim=4) (in {})"
+    path = tmp_path / "fields.json"
+    for edit, message in (
+        (lambda b: b["rho"][0].update(i=5), unknown.format(5, 'rho[0]["i"]')),
+        (lambda b: b["rho"][0].update(i="E99"), unknown.format("'E99'", 'rho[0]["i"]')),
+        (lambda b: b["rho_inv"][1].update(j="E99"), unknown.format("'E99'", 'rho_inv[1]["j"]')),
+        (lambda b: b["rho"][0].pop("c"), "missing field 'c' (in rho[0])"),
+        (lambda b: b["rho"][2].pop("i"), "missing field 'i' (in rho[2])"),
+        (lambda b: b["rho"].append(dict(b["rho"][0])), "duplicate tensor slot E11,E11 (in rho[5])"),
+        (
+            lambda b: b.update(t_d=renamed(b["t_d"], "E12", "E99")),
+            unknown.format("'E99'", 't_d["E99"]'),
+        ),
+        (
+            lambda b: b["t_u"].update(E11=renamed(b["t_u"]["E11"], "E11", "E99")),
+            unknown.format("'E99'", 't_u["E11"]["E99"]'),
+        ),
+        (
+            lambda b: b["twist"].update(g=renamed(b["twist"]["g"], "E22", "E99")),
+            unknown.format("'E99'", 'twist["g"]["E99"]'),
+        ),
+        (lambda b: b["twist"].pop("g"), "missing field 'g' (in twist)"),
+        (
+            lambda b: b.update(trace=renamed(b["trace"], "E11", "E99")),
+            unknown.format("'E99'", 'trace["E99"]'),
+        ),
+        (lambda b: b.update(algebra={"n": 2}), "missing field 'kind' (in algebra)"),
+        (
+            lambda b: b.update(algebra={"kind": "foo", "n": 2}),
+            """unknown algebra kind 'foo' (in algebra["kind"])""",
+        ),
+        (lambda b: b.update(algebra={"kind": "matrix"}), "missing field 'n' (in algebra)"),
+        (
+            lambda b: b.update(algebra={"kind": "matrix", "n": "2"}),
+            """n must be a JSON integer, got '2' (in algebra["n"])""",
+        ),
+        (
+            lambda b: b.update(algebra={"kind": "matrix", "n": 0}),
+            'matrix algebra needs n >= 1 (in algebra["n"])',
+        ),
+    ):
+        blob = structure_to_json(structure_from_json(json.loads(open(ex2_file).read())))
+        edit(blob)
         path.write_text(json.dumps(blob))
         code, out, err = run_cli(capsys, "check-axioms", "--structure", str(path))
         assert (code, out, err) == (2, "", f"error: bad structure file {path}: {message}\n")

@@ -442,6 +442,64 @@ def test_ground_route_matches_fracfield(data):
                 assert got is table.one
 
 
+def test_real_constants_on_gaussian_tables_hold_q_elements():
+    """On a Gaussian table a constant with imaginary part 0 holds a Q
+    element (``QQ.dtype``) from every route that makes a constant -- ground,
+    constant operand, Laurent, the public constructor, substitute, parse,
+    perfect_sqrt and unpickling -- and any other constant a
+    ``GaussianRational``; ``zero`` and ``one`` hold Q's 0 and 1.  ``elem``
+    still lies in the Q(i) field, and ``text()`` reads back to the same
+    constant."""
+    import pickle
+
+    from sympy.polys.domains import QQ, QQ_I
+
+    for table in (t for t in _ground_tables if t.gaussian):
+        i, c = table.i, table.rational(3, 2)
+        assert type(table.zero._ground_value) is QQ.dtype and table.zero._ground_value == 0
+        assert type(table.one._ground_value) is QQ.dtype and table.one._ground_value == 1
+        real = [
+            c, c * c, c + 1, c - 5, -c, c**3, c.inv(), 3 / c, c**-2,
+            (c + i) * (c - i), i * i, (1 + i) ** 4, (2 * i) / i, i * 0 + c,
+            Scalar(table, table._field(QQ_I(5, 0))),
+            table.parse("5/2"), table.parse("I*I/3"), table.parse("(1 + I)*(1 - I)"),
+            perfect_sqrt(table.rational(9, 4)),
+            pickle.loads(pickle.dumps(table.rational(-7, 3))),
+        ]
+        gaussian = [
+            i, c + i, c * i, i / c, (1 + i) ** 2, (c + i).inv(), -i,
+            table.parse("3*I/2 + 1"), perfect_sqrt(table.rational(-9, 4)),
+            Scalar(table, table._field(QQ_I(1, 2))),
+            pickle.loads(pickle.dumps(c - i)),
+        ]
+        if table.symbols:
+            a, sbc = table.syms(*table.symbols)
+            x = a + sbc + 1  # off the Laurent route
+            real += [
+                table.zero * a,  # the constant operand route
+                (2 * a) / a, (a + 3) - a, (c * a**2 + a) / a - c * a,  # Laurent
+                (x * 5) / x, Scalar(table, (x * c).elem / x.elem),  # FracField, constructor
+                substitute((a**2 - 3 * sbc) / (2 * a * sbc + 1), {"a": 2, "sbc": c}),
+                substitute(a - sbc + 2, {"a": sbc}),
+            ]
+            gaussian += [
+                (i * a) / a, (a + i) - a, (x * i) / x,
+                substitute(a * sbc, {"a": i, "sbc": c}),
+                substitute(a + sbc, {"a": i * sbc}) / sbc - 1,
+            ]
+        for x in real:
+            assert type(x._ground_value) is QQ.dtype, x
+        for x in gaussian:
+            assert type(x._ground_value) is QQ_I.dtype and x._ground_value.y, x
+        for x in real + gaussian + [table.zero, table.one]:
+            num, den = x.elem.numer, x.elem.denom
+            assert x.elem.field is table._field
+            assert all(type(q) is QQ_I.dtype for p in (num, den) for q in p.values())
+            back = table.parse(x.text())
+            assert back == x and back.text() == x.text() and hash(back) == hash(x)
+            assert type(back._ground_value) is type(x._ground_value)
+
+
 def test_zero_and_one_are_built_once():
     """``zero`` and ``one`` are one Scalar per table, and every 0 and 1 that
     constant arithmetic makes is that Scalar."""
@@ -884,6 +942,8 @@ def _frozenset_hash(x: Scalar) -> int:
         ([], True, "(3 + 4*I)/5"),
         ([], False, "-7/3"),
         ([], False, "0"),
+        ([], True, "-7/3"),
+        (["a", "sbc"], True, "5/2"),
     ],
 )
 def test_hash_is_kept_and_unchanged(symbols, gaussian, text):
@@ -924,6 +984,8 @@ def _round_trip_values():
         t3.zero,
         t3.one,
         (a + 1) / (a + 1),
+        t2.rational(-7, 3),
+        t3.rational(5, 2),
     ]
 
 

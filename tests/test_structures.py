@@ -806,6 +806,77 @@ def test_structure_json_bytes_are_pinned(ex2_n2, ex2_n3, alexander_n2):
     )
 
 
+def _mixed_block_params(seed, sizes):
+    """Seeded Theorem-5 parameters over Q(i), no symbols, with blocks of the
+    given sizes.  Each block's diagonal alternates a_e and -bc/a_e, so every
+    step of its automorphism chain takes the root of a negative ratio and t
+    has entries in I."""
+    rng = random.Random(seed)
+    frac = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6))
+    t = SymbolTable([], gaussian=True)
+    starts = [sum(sizes[:k]) + 1 for k in range(len(sizes))]
+    blocks = tuple(tuple(range(s, s + size)) for s, size in zip(starts, sizes))
+    n = sum(sizes)
+    bc, diag, root, omega_sq = {}, {}, {}, {}
+    for k, blk in enumerate(blocks):
+        bc[k] = frac() ** 2
+        a_e = frac()
+        while a_e * a_e == bc[k]:
+            a_e = frac()
+        for pos, i in enumerate(blk):
+            diag[i] = a_e if pos % 2 == 0 else -bc[k] / a_e
+        root[blk[0]] = frac()
+        w = omega_sq[blk[0]] = root[blk[0]] ** 2
+        for pos in range(1, len(blk)):
+            val = diag[blk[0]] * diag[blk[pos]] / bc[k] * w
+            for j in blk[1:pos]:
+                val *= diag[j] ** 2 / bc[k]
+            omega_sq[blk[pos]] = val
+    block_of = {i: k for k, blk in enumerate(blocks) for i in blk}
+    cross = {(k, l): frac() for k in range(len(blocks)) for l in range(k + 1, len(blocks))}
+    off_diag = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            k, l = block_of[i], block_of[j]
+            v = off_diag[(i, j)] = frac()
+            off_diag[(j, i)] = (bc[k] if k == l else cross[(k, l)]) / v
+    return MnStructureParams(
+        table=t, n=n, blocks=blocks, bc=bc, diag=diag, off_diag=off_diag,
+        omega_sq=omega_sq, omega_base_root=root,
+    )
+
+
+def test_gaussian_structure_bytes_are_pinned():
+    """structure_to_json and the full check_axioms report write the same
+    bytes for seeded mixed-block structures over Q(i) built by build_thm5
+    (block sizes (2,1), (2,1,1) and (3,1)) and for one of them with a
+    tampered rho entry and no rho^-1 or twist.  The digests pin that how a
+    constant is held never shows in canonical text."""
+    import hashlib
+
+    built = [
+        build_thm5(_mixed_block_params(seed, sizes), name=f"mixed{sizes}")
+        for seed, sizes in ((11, (2, 1)), (12, (2, 1, 1)), (13, (3, 1)), (14, (2, 1)))
+    ]
+    files = [structure_to_json(S) for S in built]
+    tampered = json.loads(json.dumps(files[0]))
+    tampered["rho"][1]["c"] = f"3*({tampered['rho'][1]['c']})"
+    del tampered["rho_inv"], tampered["twist"]
+    lines = []
+    for S in built + [structure_from_json(tampered)]:
+        report = check_axioms(S, full_report=True)
+        lines.append(f"{S.name}: {report.qa1} {report.qa2} {report.qa3}")
+        lines.extend(report.witnesses)
+    text = json.dumps(files)
+    assert "I" in text and any("I" in line for line in lines)
+    assert [line.startswith("mixed") for line in lines].count(True) == len(built) + 1
+    digest = lambda blob: hashlib.sha256(blob.encode()).hexdigest()
+    assert digest(text) == "8e567b18c1ce39ae5e3693e4145f7054caf380919a9f2b2ec90c1553adcd384a"
+    assert digest("\n".join(lines)) == (
+        "07ba6d0a94fcc236bc358bb565fb815558bb962cd2a53c8f3f8d39823a23713b"
+    )
+
+
 def test_params_from_json():
     """The shared parameter reader: a missing b_ij is 1, a key may carry
     spaces, a_values override a, and example2 files build from the result."""
